@@ -32,7 +32,7 @@ from .hermite import (
     pattern_pairs,
     phi_batch,
 )
-from .model import ModelParams
+from .model import ModelParams, planted_response
 
 DEFAULT_PATTERN_CAP = 1_000_000
 EXACT_PERM_MAX_N = 7
@@ -67,11 +67,10 @@ def _perm_averaged_phi(
     X = rng.standard_normal((size, n, d))
     Q = randmat.stiefel_batch(d, m, size, rng)
     Z = rng.standard_normal((size, n, m))
-    scale = math.sqrt(1.0 + sigma**2)
     acc = np.zeros((size, len(patterns)))
     count = 0
     for perm in itertools.permutations(range(n)):
-        Y = (X[:, perm, :] @ Q + sigma * Z) / scale
+        Y = planted_response(X[:, perm, :], Q, Z, sigma)
         acc += phi_batch(patterns, X, Y)
         count += 1
     return acc / count
@@ -106,12 +105,7 @@ def estimate_phi_mean_planted(
     if exact_perm and params.n > EXACT_PERM_MAX_N:
         raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
     sampler = _perm_averaged_phi if exact_perm else _planted_phi
-    vals = sampler([pattern], params, samples, rng)[:, 0]
-    return MomentEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
-    )
+    return MomentEstimate.from_values(sampler([pattern], params, samples, rng)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -294,19 +288,10 @@ def advantage_bound_via_chisq(
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
     total = 1.0
+    method = "closed" if sigma == 0 else "mc"
     for k in range(1, D + 1):
         try:
-            if sigma == 0:
-                if k <= m:
-                    report = chisq_mod.chisq_case1_closed(d, m, k)
-                else:
-                    report = chisq_mod.chisq_case2_closed(d, m, k)
-            elif m == d:
-                if rng is None:
-                    raise ValueError("rng is required for the Monte Carlo m = d path")
-                report = chisq_mod.chisq_m_eq_d_mc(d, k, sigma, samples, rng)
-            else:
-                raise UnsupportedRegimeError("no closed form and m != d")
+            report = chisq_mod.evaluate(d, m, k, sigma, method, samples, rng)
         except UnsupportedRegimeError as exc:
             raise UnsupportedRegimeError(
                 f"no chi-square oracle applies at d={d}, m={m}, sigma={sigma} (k={k}): {exc}"

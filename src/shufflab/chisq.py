@@ -2,7 +2,8 @@
 
 Two noiseless closed forms (products of Wishart normalizing constants) and
 one Monte Carlo evaluator for the square case m = d with noise cover the
-regimes where the divergence is tractable.  The supporting analytic
+regimes where the divergence is tractable; ``evaluate`` picks the evaluator
+for a regime and method.  The supporting analytic
 moments (sphere monomials, Gaussian exponential moments, orthogonal
 submatrix density, Haar determinant integrals) live here as well; they
 double as oracles for the samplers.
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .common import MomentEstimate, UnsupportedRegimeError
+from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .randmat import haar_orthogonal_batch
 
 ZETA_SLACK = 1e-12
@@ -34,18 +35,6 @@ REGIME_CASE2 = "case2_sigma0"
 REGIME_M_EQ_D = "m_eq_d"
 
 _MC_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class WishartConstantQuery:
-    """Arguments (s, t) of the Wishart normalizing constant."""
-
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if not (self.s >= self.t >= 1):
-            raise ValueError(f"need s >= t >= 1, got s={self.s}, t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,8 @@ def log_wishart_constant(s: int, t: int) -> float:
 
     1/omega(s, t) = pi^{t(t-1)/4} * 2^{st/2} * prod_{j=1..t} Gamma((s-j+1)/2).
     """
-    WishartConstantQuery(s, t)  # validates
+    if not s >= t >= 1:
+        raise ValueError(f"need s >= t >= 1, got s={s}, t={t}")
     js = np.arange(1, t + 1)
     return -float(
         (t * (t - 1) / 4.0) * math.log(math.pi)
@@ -219,29 +209,30 @@ def likelihood_ratio_case1(A: np.ndarray, Y: np.ndarray, d: int) -> float:
     return float(np.exp(log_l))
 
 
+def _case1_lr_power(
+    d: int, m: int, k: int, samples: int, rng: np.random.Generator, power: float
+) -> np.ndarray:
+    """Draws of L^power under the null, L the case-1 likelihood ratio (0 off support)."""
+
+    def draw(b: int) -> np.ndarray:
+        X = rng.standard_normal((b, k, d))
+        Y = rng.standard_normal((b, k, m))
+        return _reduced_log_likelihood(X @ np.swapaxes(X, -2, -1), Y, d)
+
+    log_l = draw_chunked(draw, samples, _MC_CHUNK)
+    return np.where(np.isneginf(log_l), 0.0, np.exp(power * log_l))
+
+
 def chisq_case1_mc(
     d: int, m: int, k: int, samples: int, rng: np.random.Generator
 ) -> ChiSquareReport:
     """Monte Carlo E[L^2] under the null, cross-checking the case-1 closed form."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(_MC_CHUNK, samples - done)
-        X = rng.standard_normal((b, k, d))
-        Y = rng.standard_normal((b, k, m))
-        A = X @ np.swapaxes(X, -2, -1)
-        log_l = _reduced_log_likelihood(A, Y, d)
-        vals[done : done + b] = np.where(np.isneginf(log_l), 0.0, np.exp(2.0 * log_l))
-        done += b
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
+    est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
     return ChiSquareReport(
-        regime=REGIME_CASE1, value=mean, method="monte_carlo",
-        d=d, m=m, k=k, sigma=0.0, stderr=stderr, samples=samples,
+        regime=REGIME_CASE1, value=est.value, method="monte_carlo",
+        d=d, m=m, k=k, sigma=0.0, stderr=est.stderr, samples=samples,
     )
 
 
@@ -249,21 +240,7 @@ def likelihood_ratio_case1_mc_mean(
     d: int, m: int, k: int, samples: int, rng: np.random.Generator
 ) -> MomentEstimate:
     """Monte Carlo E[L] under the null; a likelihood ratio integrates to one."""
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(_MC_CHUNK, samples - done)
-        X = rng.standard_normal((b, k, d))
-        Y = rng.standard_normal((b, k, m))
-        A = X @ np.swapaxes(X, -2, -1)
-        log_l = _reduced_log_likelihood(A, Y, d)
-        vals[done : done + b] = np.where(np.isneginf(log_l), 0.0, np.exp(log_l))
-        done += b
-    return MomentEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
-    )
+    return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 
 def chisq_m_eq_d_mc(
@@ -271,7 +248,8 @@ def chisq_m_eq_d_mc(
 ) -> ChiSquareReport:
     """Monte Carlo chi-square for the square case via the Haar determinant integral.
 
-    Averages det(I - Q/(1+sigma^2))^{-k} over Haar orthogonal Q.  Refuses
+    Averages det(I - Q/(1+sigma^2))^{-k} over Haar orthogonal Q, which is
+    det_integral_mc at eps = -1/(1+sigma^2) and power -k.  Refuses
     sigma = 0 (the integrand is unbounded as the contraction factor
     approaches 1) and flags sigma < 1 as heavy-tailed.
     """
@@ -288,27 +266,57 @@ def chisq_m_eq_d_mc(
             regime=REGIME_M_EQ_D, value=1.0, method="closed_form",
             d=d, m=d, k=0, sigma=sigma,
         )
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    eps = 1.0 / (1.0 + sigma**2)
-    eye = np.eye(d)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(_MC_CHUNK, samples - done)
-        q = haar_orthogonal_batch(d, b, rng)
-        sign, logdet = np.linalg.slogdet(eye - eps * q)
-        vals[done : done + b] = np.exp(-k * logdet)  # det > 0 for eps < 1
-        done += b
+    est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
     warning = ""
     if sigma < HEAVY_TAIL_SIGMA:
         warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
     return ChiSquareReport(
-        regime=REGIME_M_EQ_D, value=float(vals.mean()), method="monte_carlo",
-        d=d, m=d, k=k, sigma=sigma,
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)), samples=samples,
+        regime=REGIME_M_EQ_D, value=est.value, method="monte_carlo",
+        d=d, m=d, k=k, sigma=sigma, stderr=est.stderr, samples=est.samples,
         warning=warning,
     )
+
+
+def evaluate(
+    d: int,
+    m: int,
+    k: int,
+    sigma: float,
+    method: str,
+    samples: int = 100_000,
+    rng: np.random.Generator | None = None,
+) -> ChiSquareReport:
+    """Chi-square of the reduced k-row model by the evaluator for its regime.
+
+    method "closed": the noiseless closed forms, case 1 for k <= m and
+    case 2 otherwise.  method "mc": the case-1 likelihood-ratio Monte Carlo
+    at sigma = 0 with k <= m, and the Haar determinant integral at m = d
+    with noise; both need ``rng``.  Other regimes raise
+    UnsupportedRegimeError.
+    """
+    if method == "closed":
+        if sigma != 0:
+            raise UnsupportedRegimeError(
+                f"no closed form for sigma={sigma} (closed forms need sigma = 0)"
+            )
+        if k <= m:
+            return chisq_case1_closed(d, m, k)
+        return chisq_case2_closed(d, m, k)
+    if method != "mc":
+        raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
+    if sigma == 0 and k > m:
+        raise UnsupportedRegimeError(
+            f"no Monte Carlo evaluator for sigma=0 with k={k} > m={m}"
+        )
+    if sigma != 0 and m != d:
+        raise UnsupportedRegimeError(
+            f"no Monte Carlo evaluator for sigma={sigma} with m={m} != d={d}"
+        )
+    if rng is None:
+        raise ValueError("rng is required for the Monte Carlo evaluators")
+    if sigma == 0:
+        return chisq_case1_mc(d, m, k, samples, rng)
+    return chisq_m_eq_d_mc(d, k, sigma, samples, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +377,13 @@ def det_integral_mc(
         raise ValueError(f"need d >= 1, got {d}")
     if eps == 0.0 or k == 0:
         return MomentEstimate(value=1.0, stderr=0.0, samples=0)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     eye = np.eye(d)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(_MC_CHUNK, samples - done)
-        q = haar_orthogonal_batch(d, b, rng)
-        _, logdet = np.linalg.slogdet(eye + eps * q)
-        vals[done : done + b] = np.exp(k * logdet)
-        done += b
-    return MomentEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
-    )
+
+    def draw(b: int) -> np.ndarray:
+        _, logdet = np.linalg.slogdet(eye + eps * haar_orthogonal_batch(d, b, rng))
+        return np.exp(k * logdet)
+
+    return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
 
 def gaussian_exp_moment(lam: float, A: np.ndarray) -> float:

@@ -7,10 +7,11 @@ printed with 17 significant digits and nothing time-dependent enters the
 files (wall-clock timing goes to stderr).
 
 Grid handling: list-valued options form a grid iterated row-major over
-the declared key order (flag order n, d, m, sigma, D, k for the flag
-interface; file order for sweep configs).  Each grid cell owns the
-disjoint stream-index range [cell * 1024, (cell+1) * 1024) of the master
-seed, so results are independent of execution order.
+the declared key order (flag order n, d, m, sigma for detect, n, d, m,
+sigma, D for advantage and d, m, k, sigma for chisq; file order for sweep
+configs).  Each grid cell owns the disjoint stream-index range
+[cell * 1024, (cell+1) * 1024) of the master seed, so results are
+independent of execution order.
 
 Exit codes: 0 success, 1 oracle failure, 2 usage, 3 capacity,
 4 unsupported regime, 5 I/O.
@@ -26,13 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .advantage import advantage_sq_with_patterns
-from .chisq import (
-    ChiSquareReport,
-    chisq_case1_closed,
-    chisq_case1_mc,
-    chisq_case2_closed,
-    chisq_m_eq_d_mc,
-)
+from .chisq import ChiSquareReport, evaluate
 from .common import CapacityError, UnsupportedRegimeError
 from .detect import run_test, separation_report
 from .matrixio import format_float, write_matrix, write_sidecar
@@ -50,7 +45,13 @@ EXIT_CAPACITY = 3
 EXIT_REGIME = 4
 EXIT_IO = 5
 
-GRID_KEY_ORDER = ("n", "d", "m", "sigma", "D", "k")
+# grid keys of each sweep command: all are required, and only they may be lists
+SWEEP_GRID_KEYS = {
+    "sample": (),
+    "detect": ("n", "d", "m", "sigma"),
+    "advantage": ("n", "d", "m", "sigma", "D"),
+    "chisq": ("d", "m", "k", "sigma"),
+}
 
 DETECT_COLUMNS = (
     "n,d,m,sigma,trials,threshold,type1,type2,mean_null,mean_planted,"
@@ -185,30 +186,6 @@ def advantage_rows(
     return rows, pattern_rows
 
 
-def _chisq_closed(d: int, m: int, k: int, sigma: float) -> ChiSquareReport:
-    if sigma != 0:
-        raise UnsupportedRegimeError(
-            f"no closed form for sigma={sigma} (closed forms need sigma = 0)"
-        )
-    if k <= m:
-        return chisq_case1_closed(d, m, k)
-    return chisq_case2_closed(d, m, k)
-
-
-def _chisq_mc(d: int, m: int, k: int, sigma: float, samples: int, rng) -> ChiSquareReport:
-    if sigma == 0:
-        if k <= m:
-            return chisq_case1_mc(d, m, k, samples, rng)
-        raise UnsupportedRegimeError(
-            f"no Monte Carlo evaluator for sigma=0 with k={k} > m={m}"
-        )
-    if m == d:
-        return chisq_m_eq_d_mc(d, k, sigma, samples, rng)
-    raise UnsupportedRegimeError(
-        f"no Monte Carlo evaluator for sigma={sigma} with m={m} != d={d}"
-    )
-
-
 def _report_row(report: ChiSquareReport, delta: float | None) -> str:
     return ",".join(
         _fmt(v)
@@ -231,9 +208,9 @@ def chisq_rows(
         rng = make_rng(master_seed, cell * STREAM_STRIDE)
         closed = mc = None
         if mode in ("closed", "both"):
-            closed = _chisq_closed(d, m, k, sigma)
+            closed = evaluate(d, m, k, sigma, "closed")
         if mode in ("mc", "both"):
-            mc = _chisq_mc(d, m, k, sigma, samples, rng)
+            mc = evaluate(d, m, k, sigma, "mc", samples, rng)
         if closed is not None:
             rows.append(_report_row(closed, None))
         if mc is not None:
@@ -360,13 +337,19 @@ def parse_config(text: str) -> dict[str, object]:
     return out
 
 
-def _config_grids(config: dict[str, object]) -> dict[str, list]:
-    """Grid keys in declared order; scalar grid keys become singleton lists."""
+def _config_grids(config: dict[str, object], grid_keys: tuple[str, ...]) -> dict[str, list]:
+    """Grid keys in declared order; scalar grid keys become singleton lists.
+
+    A list under any other key is a usage error: those keys take one value.
+    """
     grids: dict[str, list] = {}
-    for key in config:
-        if key in GRID_KEY_ORDER:
-            value = config[key]
+    for key, value in config.items():
+        if key in grid_keys:
             grids[key] = list(value) if isinstance(value, list) else [value]
+            if not grids[key]:
+                raise ValueError(f"grid {key!r} must be nonempty")
+        elif isinstance(value, list):
+            raise ValueError(f"sweep key {key!r} takes a single value, got a list")
     return grids
 
 
@@ -380,15 +363,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
         config = parse_config(fh.read())
     command = str(_require(config, "command"))
+    if command not in SWEEP_GRID_KEYS:
+        raise ValueError(
+            f"unknown sweep command {command!r}; expected sample, detect, advantage, or chisq"
+        )
+    grids = _config_grids(config, SWEEP_GRID_KEYS[command])
     master_seed = int(_require(config, "master_seed"))
-    grids = _config_grids(config)
-    for key, values in grids.items():
-        if not values:
-            raise ValueError(f"grid {key!r} must be nonempty")
+    for key in SWEEP_GRID_KEYS[command]:
+        _require(config, key)
 
     if command == "detect":
-        for key in ("n", "d", "m", "sigma"):
-            _require(config, key)
         rows = detect_rows(
             grids,
             trials=int(_require(config, "trials")),
@@ -397,8 +381,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         _write_lines(_resolve_output(str(_require(config, "output"))), rows)
     elif command == "advantage":
-        for key in ("n", "d", "m", "sigma", "D"):
-            _require(config, key)
         rows, pattern_rows = advantage_rows(
             grids,
             samples=int(_require(config, "samples")),
@@ -410,8 +392,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if "per_pattern_output" in config:
             _write_lines(_resolve_output(str(config["per_pattern_output"])), pattern_rows)
     elif command == "chisq":
-        for key in ("d", "m", "k", "sigma"):
-            _require(config, key)
         rows = chisq_rows(
             grids,
             mode=str(config.get("mode", "closed")),
@@ -419,7 +399,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             master_seed=master_seed,
         )
         _write_lines(_resolve_output(str(_require(config, "output"))), rows)
-    elif command == "sample":
+    else:  # sample
         ns = argparse.Namespace(
             n=int(_require(config, "n")), d=int(_require(config, "d")),
             m=int(_require(config, "m")), sigma=float(_require(config, "sigma")),
@@ -431,10 +411,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if ns.hypothesis not in ("null", "planted"):
             raise ValueError(f"hypothesis must be null or planted, got {ns.hypothesis!r}")
         return _cmd_sample(ns)
-    else:
-        raise ValueError(
-            f"unknown sweep command {command!r}; expected sample, detect, advantage, or chisq"
-        )
     return EXIT_OK
 
 

@@ -1,8 +1,12 @@
-"""Shared value types and error classes used across the library."""
+"""Shared value types, error classes and the chunked Monte Carlo loop."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 
 class CapacityError(Exception):
@@ -17,15 +21,38 @@ class UnsupportedRegimeError(Exception):
 class MomentEstimate:
     """A Monte Carlo estimate with its standard error.
 
-    ``stderr`` is the standard error of ``value`` (0 for exact results);
-    ``master_seed`` is filled by callers that own the seed plumbing and is
-    None when the estimate was produced from a bare generator.
+    ``stderr`` is the standard error of ``value`` (0 for exact results).
     """
 
     value: float
     stderr: float
     samples: int
-    master_seed: int | None = None
+
+    @classmethod
+    def from_values(cls, vals: np.ndarray) -> "MomentEstimate":
+        """Sample mean of ``vals``; stderr is the n-1 sample std over sqrt(n), inf at n = 1."""
+        n = len(vals)
+        stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+        return cls(value=float(vals.mean()), stderr=stderr, samples=n)
 
     def within(self, target: float, n_sigma: float = 3.0) -> bool:
         return abs(self.value - target) <= n_sigma * self.stderr
+
+
+def draw_chunked(
+    draw: Callable[[int], np.ndarray], total: int, chunk: int
+) -> np.ndarray:
+    """Concatenate draw(b) over consecutive batches of at most ``chunk`` draws.
+
+    The chunk size fixes how the draws of one batch interleave on the random
+    stream, so a caller that changes it changes its output bits.
+    """
+    if total < 1:
+        raise ValueError(f"samples must be >= 1, got {total}")
+    parts = []
+    done = 0
+    while done < total:
+        b = min(chunk, total - done)
+        parts.append(draw(b))
+        done += b
+    return np.concatenate(parts)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import draw_chunked
 from .model import Instance, ModelParams, sample_null_batch, sample_planted_batch
 
 _TRIAL_CHUNK = 512
@@ -76,14 +77,9 @@ def _sample_f(
     params: ModelParams, hypothesis: str, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_TRIAL_CHUNK, trials - done)
-        X, Y = sampler(params, b, rng)
-        out[done : done + b] = _statistic_batch(X, Y)
-        done += b
-    return out
+    return draw_chunked(
+        lambda b: _statistic_batch(*sampler(params, b, rng)), trials, _TRIAL_CHUNK
+    )
 
 
 def null_mean(params: ModelParams) -> float:

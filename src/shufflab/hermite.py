@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .common import MomentEstimate
+from .model import planted_response
 
 EXACT_FACTORIAL_LIMIT = 20
 UNIT_NORM_TOL = 1e-10
@@ -245,26 +246,6 @@ class CoeffTable:
     dimension: int
     entries: dict[tuple[int, ...], float]
 
-    def to_text(self) -> str:
-        lines = []
-        for alpha in sorted(self.entries, key=lambda a: (sum(a), a)):
-            parts = " ".join(str(int(v)) for v in alpha)
-            lines.append(f"{parts} : {'%.17g' % self.entries[alpha]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CoeffTable":
-        entries: dict[tuple[int, ...], float] = {}
-        dim = None
-        for line in text.strip().splitlines():
-            left, _, right = line.partition(":")
-            alpha = tuple(int(tok) for tok in left.split())
-            entries[alpha] = float(right)
-            dim = len(alpha)
-        if dim is None:
-            raise ValueError("empty coefficient table")
-        return cls(dimension=dim, entries=entries)
-
     def l2_norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.entries.values()))
 
@@ -336,7 +317,7 @@ def lambda_mc_pairs(
     d, m = Q.shape
     U = rng.standard_normal((samples, d))
     V = rng.standard_normal((samples, m))
-    W = (U @ Q + sigma * V) / math.sqrt(1.0 + sigma**2)
+    W = planted_response(U, Q, V, sigma)
     out = []
     for alpha, beta in pairs:
         alpha = tuple(int(a) for a in alpha)
@@ -349,9 +330,7 @@ def lambda_mc_pairs(
             out.append(MomentEstimate(value=1.0, stderr=0.0, samples=0))
             continue
         vals = _hermite_multi_batch(alpha, U) * _hermite_multi_batch(beta, W)
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
-        out.append(MomentEstimate(value=mean, stderr=stderr, samples=samples))
+        out.append(MomentEstimate.from_values(vals))
     return out
 
 

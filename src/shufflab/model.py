@@ -21,6 +21,15 @@ from . import randmat
 HYPOTHESES = ("null", "planted")
 
 
+def _check_dims(row_name: str, rows: int, d: int, m: int, sigma: float) -> None:
+    if rows < 1:
+        raise ValueError(f"need {row_name} >= 1, got {rows}")
+    if not 1 <= m <= d:
+        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+    if not sigma >= 0:
+        raise ValueError(f"need sigma >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Problem dimensions (n rows, d predictors, m responses) and noise."""
@@ -31,12 +40,7 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not 1 <= self.m <= self.d:
-            raise ValueError(f"need 1 <= m <= d, got m={self.m}, d={self.d}")
-        if not self.sigma >= 0:
-            raise ValueError(f"need sigma >= 0, got {self.sigma}")
+        _check_dims("n", self.n, self.d, self.m, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,7 @@ class ReducedParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
-        if not 1 <= self.m <= self.d:
-            raise ValueError(f"need 1 <= m <= d, got m={self.m}, d={self.d}")
-        if not self.sigma >= 0:
-            raise ValueError(f"need sigma >= 0, got {self.sigma}")
+        _check_dims("k", self.k, self.d, self.m, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,13 @@ class Instance:
 
 
 def planted_response(
-    X: np.ndarray, perm: np.ndarray, Q: np.ndarray, Z: np.ndarray, sigma: float
+    XP: np.ndarray, Q: np.ndarray, Z: np.ndarray, sigma: float
 ) -> np.ndarray:
-    """Y = (X[perm] @ Q + sigma * Z) / sqrt(1 + sigma^2)."""
-    return (X[perm] @ Q + sigma * Z) / np.sqrt(1.0 + sigma**2)
+    """Y = (XP @ Q + sigma * Z) / sqrt(1 + sigma^2), XP the row-gathered design P X.
+
+    Broadcasts over leading batch axes of XP, Q and Z.
+    """
+    return (XP @ Q + sigma * Z) / np.sqrt(1.0 + sigma**2)
 
 
 def sample_null(params: ModelParams, rng: np.random.Generator) -> Instance:
@@ -106,7 +108,7 @@ def sample_planted(
     perm = randmat.uniform_permutation(params.n, rng)
     Q = randmat.stiefel(params.d, params.m, rng)
     Z = randmat.gaussian_matrix(params.n, params.m, rng)
-    Y = planted_response(X, perm, Q, Z, params.sigma)
+    Y = planted_response(X[perm], Q, Z, params.sigma)
     latent = Latent(perm=perm, Q=Q, Z=Z) if keep_latent else None
     return Instance(X=X, Y=Y, hypothesis="planted", latent=latent)
 
@@ -123,7 +125,7 @@ def sample_reduced(
         return Instance(X=X, Y=Y, hypothesis="null")
     Q = randmat.stiefel(params.d, params.m, rng)
     Z = randmat.gaussian_matrix(params.k, params.m, rng)
-    Y = (X @ Q + params.sigma * Z) / np.sqrt(1.0 + params.sigma**2)
+    Y = planted_response(X, Q, Z, params.sigma)
     return Instance(X=X, Y=Y, hypothesis="planted")
 
 
@@ -146,5 +148,4 @@ def sample_planted_batch(
     Q = randmat.stiefel_batch(d, m, size, rng)
     Z = rng.standard_normal((size, n, m))
     Xp = np.take_along_axis(X, perms[:, :, None], axis=1)
-    Y = (Xp @ Q + sigma * Z) / np.sqrt(1.0 + sigma**2)
-    return X, Y
+    return X, planted_response(Xp, Q, Z, sigma)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 
 from . import chisq as chisq_mod
+from .common import MomentEstimate
 from .hermite import expand_inner_product, hermite_normalized, pattern_pairs, phi_batch
 from .randmat import haar_orthogonal_batch, uniform_sphere
 from .rng import make_rng
@@ -121,9 +122,8 @@ def check_sphere(seed: int = 0, draws: int = 100_000, max_weight: int = 6) -> Ch
             for c, e in enumerate(gamma):
                 if e:
                     vals = vals * pow_table[c][:, e]
-            target = chisq_mod.sphere_moment(gamma, d)
-            stderr = float(vals.std(ddof=1) / math.sqrt(draws))
-            zs.append(_zscore(float(vals.mean()), target, stderr))
+            est = MomentEstimate.from_values(vals)
+            zs.append(_zscore(est.value, chisq_mod.sphere_moment(gamma, d), est.stderr))
     passed, detail = family_gate(np.asarray(zs))
     return CheckResult(
         name="sphere",
@@ -178,14 +178,14 @@ def check_gaussian_exp(seed: int = 0, draws: int = 200_000) -> CheckResult:
     target = chisq_mod.gaussian_exp_moment(lam, A)
     Z = rng.standard_normal((draws, d, m))
     vals = np.exp(-lam * np.einsum("sij,sij->s", Z, Z) + np.einsum("ij,sij->s", A, Z))
-    stderr = float(vals.std(ddof=1) / math.sqrt(draws))
-    z = _zscore(float(vals.mean()), target, stderr)
+    est = MomentEstimate.from_values(vals)
+    z = _zscore(est.value, target, est.stderr)
     return CheckResult(
         name="gauss-exp",
         passed=abs(z) <= 3.0,
         observed=abs(z),
         tolerance=3.0,
-        detail=f"mc={vals.mean():.6f} closed={target:.6f} stderr={stderr:.2e}",
+        detail=f"mc={est.value:.6f} closed={target:.6f} stderr={est.stderr:.2e}",
     )
 
 
@@ -198,14 +198,14 @@ def check_gaussian_quad(seed: int = 0, draws: int = 200_000) -> CheckResult:
     target = chisq_mod.gaussian_quadform_moment(A, k)
     Z = rng.standard_normal((draws, d, k))
     vals = np.exp(-np.einsum("sik,ij,sjk->s", Z, A, Z))
-    stderr = float(vals.std(ddof=1) / math.sqrt(draws))
-    z = _zscore(float(vals.mean()), target, stderr)
+    est = MomentEstimate.from_values(vals)
+    z = _zscore(est.value, target, est.stderr)
     return CheckResult(
         name="gauss-quad",
         passed=abs(z) <= 3.0,
         observed=abs(z),
         tolerance=3.0,
-        detail=f"mc={vals.mean():.6f} closed={target:.6f} stderr={stderr:.2e}",
+        detail=f"mc={est.value:.6f} closed={target:.6f} stderr={est.stderr:.2e}",
     )
 
 

@@ -14,7 +14,12 @@ from shufflab.advantage import (
     estimate_advantage_sq,
     estimate_phi_mean_planted,
 )
-from shufflab.chisq import chisq_case1_closed, chisq_case2_closed, sphere_moment_exact
+from shufflab.chisq import (
+    chisq_case1_closed,
+    chisq_case2_closed,
+    evaluate,
+    sphere_moment_exact,
+)
 from shufflab.common import CapacityError, UnsupportedRegimeError
 from shufflab.hermite import PatternPair, multiindex_enumerate, multinomial_exact
 from shufflab.model import ModelParams
@@ -218,6 +223,15 @@ def test_bound_via_chisq_closed_route():
 def test_bound_via_chisq_mc_route():
     value = advantage_bound_via_chisq(40, 40, 10.0, 2, samples=20_000, rng=make_rng(98))
     assert 1.0 <= value <= 1.2
+
+
+def test_bound_via_chisq_sums_evaluate_on_one_stream():
+    got = advantage_bound_via_chisq(40, 40, 10.0, 2, samples=20_000, rng=make_rng(98))
+    rng = make_rng(98)
+    want = 1.0
+    for k in (1, 2):
+        want += evaluate(40, 40, k, 10.0, "mc", 20_000, rng).value - 1.0
+    assert got == want
 
 
 def test_bound_via_chisq_unsupported_regimes():

@@ -7,11 +7,15 @@ from conftest import assert_within_nse
 
 from shufflab import make_rng
 from shufflab.chisq import (
+    REGIME_CASE1,
+    REGIME_CASE2,
+    REGIME_M_EQ_D,
     chisq_case1_closed,
     chisq_case1_mc,
     chisq_case2_closed,
     chisq_m_eq_d_mc,
     det_integral_mc,
+    evaluate,
     gaussian_exp_moment,
     gaussian_quadform_moment,
     likelihood_ratio_case1,
@@ -222,6 +226,73 @@ def test_m_eq_d_mc_nonincreasing_in_sigma():
         values.append((rep.value, rep.stderr))
     for (v1, s1), (v2, s2) in zip(values, values[1:]):
         assert v2 <= v1 + 3 * math.hypot(s1, s2)
+
+
+_ESTIMATORS = {
+    "case1_mc": lambda n, rng: chisq_case1_mc(10, 3, 2, n, rng),
+    "lr_mean": lambda n, rng: likelihood_ratio_case1_mc_mean(10, 3, 2, n, rng),
+    "m_eq_d_mc": lambda n, rng: chisq_m_eq_d_mc(5, 2, 1.5, n, rng),
+    "det_integral_mc": lambda n, rng: det_integral_mc(5, 0.3, 2, n, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_mc_estimators_at_one_and_zero_samples(name):
+    estimator = _ESTIMATORS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimator(1, make_rng(69))
+    assert math.isfinite(est.value) and est.stderr == math.inf and est.samples == 1
+
+    rng = make_rng(69)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        estimator(0, rng)
+    assert rng.bit_generator.state == before  # rejected before any draw
+
+
+# ---------------------------------------------------------------------------
+# regime dispatcher
+
+
+@pytest.mark.parametrize(
+    "d, m, k, sigma, method, expected",
+    [
+        (50, 2, 1, 0.0, "closed", (REGIME_CASE1, "closed_form")),
+        (40, 1, 2, 0.0, "closed", (REGIME_CASE2, "closed_form")),
+        (16, 16, 1, 1.0, "closed", UnsupportedRegimeError),
+        (10, 3, 2, 0.0, "mc", (REGIME_CASE1, "monte_carlo")),
+        (40, 1, 2, 0.0, "mc", UnsupportedRegimeError),
+        (5, 5, 2, 1.5, "mc", (REGIME_M_EQ_D, "monte_carlo")),
+        (16, 8, 1, 1.0, "mc", UnsupportedRegimeError),
+    ],
+    ids=[
+        "closed-sigma0-case1", "closed-sigma0-case2", "closed-noisy",
+        "mc-sigma0-case1", "mc-sigma0-k-gt-m", "mc-m-eq-d", "mc-noisy-m-lt-d",
+    ],
+)
+def test_evaluate_regime_table(d, m, k, sigma, method, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            evaluate(d, m, k, sigma, method, 200, make_rng(70))
+        return
+    report = evaluate(d, m, k, sigma, method, 200, make_rng(70))
+    assert (report.regime, report.method) == expected
+    assert (report.d, report.m, report.k, report.sigma) == (d, m, k, sigma)
+    direct = {
+        (REGIME_CASE1, "closed_form"): lambda: chisq_case1_closed(d, m, k),
+        (REGIME_CASE2, "closed_form"): lambda: chisq_case2_closed(d, m, k),
+        (REGIME_CASE1, "monte_carlo"): lambda: chisq_case1_mc(d, m, k, 200, make_rng(70)),
+        (REGIME_M_EQ_D, "monte_carlo"): lambda: chisq_m_eq_d_mc(d, k, sigma, 200, make_rng(70)),
+    }[expected]()
+    assert report == direct
+
+
+def test_evaluate_mc_needs_rng():
+    with pytest.raises(ValueError, match="rng is required"):
+        evaluate(10, 3, 2, 0.0, "mc", 200)
+    with pytest.raises(ValueError, match="rng is required"):
+        evaluate(5, 5, 2, 1.5, "mc", 200)
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,21 @@ def test_sweep_sample_command(tmp_path):
                    "--hypothesis", "planted", "--seed", 7,
                    "--prefix", direct_prefix) == 0
     assert np.array_equal(read_matrix(f"{prefix}_X.txt"), read_matrix(f"{direct_prefix}_X.txt"))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "command = sample\nn = [4, 5]\nd = 3\nm = 2\nsigma = 0.5\nhypothesis = planted\n",
+        "command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nmode = mc\n"
+        "samples = [10, 20]\n",
+    ],
+    ids=["sample-n", "chisq-samples"],
+)
+def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body):
+    config = tmp_path / "bad.cfg"
+    out = tmp_path / "out.csv"
+    config.write_text(f"master_seed = 1\n{body}output = {out}\nprefix = {tmp_path / 'inst'}\n")
+    assert run_cli("sweep", "--config", config) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from shufflab import make_rng
 from shufflab.hermite import (
-    CoeffTable,
     PatternPair,
     expand_inner_product,
     hermite_multi,
@@ -158,12 +157,6 @@ def test_expand_inner_product_identity_random_points():
 def test_expand_inner_product_rejects_non_unit():
     with pytest.raises(ValueError):
         expand_inner_product(np.array([1.0, 1.0]), 2)
-
-
-def test_coeff_table_roundtrip():
-    table = expand_inner_product(np.array([0.6, 0.8]), 2)
-    parsed = CoeffTable.from_text(table.to_text())
-    assert parsed.entries == pytest.approx(table.entries)
 
 
 def test_lambda_mc_exact_cases():

@@ -61,7 +61,7 @@ def test_planted_marginal_variance_is_one():
 def test_planted_latent_reconstruction():
     params = ModelParams(n=7, d=5, m=2, sigma=1.3)
     inst = sample_planted(params, make_rng(25), keep_latent=True)
-    rebuilt = planted_response(inst.X, inst.latent.perm, inst.latent.Q, inst.latent.Z, params.sigma)
+    rebuilt = planted_response(inst.X[inst.latent.perm], inst.latent.Q, inst.latent.Z, params.sigma)
     assert np.max(np.abs(rebuilt - inst.Y)) <= 1e-12
 
 
