@@ -7,9 +7,10 @@ inflates each term by its variance over the sample count, so the standard
 (mean^2 - var/samples) correction is applied per pattern.  Standard errors
 come from a batch jackknife.
 
-Two upper bounds complete the picture: an exact enumeration for a single
-response column at zero noise (rational arithmetic throughout), and the
-chi-square route 1 + sum_k (chi^2_k - 1) over the reduced k-row models.
+Two upper bounds complete the picture: an exact closed form for a single
+response column at zero noise (a sum over weights of composition counts
+times sphere moments, in exact integers), and the chi-square route
+1 + sum_k (chi^2_k - 1) over the reduced k-row models.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from . import randmat
 from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
 from .hermite import (
     PatternPair,
-    multiindex_enumerate,
-    multinomial_exact,
     pattern_count,
     pattern_pairs,
     phi_batch,
@@ -38,7 +36,6 @@ DEFAULT_PATTERN_CAP = 1_000_000
 EXACT_PERM_MAX_N = 7
 BOUND_M1_MAX_D = 6
 BOUND_M1_MAX_DEGREE = 8
-BOUND_M1_WORK_CAP = 20_000_000
 
 _JACKKNIFE_BATCHES = 20
 
@@ -207,68 +204,56 @@ def estimate_advantage_sq(
 # exact single-column bound at zero noise
 
 
-def _nonzero_multiindices(d: int, max_weight: int) -> dict[tuple[int, ...], Fraction]:
-    """alpha -> multinomial(|alpha|, alpha) for 0 < |alpha| <= max_weight."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for alpha in multiindex_enumerate(d, max_weight):
-        w = sum(alpha)
-        if w:
-            out[alpha] = Fraction(multinomial_exact(w, alpha))
-    return out
-
-
-def advantage_bound_m1(d: int, D: int, work_cap: int = BOUND_M1_WORK_CAP) -> float:
+def advantage_bound_m1(d: int, D: int) -> float:
     """Exact upper bound on the squared advantage for one response column, zero noise.
 
-    Evaluates 1 + sum over tuple lengths k <= D and ordered tuples
+    The bound is 1 + sum over tuple lengths k <= D and ordered tuples
     (alpha_1, ..., alpha_k) with 0 < |alpha_i| <= D of
     prod_i multinomial(|alpha_i|, alpha_i) times the squared sphere moment of
-    q^(alpha_1 + ... + alpha_k), all in exact rational arithmetic.  The tuple
-    sum is collapsed by dynamic programming over the summed exponent.
+    q^gamma, gamma = alpha_1 + ... + alpha_k.  Two identities reduce it to a
+    one-dimensional sum.  By the multinomial theorem,
+    sum_{0<|alpha|<=D} multinomial(|alpha|, alpha) x^alpha = sum_{w=1}^{D} s^w
+    with s = x_1 + ... + x_d, so the k-tuple weight of gamma is
+    c_k(|gamma|) * multinomial(|gamma|, gamma), where c_k(W) counts the
+    compositions of W into k parts in [1, D].  And the sum over even gamma
+    with |gamma| = 2h of multinomial(2h, gamma) * E[q^gamma]^2 is
+    (2h-1)!! / prod_{j<h} (d+2j), the 2h-th moment of one coordinate of q.
+    Hence, with C(W) = sum_{k<=D} c_k(W),
+
+        bound = 1 + sum_{h=1}^{floor(D^2/2)} C(2h) (2h-1)!! / prod_{j<h} (d+2j),
+
+    summed in exact integers and rounded once.
     """
     if d < 1 or D < 0:
         raise ValueError(f"need d >= 1 and D >= 0, got d={d}, D={D}")
     if d > BOUND_M1_MAX_D or D > BOUND_M1_MAX_DEGREE:
         raise CapacityError(
-            f"enumeration capped at d <= {BOUND_M1_MAX_D}, D <= {BOUND_M1_MAX_DEGREE}; "
+            f"exact bound capped at d <= {BOUND_M1_MAX_D}, D <= {BOUND_M1_MAX_DEGREE}; "
             f"got d={d}, D={D}"
         )
     if D <= 1:
         # each pair contributes degree |alpha_i| + beta_i = 2|alpha_i| >= 2
         return 1.0
 
-    base = _nonzero_multiindices(d, D)
-    # convolution work estimate: sum_k |support(W_{k-1})| * |base|
-    work = 0
-    support_bound = 1
-    for k in range(1, D + 1):
-        work += support_bound * len(base)
-        support_bound = math.comb(d + k * D, d)
-        if work > work_cap:
-            raise CapacityError(
-                f"dynamic program needs more than {work_cap} lattice operations "
-                f"(estimated {work} at tuple length {k}) for d={d}, D={D}"
-            )
+    # compositions[W] = c_k(W) for the current k; counts[W] = C(W)
+    max_weight = D * D
+    compositions = [1] + [0] * max_weight  # k = 0
+    counts = [0] * (max_weight + 1)
+    for _ in range(D):
+        compositions = [0] + [
+            sum(compositions[max(0, W - D) : W]) for W in range(1, max_weight + 1)
+        ]
+        counts = [c + n for c, n in zip(counts, compositions)]
 
-    total = Fraction(1)
-    weights = base.copy()  # tuple length k = 1
-    for k in range(1, D + 1):
-        for gamma, w in weights.items():
-            if all(g % 2 == 0 for g in gamma):
-                moment = chisq_mod.sphere_moment_exact(gamma, d)
-                total += w * moment * moment
-        if k == D:
-            break
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for gamma, w in weights.items():
-            for alpha, wa in base.items():
-                key = tuple(g + a for g, a in zip(gamma, alpha))
-                if key in nxt:
-                    nxt[key] += w * wa
-                else:
-                    nxt[key] = w * wa
-        weights = nxt
-    return float(total)
+    # running sum num / den of 1 + sum_h C(2h) (2h-1)!! / prod_{j<h} (d+2j);
+    # int / int true division rounds the exact quotient once, correctly
+    num = den = double_factorial = 1
+    for h in range(1, max_weight // 2 + 1):
+        double_factorial *= 2 * h - 1
+        factor = d + 2 * (h - 1)
+        num = num * factor + counts[2 * h] * double_factorial
+        den *= factor
+    return num / den
 
 
 def advantage_bound_via_chisq(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -350,21 +349,6 @@ def sphere_moment(gamma: Sequence[int], d: int) -> float:
         + sum(_log_double_factorial_odd(g) for g in gamma)
     )
     return float(math.exp(log_val))
-
-
-def sphere_moment_exact(gamma: Sequence[int], d: int) -> Fraction:
-    """Exact rational value of sphere_moment: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j)."""
-    gamma = tuple(int(g) for g in gamma)
-    if any(g % 2 for g in gamma):
-        return Fraction(0)
-    num = 1
-    for g in gamma:
-        for odd in range(1, g, 2):
-            num *= odd
-    den = 1
-    for j in range(sum(gamma) // 2):
-        den *= d + 2 * j
-    return Fraction(num, den)
 
 
 def det_integral_mc(

@@ -59,6 +59,7 @@ DETECT_COLUMNS = (
 )
 ADVANTAGE_COLUMNS = "n,d,m,sigma,D,adv_sq,stderr,pattern_count"
 CHISQ_COLUMNS = "regime,d,m,k,sigma,method,value,stderr,samples,warning,delta_vs_closed"
+CHISQ_MODES = ("closed", "mc", "both")
 PATTERN_COLUMNS = "pattern_id,degree,mean,stderr,squared_contribution"
 
 
@@ -200,6 +201,8 @@ def _report_row(report: ChiSquareReport, delta: float | None) -> str:
 def chisq_rows(
     grids: dict[str, list], mode: str, samples: int, master_seed: int
 ) -> list[str]:
+    if mode not in CHISQ_MODES:
+        raise ValueError(f"mode must be 'closed', 'mc' or 'both', got {mode!r}")
     _check_m_le_d(grids)
     rows = [CHISQ_COLUMNS]
     for cell, combo in _iter_grid(grids):
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int_grid(p, "--m", required=True)
     _add_int_grid(p, "--k", required=True)
     p.add_argument("--sigma", type=float, nargs="+", required=True)
-    p.add_argument("--mode", choices=("closed", "mc", "both"), default="closed")
+    p.add_argument("--mode", choices=CHISQ_MODES, default="closed")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", required=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
@@ -99,6 +101,21 @@ def check_inner_expansion(seed: int = 0) -> CheckResult:
         tolerance=tol,
         detail="max relative error over 100 points per (d, degree) in {2,3}x{1..5}",
     )
+
+
+def sphere_moment_exact(gamma: Sequence[int], d: int) -> Fraction:
+    """Exact rational value of chisq.sphere_moment: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j)."""
+    gamma = tuple(int(g) for g in gamma)
+    if any(g % 2 for g in gamma):
+        return Fraction(0)
+    num = 1
+    for g in gamma:
+        for odd in range(1, g, 2):
+            num *= odd
+    den = 1
+    for j in range(sum(gamma) // 2):
+        den *= d + 2 * j
+    return Fraction(num, den)
 
 
 def check_sphere(seed: int = 0, draws: int = 100_000, max_weight: int = 6) -> CheckResult:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +19,11 @@ from shufflab.chisq import (
     chisq_case1_closed,
     chisq_case2_closed,
     evaluate,
-    sphere_moment_exact,
 )
 from shufflab.common import CapacityError, UnsupportedRegimeError
 from shufflab.hermite import PatternPair, multiindex_enumerate, multinomial_exact
 from shufflab.model import ModelParams
+from shufflab.oracles import sphere_moment_exact
 
 
 def _pattern(n, d, m, a_rows, b_rows):
@@ -190,6 +191,58 @@ def test_bound_m1_matches_brute_force():
         assert math.isclose(advantage_bound_m1(d, D), float(total), rel_tol=1e-12)
 
 
+def _lattice_bound_m1(d: int, D: int) -> Fraction:
+    """The single-column bound by dynamic programming over the summed exponent.
+
+    Tuple weights W_k(gamma) = sum over (alpha_1, ..., alpha_k) adding to
+    gamma of prod_i multinomial(|alpha_i|, alpha_i) are built by convolving
+    with the one-element weights, one tuple length at a time, and each even
+    gamma adds W_k(gamma) times its squared sphere moment.
+    """
+    base = {
+        alpha: Fraction(multinomial_exact(sum(alpha), alpha))
+        for alpha in multiindex_enumerate(d, D)
+        if sum(alpha)
+    }
+    total = Fraction(1)
+    weights = dict(base)
+    for k in range(1, D + 1):
+        for gamma, w in weights.items():
+            if all(g % 2 == 0 for g in gamma):
+                total += w * sphere_moment_exact(gamma, d) ** 2
+        if k == D:
+            break
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for gamma, w in weights.items():
+            for alpha, wa in base.items():
+                key = tuple(g + a for g, a in zip(gamma, alpha))
+                nxt[key] = nxt.get(key, 0) + w * wa
+        weights = nxt
+    return total
+
+
+def test_bound_m1_matches_lattice_dp_bitwise():
+    grid = [(d, D) for d in (1, 2) for D in range(8)]
+    grid += [(3, D) for D in range(6)]
+    grid += [(d, D) for d in (4, 5, 6) for D in range(4)]
+    for d, D in grid:
+        assert advantage_bound_m1(d, D) == float(_lattice_bound_m1(d, D)), (d, D)
+
+
+def test_bound_m1_d1_counts_even_tuples():
+    # at d = 1 every sphere moment is 1, so the bound is 1 plus the number of
+    # tuples of k <= D parts in [1, D] with an even total
+    expected = [1, 1, 4, 20, 171, 1953, 27994]
+    for D, want in enumerate(expected):
+        count = sum(
+            sum(tup) % 2 == 0
+            for k in range(1, D + 1)
+            for tup in itertools.product(range(1, D + 1), repeat=k)
+        )
+        assert 1 + count == want
+        assert advantage_bound_m1(1, D) == float(want)
+
+
 def test_bound_m1_dominates_estimate():
     params = ModelParams(n=1, d=2, m=1, sigma=0.0)
     est = estimate_advantage_sq(params, 4, 100_000, make_rng(97))
@@ -201,8 +254,16 @@ def test_bound_m1_caps():
         advantage_bound_m1(7, 2)
     with pytest.raises(CapacityError):
         advantage_bound_m1(2, 9)
-    with pytest.raises(CapacityError):
-        advantage_bound_m1(6, 8)  # inside the policy box but the lattice blows up
+    # everywhere inside the policy box the closed form is cheap and well behaved
+    start = time.perf_counter()
+    box = {(d, D): advantage_bound_m1(d, D) for d in range(1, 7) for D in range(9)}
+    assert time.perf_counter() - start < 1.0
+    for (d, D), value in box.items():
+        assert math.isfinite(value) and value >= 1.0
+        if D > 0:
+            assert value >= box[d, D - 1]
+        if d > 1 and D >= 2:
+            assert value < box[d - 1, D]
 
 
 def test_bound_via_chisq_closed_route():

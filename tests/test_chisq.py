@@ -22,11 +22,11 @@ from shufflab.chisq import (
     likelihood_ratio_case1_mc_mean,
     log_wishart_constant,
     sphere_moment,
-    sphere_moment_exact,
     submatrix_density,
     wishart_ratio_exact,
 )
 from shufflab.common import UnsupportedRegimeError
+from shufflab.oracles import sphere_moment_exact
 
 # ---------------------------------------------------------------------------
 # Wishart constants

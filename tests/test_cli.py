@@ -247,3 +247,15 @@ def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body):
     assert run_cli("sweep", "--config", config) == 2
     assert "usage error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_sweep_rejects_unknown_chisq_mode(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    out = tmp_path / "out.csv"
+    config.write_text(
+        "command = chisq\nmaster_seed = 1\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\n"
+        f"mode = bogus\noutput = {out}\n"
+    )
+    assert run_cli("sweep", "--config", config) == 2
+    assert "mode must be 'closed', 'mc' or 'both'" in capsys.readouterr().err
+    assert not out.exists()
