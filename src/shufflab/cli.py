@@ -1,16 +1,21 @@
 """Batch experiment harness.
 
 Subcommands: sample, detect, advantage, chisq, oracle, and sweep (a
-config-file driver for the first four).  Output CSVs are byte-identical
-across re-runs with the same flags and master seed: numeric fields are
-printed with 17 significant digits and nothing time-dependent enters the
-files (wall-clock timing goes to stderr).
+config-file driver for the first four).  ``COMMANDS`` describes each
+command once, and both the argument parser and the sweep driver read it:
+a sweep key (the flag name without dashes, "_" for "-"; ``master_seed`` is
+``--seed``, ``per_pattern_output`` is ``--per-pattern``) takes the values,
+choices and default of its flag, and a key that is not an option of its
+command is a usage error.  Output CSVs are byte-identical across re-runs
+with the same flags and master seed: numeric fields are printed with 17
+significant digits and nothing time-dependent enters the files
+(wall-clock timing goes to stderr).
 
-Grid handling: list-valued options form a grid iterated row-major over
-the declared key order (flag order n, d, m, sigma for detect, n, d, m,
-sigma, D for advantage and d, m, k, sigma for chisq; file order for sweep
-configs).  Each grid cell owns the disjoint stream-index range
-[cell * 1024, (cell+1) * 1024) of the master seed, so results are
+Grid handling: grid options take lists and form a grid iterated row-major
+over the declared key order (table order for flags: n, d, m, sigma for
+detect, n, d, m, sigma, D for advantage and d, m, k, sigma for chisq; file
+order for sweep configs).  Each grid cell owns the disjoint stream-index
+range [cell * 1024, (cell+1) * 1024) of the master seed, so results are
 independent of execution order.
 
 Exit codes: 0 success, 1 oracle failure, 2 usage, 3 capacity,
@@ -23,7 +28,8 @@ import argparse
 import os
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .advantage import advantage_sq_with_patterns
@@ -45,21 +51,12 @@ EXIT_CAPACITY = 3
 EXIT_REGIME = 4
 EXIT_IO = 5
 
-# grid keys of each sweep command: all are required, and only they may be lists
-SWEEP_GRID_KEYS = {
-    "sample": (),
-    "detect": ("n", "d", "m", "sigma"),
-    "advantage": ("n", "d", "m", "sigma", "D"),
-    "chisq": ("d", "m", "k", "sigma"),
-}
-
 DETECT_COLUMNS = (
     "n,d,m,sigma,trials,threshold,type1,type2,mean_null,mean_planted,"
     "var_null,var_planted,separation_ratio,master_seed"
 )
 ADVANTAGE_COLUMNS = "n,d,m,sigma,D,adv_sq,stderr,pattern_count"
 CHISQ_COLUMNS = "regime,d,m,k,sigma,method,value,stderr,samples,warning,delta_vs_closed"
-CHISQ_MODES = ("closed", "mc", "both")
 PATTERN_COLUMNS = "pattern_id,degree,mean,stderr,squared_contribution"
 
 
@@ -123,10 +120,7 @@ def detect_rows(
     _check_m_le_d(grids)
     rows = [DETECT_COLUMNS]
     for cell, combo in _iter_grid(grids):
-        params = ModelParams(
-            n=int(combo["n"]), d=int(combo["d"]), m=int(combo["m"]),
-            sigma=float(combo["sigma"]),
-        )
+        params = ModelParams(**combo)
         base = cell * STREAM_STRIDE
         rates = run_test(params, threshold, trials, make_rng(master_seed, base))
         sep = separation_report(params, trials, make_rng(master_seed, base + 1))
@@ -155,11 +149,8 @@ def advantage_rows(
     rows = [ADVANTAGE_COLUMNS]
     pattern_rows = [PATTERN_COLUMNS]
     for cell, combo in _iter_grid(grids):
-        params = ModelParams(
-            n=int(combo["n"]), d=int(combo["d"]), m=int(combo["m"]),
-            sigma=float(combo["sigma"]),
-        )
-        D = int(combo["D"])
+        D = combo.pop("D")
+        params = ModelParams(**combo)
         rng = make_rng(master_seed, cell * STREAM_STRIDE)
         est, contribs = advantage_sq_with_patterns(
             params, D, samples, rng, pattern_cap=pattern_cap
@@ -201,19 +192,15 @@ def _report_row(report: ChiSquareReport, delta: float | None) -> str:
 def chisq_rows(
     grids: dict[str, list], mode: str, samples: int, master_seed: int
 ) -> list[str]:
-    if mode not in CHISQ_MODES:
-        raise ValueError(f"mode must be 'closed', 'mc' or 'both', got {mode!r}")
     _check_m_le_d(grids)
     rows = [CHISQ_COLUMNS]
     for cell, combo in _iter_grid(grids):
-        d, m, k = int(combo["d"]), int(combo["m"]), int(combo["k"])
-        sigma = float(combo["sigma"])
         rng = make_rng(master_seed, cell * STREAM_STRIDE)
         closed = mc = None
         if mode in ("closed", "both"):
-            closed = evaluate(d, m, k, sigma, "closed")
+            closed = evaluate(**combo, method="closed")
         if mode in ("mc", "both"):
-            mc = evaluate(d, m, k, sigma, "mc", samples, rng)
+            mc = evaluate(**combo, method="mc", samples=samples, rng=rng)
         if closed is not None:
             rows.append(_report_row(closed, None))
         if mc is not None:
@@ -223,12 +210,13 @@ def chisq_rows(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: ``args`` holds the options, converted and defaulted as the
+# command table says, and ``args.grids`` the grid options in declared order
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = ModelParams(n=args.n, d=args.d, m=args.m, sigma=args.sigma)
-    rng = make_rng(args.seed, 0)
+    rng = make_rng(args.master_seed, 0)
     prefix = _resolve_output(args.prefix)
     if args.hypothesis == "null":
         inst = sample_null(params, rng)
@@ -251,7 +239,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "d": params.d,
         "m": params.m,
         "sigma": params.sigma,
-        "master_seed": args.seed,
+        "master_seed": args.master_seed,
         "stream_index": 0,
         "mixer": MIXER_NAME,
         "artifact_version": __version__,
@@ -262,27 +250,24 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    grids = {"n": args.n, "d": args.d, "m": args.m, "sigma": args.sigma}
-    rows = detect_rows(grids, args.trials, args.threshold, args.seed)
+    rows = detect_rows(args.grids, args.trials, args.threshold, args.master_seed)
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
 
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
-    grids = {"n": args.n, "d": args.d, "m": args.m, "sigma": args.sigma, "D": args.D}
+    per_pattern = args.per_pattern_output is not None
     rows, pattern_rows = advantage_rows(
-        grids, args.samples, args.seed, args.pattern_cap,
-        per_pattern=args.per_pattern is not None,
+        args.grids, args.samples, args.master_seed, args.pattern_cap, per_pattern=per_pattern
     )
     _write_lines(_resolve_output(args.output), rows)
-    if args.per_pattern is not None:
-        _write_lines(_resolve_output(args.per_pattern), pattern_rows)
+    if per_pattern:
+        _write_lines(_resolve_output(args.per_pattern_output), pattern_rows)
     return EXIT_OK
 
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
-    grids = {"d": args.d, "m": args.m, "k": args.k, "sigma": args.sigma}
-    rows = chisq_rows(grids, args.mode, args.samples, args.seed)
+    rows = chisq_rows(args.grids, args.mode, args.samples, args.master_seed)
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
 
@@ -299,6 +284,89 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
         failures += 0 if res.passed else 1
     return EXIT_OK if failures == 0 else EXIT_ORACLE
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    with open(args.config) as fh:
+        command, options = resolve_config(parse_config(fh.read()))
+    return command.run(options)
+
+
+# ---------------------------------------------------------------------------
+# the command table: one description of each command for argparse and sweep
+
+
+@dataclass(frozen=True)
+class Option:
+    """A flag and sweep key; ``type`` is int, float, str or bool (a switch).
+
+    Grid options take one or more values and span the command's grid.
+    """
+
+    name: str
+    type: Callable[[object], object] = str
+    required: bool = False
+    default: object = None
+    grid: bool = False
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[Option, ...]
+
+
+def _grid(name: str, type: Callable[[object], object] = int) -> Option:
+    return Option(name, type, required=True, grid=True)
+
+
+_SEED = Option("master_seed", int, required=True, flag="--seed")
+_OUTPUT = Option("output", required=True)
+
+COMMANDS: dict[str, Command] = {
+    "sample": Command(_cmd_sample, "write one sampled instance to matrix text files", (
+        Option("n", int, required=True),
+        Option("d", int, required=True),
+        Option("m", int, required=True),
+        Option("sigma", float, required=True),
+        Option("hypothesis", required=True, choices=("null", "planted")),
+        _SEED,
+        Option("keep_latent", bool, default=False),
+        Option("prefix", default="instance"),
+    )),
+    "detect": Command(_cmd_detect, "error rates and separation over a parameter grid", (
+        _grid("n"), _grid("d"), _grid("m"), _grid("sigma", float),
+        Option("trials", int, default=2000),
+        Option("threshold", float),
+        _SEED, _OUTPUT,
+    )),
+    "advantage": Command(_cmd_advantage, "squared-advantage estimates over a grid", (
+        _grid("n"), _grid("d"), _grid("m"), _grid("sigma", float), _grid("D"),
+        Option("samples", int, default=100_000),
+        Option("pattern_cap", int, default=1_000_000),
+        Option("per_pattern_output", flag="--per-pattern",
+               help="also write per-pattern contributions to this CSV"),
+        _SEED, _OUTPUT,
+    )),
+    "chisq": Command(_cmd_chisq, "chi-square reports over a (d, m, k, sigma) grid", (
+        _grid("d"), _grid("m"), _grid("k"), _grid("sigma", float),
+        Option("mode", default="closed", choices=("closed", "mc", "both")),
+        Option("samples", int, default=100_000),
+        _SEED, _OUTPUT,
+    )),
+    "oracle": Command(_cmd_oracle, "run analytic self-tests", (
+        Option("check", default="all", choices=tuple(ORACLE_CHECKS) + ("all",)),
+        Option("seed", int, default=0),
+    )),
+    "sweep": Command(_cmd_sweep, "drive sample/detect/advantage/chisq from a config file", (
+        Option("config", required=True),
+    )),
+}
+SWEEP_COMMANDS = ("sample", "detect", "advantage", "chisq")
 
 
 # ---------------------------------------------------------------------------
@@ -340,89 +408,62 @@ def parse_config(text: str) -> dict[str, object]:
     return out
 
 
-def _config_grids(config: dict[str, object], grid_keys: tuple[str, ...]) -> dict[str, list]:
-    """Grid keys in declared order; scalar grid keys become singleton lists.
+def _convert(option: Option, value: object) -> object:
+    """A parsed config value as the option's flag would take it."""
+    if option.type is bool and not isinstance(value, bool):
+        raise ValueError(f"sweep key {option.name!r} takes true or false, got {value!r}")
+    if option.type is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"sweep key {option.name!r} takes an integer, got {value!r}")
+    value = option.type(value)
+    if option.choices is not None and value not in option.choices:
+        allowed = ", ".join(map(repr, option.choices[:-1])) + f" or {option.choices[-1]!r}"
+        raise ValueError(f"{option.name} must be {allowed}, got {value!r}")
+    return value
 
-    A list under any other key is a usage error: those keys take one value.
+
+def resolve_config(config: dict[str, object]) -> tuple[Command, argparse.Namespace]:
+    """Check a parsed sweep config against its command's options; run nothing.
+
+    Returns the command and its arguments as the parser would give them,
+    with ``grids`` in file order (a scalar grid value is a one-element grid).
     """
+    if "command" not in config:
+        raise ValueError("sweep config is missing required key 'command'")
+    name = str(config["command"])
+    if name not in SWEEP_COMMANDS:
+        raise ValueError(
+            f"unknown sweep command {name!r}; expected "
+            f"{', '.join(SWEEP_COMMANDS[:-1])}, or {SWEEP_COMMANDS[-1]}"
+        )
+    command = COMMANDS[name]
+    options = {option.name: option for option in command.options}
     grids: dict[str, list] = {}
+    values: dict[str, object] = {}
     for key, value in config.items():
-        if key in grid_keys:
-            grids[key] = list(value) if isinstance(value, list) else [value]
-            if not grids[key]:
+        if key == "command":
+            continue
+        if key not in options:
+            raise ValueError(f"sweep key {key!r} is not an option of {name}")
+        option = options[key]
+        if option.grid:
+            grid = value if isinstance(value, list) else [value]
+            if not grid:
                 raise ValueError(f"grid {key!r} must be nonempty")
+            grids[key] = [_convert(option, v) for v in grid]
         elif isinstance(value, list):
             raise ValueError(f"sweep key {key!r} takes a single value, got a list")
-    return grids
-
-
-def _require(config: dict[str, object], key: str) -> object:
-    if key not in config:
-        raise ValueError(f"sweep config is missing required key {key!r}")
-    return config[key]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        config = parse_config(fh.read())
-    command = str(_require(config, "command"))
-    if command not in SWEEP_GRID_KEYS:
-        raise ValueError(
-            f"unknown sweep command {command!r}; expected sample, detect, advantage, or chisq"
-        )
-    grids = _config_grids(config, SWEEP_GRID_KEYS[command])
-    master_seed = int(_require(config, "master_seed"))
-    for key in SWEEP_GRID_KEYS[command]:
-        _require(config, key)
-
-    if command == "detect":
-        rows = detect_rows(
-            grids,
-            trials=int(_require(config, "trials")),
-            threshold=float(config["threshold"]) if "threshold" in config else None,
-            master_seed=master_seed,
-        )
-        _write_lines(_resolve_output(str(_require(config, "output"))), rows)
-    elif command == "advantage":
-        rows, pattern_rows = advantage_rows(
-            grids,
-            samples=int(_require(config, "samples")),
-            master_seed=master_seed,
-            pattern_cap=int(config.get("pattern_cap", 1_000_000)),
-            per_pattern="per_pattern_output" in config,
-        )
-        _write_lines(_resolve_output(str(_require(config, "output"))), rows)
-        if "per_pattern_output" in config:
-            _write_lines(_resolve_output(str(config["per_pattern_output"])), pattern_rows)
-    elif command == "chisq":
-        rows = chisq_rows(
-            grids,
-            mode=str(config.get("mode", "closed")),
-            samples=int(config.get("samples", 100_000)),
-            master_seed=master_seed,
-        )
-        _write_lines(_resolve_output(str(_require(config, "output"))), rows)
-    else:  # sample
-        ns = argparse.Namespace(
-            n=int(_require(config, "n")), d=int(_require(config, "d")),
-            m=int(_require(config, "m")), sigma=float(_require(config, "sigma")),
-            hypothesis=str(_require(config, "hypothesis")),
-            seed=master_seed,
-            keep_latent=bool(config.get("keep_latent", False)),
-            prefix=str(config.get("prefix", "instance")),
-        )
-        if ns.hypothesis not in ("null", "planted"):
-            raise ValueError(f"hypothesis must be null or planted, got {ns.hypothesis!r}")
-        return _cmd_sample(ns)
-    return EXIT_OK
+        else:
+            values[key] = _convert(option, value)
+    for option in command.options:
+        if option.name not in grids and option.name not in values:
+            if option.required:
+                raise ValueError(f"sweep config is missing required key {option.name!r}")
+            values[option.name] = option.default
+    return command, argparse.Namespace(grids=grids, **values)
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
-
-
-def _add_int_grid(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    parser.add_argument(name, type=int, nargs="+", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,63 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch experiments for low-degree detection in shuffled regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="write one sampled instance to matrix text files")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--hypothesis", choices=("null", "planted"), required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--keep-latent", action="store_true", dest="keep_latent")
-    p.add_argument("--prefix", default="instance")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("detect", help="error rates and separation over a parameter grid")
-    _add_int_grid(p, "--n", required=True)
-    _add_int_grid(p, "--d", required=True)
-    _add_int_grid(p, "--m", required=True)
-    p.add_argument("--sigma", type=float, nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("advantage", help="squared-advantage estimates over a grid")
-    _add_int_grid(p, "--n", required=True)
-    _add_int_grid(p, "--d", required=True)
-    _add_int_grid(p, "--m", required=True)
-    p.add_argument("--sigma", type=float, nargs="+", required=True)
-    _add_int_grid(p, "--D", required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--pattern-cap", type=int, default=1_000_000, dest="pattern_cap")
-    p.add_argument("--per-pattern", default=None, dest="per_pattern",
-                   help="also write per-pattern contributions to this CSV")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_advantage)
-
-    p = sub.add_parser("chisq", help="chi-square reports over a (d, m, k, sigma) grid")
-    _add_int_grid(p, "--d", required=True)
-    _add_int_grid(p, "--m", required=True)
-    _add_int_grid(p, "--k", required=True)
-    p.add_argument("--sigma", type=float, nargs="+", required=True)
-    p.add_argument("--mode", choices=CHISQ_MODES, default="closed")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_chisq)
-
-    p = sub.add_parser("oracle", help="run analytic self-tests")
-    p.add_argument("--check", choices=tuple(ORACLE_CHECKS) + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("sweep", help="drive sample/detect/advantage/chisq from a config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_sweep)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            flag = option.flag or "--" + option.name.replace("_", "-")
+            if option.type is bool:
+                p.add_argument(flag, action="store_true", dest=option.name, help=option.help)
+                continue
+            # metavar from the flag, not from dest, keeps "--seed SEED" in --help
+            p.add_argument(
+                flag, type=option.type, nargs="+" if option.grid else None,
+                required=option.required, default=option.default,
+                choices=option.choices, dest=option.name, help=option.help,
+                metavar=None if option.choices else flag[2:].upper().replace("-", "_"),
+            )
     return parser
 
 
@@ -498,9 +496,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return EXIT_USAGE if code not in (0, None) else EXIT_OK
+    command = COMMANDS[args.command]
+    args.grids = {o.name: getattr(args, o.name) for o in command.options if o.grid}
     start = time.monotonic()
     try:
-        code = args.func(args)
+        code = command.run(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -332,15 +332,3 @@ def lambda_mc_pairs(
         vals = _hermite_multi_batch(alpha, U) * _hermite_multi_batch(beta, W)
         out.append(MomentEstimate.from_values(vals))
     return out
-
-
-def lambda_mc(
-    alpha: MultiIndex,
-    beta: MultiIndex,
-    Q: np.ndarray,
-    sigma: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> MomentEstimate:
-    """Monte Carlo estimate of a single joint coefficient (see lambda_mc_pairs)."""
-    return lambda_mc_pairs([(alpha, beta)], Q, sigma, samples, rng)[0]

@@ -1,11 +1,14 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shufflab.cli import main, parse_config
+from shufflab.cli import main, parse_config, resolve_config
 from shufflab.matrixio import read_matrix, read_sidecar
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(*args) -> int:
@@ -174,27 +177,34 @@ def test_parse_config_types_and_order():
         parse_config("not a key value line")
 
 
-def test_sweep_detect_matches_flag_interface(tmp_path):
+@pytest.mark.parametrize(
+    "body, flags",
+    [
+        ("command = detect\nn = [64]\nd = [8]\nm = [8]\nsigma = [0.05, 10.0]\ntrials = 400\n",
+         ["detect", "--n", 64, "--d", 8, "--m", 8, "--sigma", 0.05, 10.0, "--trials", 400]),
+        ("command = advantage\nn = 1\nd = [2]\nm = [1, 2]\nsigma = [0.5, 0]\nD = [0, 2]\n"
+         "samples = 500\nper_pattern_output = {tag}_patterns.csv\n",
+         ["advantage", "--n", 1, "--d", 2, "--m", 1, 2, "--sigma", 0.5, 0, "--D", 0, 2,
+          "--samples", 500, "--per-pattern", "{tag}_patterns.csv"]),
+        ("command = chisq\nd = [50, 60]\nm = 2\nk = [1, 2]\nsigma = 0\nmode = both\n"
+         "samples = 2000\n",
+         ["chisq", "--d", 50, 60, "--m", 2, "--k", 1, 2, "--sigma", 0, "--mode", "both",
+          "--samples", 2000]),
+    ],
+    ids=["detect", "advantage-per-pattern", "chisq-both"],
+)
+def test_sweep_detect_matches_flag_interface(tmp_path, monkeypatch, body, flags):
+    monkeypatch.setenv("SHUFFLAB_OUTPUT_DIR", str(tmp_path))
     config = tmp_path / "sweep.cfg"
-    out_sweep = tmp_path / "sweep.csv"
-    config.write_text(
-        f"""
-        command = detect
-        master_seed = 3
-        n = [64]
-        d = [8]
-        m = [8]
-        sigma = [0.05, 10.0]
-        trials = 400
-        output = {out_sweep}
-        """
-    )
+    config.write_text(f"master_seed = 3\n{body.format(tag='sweep')}output = sweep.csv\n")
     assert run_cli("sweep", "--config", config) == 0
-    out_flags = tmp_path / "flags.csv"
-    assert run_cli("detect", "--n", 64, "--d", 8, "--m", 8,
-                   "--sigma", 0.05, 10.0, "--trials", 400, "--seed", 3,
-                   "--output", out_flags) == 0
-    assert out_sweep.read_bytes() == out_flags.read_bytes()
+    argv = [str(a).format(tag="flags") for a in flags]
+    assert run_cli(*argv, "--seed", 3, "--output", "flags.csv") == 0
+    swept = sorted(tmp_path.glob("sweep*.csv"))
+    expected = 2 if "--per-pattern" in flags else 1
+    assert len(swept) == len(list(tmp_path.glob("flags*.csv"))) == expected
+    for path in swept:
+        assert path.read_bytes() == (tmp_path / path.name.replace("sweep", "flags")).read_bytes()
 
 
 def test_sweep_missing_key_and_empty_grid(tmp_path):
@@ -232,20 +242,33 @@ def test_sweep_sample_command(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, reason",
     [
-        "command = sample\nn = [4, 5]\nd = 3\nm = 2\nsigma = 0.5\nhypothesis = planted\n",
-        "command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nmode = mc\n"
-        "samples = [10, 20]\n",
+        ("command = sample\nn = [4, 5]\nd = 3\nm = 2\nsigma = 0.5\nhypothesis = planted\n",
+         "takes a single value"),
+        ("command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nmode = mc\n"
+         "samples = [10, 20]\n", "takes a single value"),
+        ("command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nmode = mc\n"
+         "sampels = 10\n", "'sampels' is not an option of chisq"),
+        ("command = detect\nn = [8.7]\nd = [4]\nm = [4]\nsigma = [1.0]\ntrials = 10\n",
+         "'n' takes an integer, got 8.7"),
+        ("command = advantage\nn = [1]\nd = [2]\nm = [1]\nsigma = [0]\nD = [2.9]\n"
+         "samples = 100\n", "'D' takes an integer, got 2.9"),
+        ("command = sample\nn = 3\nd = 2\nm = 2\nsigma = 0.5\nhypothesis = planted\n"
+         "keep_latent = no\n", "'keep_latent' takes true or false, got 'no'"),
     ],
-    ids=["sample-n", "chisq-samples"],
+    ids=["sample-n", "chisq-samples", "chisq-sampels-typo", "detect-n-fraction",
+         "advantage-D-fraction", "sample-keep-latent-no"],
 )
-def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body):
+def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body, reason):
     config = tmp_path / "bad.cfg"
     out = tmp_path / "out.csv"
     config.write_text(f"master_seed = 1\n{body}output = {out}\nprefix = {tmp_path / 'inst'}\n")
     assert run_cli("sweep", "--config", config) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    # the body's own fault, not the output or prefix key its command lacks
+    assert reason in err
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -259,3 +282,12 @@ def test_sweep_rejects_unknown_chisq_mode(tmp_path, capsys):
     assert run_cli("sweep", "--config", config) == 2
     assert "mode must be 'closed', 'mc' or 'both'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_resolve(path):
+    config = parse_config(path.read_text())
+    _, args = resolve_config(config)
+    assert args.grids and all(args.grids.values())
+    assert list(args.grids) == [key for key in config if key in args.grids]  # file order
+    assert args.output.endswith(".csv")

@@ -13,7 +13,6 @@ from shufflab.hermite import (
     hermite_multi,
     hermite_normalized,
     lambda_m1_closed,
-    lambda_mc,
     lambda_mc_pairs,
     multiindex_enumerate,
     pattern_count,
@@ -161,15 +160,15 @@ def test_expand_inner_product_rejects_non_unit():
 
 def test_lambda_mc_exact_cases():
     q = np.array([[0.6], [0.8]])
-    est = lambda_mc((0, 0), (0,), q, 0.0, 10, make_rng(47))
+    est = lambda_mc_pairs([((0, 0), (0,))], q, 0.0, 10, make_rng(47))[0]
     assert est.value == 1.0 and est.stderr == 0.0
-    est = lambda_mc((0, 0), (2,), q, 0.0, 200_000, make_rng(48))
+    est = lambda_mc_pairs([((0, 0), (2,))], q, 0.0, 200_000, make_rng(48))[0]
     assert_within_nse(est.value, est.stderr, 0.0, label="Lambda(0, beta)")
 
 
 def test_lambda_mc_matches_m1_closed_form_example():
     q = np.array([[0.6], [0.8]])
-    est = lambda_mc((2, 0), (2,), q, 0.0, 400_000, make_rng(49))
+    est = lambda_mc_pairs([((2, 0), (2,))], q, 0.0, 400_000, make_rng(49))[0]
     assert_within_nse(est.value, est.stderr, 0.36, label="Lambda((2,0),(2))")
 
 
@@ -193,7 +192,7 @@ def test_lambda_m1_closed_agrees_with_mc():
         beta = sum(alpha) if trial % 5 else sum(alpha) + 1
         qvec = uniform_sphere(d, rng)
         closed = lambda_m1_closed(alpha, beta, qvec)
-        est = lambda_mc(alpha, (beta,), qvec[:, None], 0.0, 40_000, rng)
+        est = lambda_mc_pairs([(alpha, (beta,))], qvec[:, None], 0.0, 40_000, rng)[0]
         assert_within_nse(est.value, est.stderr, closed, label=f"alpha={alpha} beta={beta}")
         draws += 1
     assert draws == 50
