@@ -2,17 +2,20 @@
 
 Library layout:
 
-- ``randmat``: seedable samplers for Gaussian / Haar / Stiefel / permutation
-  / sphere priors, with distributional self-tests.
-- ``model``: null and planted generative models plus the reduced k-row laws.
-- ``hermite``: the orthonormal Hermite engine, basis functions over (X, Y)
+- ``randmat``: seedable batch samplers for the Haar / Stiefel / permutation
+  priors, and a uniform-sphere sampler.
+- ``model``: null and planted batch samplers (a single instance is the
+  size-1 draw) plus the reduced k-row laws.
+- ``hermite``: the orthonormal Hermite table, basis functions over (X, Y)
   pairs, and the joint-coefficient closed form for one response column.
 - ``advantage``: unbiased estimators and exact enumerations for the squared
   low-degree advantage, plus its chi-square upper bound.
 - ``chisq``: closed-form and Monte Carlo chi-square divergences between the
-  reduced laws, with the analytic moment oracles they rest on.
+  reduced laws, and the Haar determinant integral behind the m = d route.
 - ``detect``: the constant-degree detection statistic, thresholded testing,
   and separation reporting.
+- ``oracles``: the analytic moment references (sphere, Gaussian, Haar
+  submatrix) and the self-checks that compare closed forms with sampling.
 - ``cli``: the batch experiment harness (``shufflab`` console script).
 """
 
@@ -20,7 +23,7 @@ __version__ = "0.1.0"
 
 from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
 from .model import Instance, ModelParams, ReducedParams
-from .rng import SeedSpec, make_rng
+from .rng import make_rng
 
 __all__ = [
     "CapacityError",
@@ -28,7 +31,6 @@ __all__ = [
     "ModelParams",
     "MomentEstimate",
     "ReducedParams",
-    "SeedSpec",
     "UnsupportedRegimeError",
     "make_rng",
     "__version__",

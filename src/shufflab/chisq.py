@@ -3,10 +3,10 @@
 Two noiseless closed forms (products of Wishart normalizing constants) and
 one Monte Carlo evaluator for the square case m = d with noise cover the
 regimes where the divergence is tractable; ``evaluate`` picks the evaluator
-for a regime and method.  The supporting analytic
-moments (sphere monomials, Gaussian exponential moments, orthogonal
-submatrix density, Haar determinant integrals) live here as well; they
-double as oracles for the samplers.
+for a regime and method.  The Haar determinant integral behind the m = d
+Monte Carlo lives here too; the analytic moments that check the samplers
+(sphere monomials, Gaussian exponential moments, orthogonal submatrix
+density) live in ``oracles``.
 
 All normalizing constants and determinants are handled in log space: the
 raw constants overflow double precision once d reaches the low hundreds.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,7 +24,6 @@ from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .randmat import haar_orthogonal_batch
 
 ZETA_SLACK = 1e-12
-PSD_REL_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 HEAVY_TAIL_SIGMA = 1.0
 
@@ -149,7 +147,7 @@ def chisq_case2_closed(d: int, m: int, k: int) -> ChiSquareReport:
 
 
 # ---------------------------------------------------------------------------
-# likelihood ratio for the k <= m noiseless case, and its Monte Carlo checks
+# Monte Carlo: the case-1 likelihood ratio, and the Haar determinant integral at m = d
 
 
 def _reduced_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
@@ -242,6 +240,25 @@ def likelihood_ratio_case1_mc_mean(
     return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 
+def det_integral_mc(
+    d: int, eps: float, k: int, samples: int, rng: np.random.Generator
+) -> MomentEstimate:
+    """Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q, via slogdet."""
+    if not abs(eps) < 1:
+        raise ValueError(f"need |eps| < 1, got {eps}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if eps == 0.0 or k == 0:
+        return MomentEstimate(value=1.0, stderr=0.0, samples=0)
+    eye = np.eye(d)
+
+    def draw(b: int) -> np.ndarray:
+        _, logdet = np.linalg.slogdet(eye + eps * haar_orthogonal_batch(d, b, rng))
+        return np.exp(k * logdet)
+
+    return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
+
+
 def chisq_m_eq_d_mc(
     d: int, k: int, sigma: float, samples: int, rng: np.random.Generator
 ) -> ChiSquareReport:
@@ -316,119 +333,3 @@ def evaluate(
     if sigma == 0:
         return chisq_case1_mc(d, m, k, samples, rng)
     return chisq_m_eq_d_mc(d, k, sigma, samples, rng)
-
-
-# ---------------------------------------------------------------------------
-# analytic moment oracles
-
-
-def _log_double_factorial_odd(g: int) -> float:
-    """log((g-1)!!) for even g >= 0, via (2s-1)!! = (2s)!/(2^s s!)."""
-    s = g // 2
-    return float(gammaln(2 * s + 1) - s * math.log(2.0) - gammaln(s + 1))
-
-
-def sphere_moment(gamma: Sequence[int], d: int) -> float:
-    """E[q^gamma] for q uniform on the unit sphere in R^d.
-
-    Zero when any part is odd; otherwise
-    Gamma(d/2) * prod (gamma_i - 1)!! / (Gamma((d+|gamma|)/2) * 2^{|gamma|/2}).
-    """
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != d:
-        raise ValueError(f"gamma has {len(gamma)} parts, expected d={d}")
-    if any(g < 0 for g in gamma):
-        raise ValueError("gamma parts must be nonnegative")
-    if any(g % 2 for g in gamma):
-        return 0.0
-    w = sum(gamma)
-    log_val = (
-        gammaln(d / 2.0)
-        - gammaln((d + w) / 2.0)
-        - (w / 2.0) * math.log(2.0)
-        + sum(_log_double_factorial_odd(g) for g in gamma)
-    )
-    return float(math.exp(log_val))
-
-
-def det_integral_mc(
-    d: int, eps: float, k: int, samples: int, rng: np.random.Generator
-) -> MomentEstimate:
-    """Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q, via slogdet."""
-    if not abs(eps) < 1:
-        raise ValueError(f"need |eps| < 1, got {eps}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if eps == 0.0 or k == 0:
-        return MomentEstimate(value=1.0, stderr=0.0, samples=0)
-    eye = np.eye(d)
-
-    def draw(b: int) -> np.ndarray:
-        _, logdet = np.linalg.slogdet(eye + eps * haar_orthogonal_batch(d, b, rng))
-        return np.exp(k * logdet)
-
-    return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
-
-
-def gaussian_exp_moment(lam: float, A: np.ndarray) -> float:
-    """E[exp(-lam ||Z||_F^2 + <A, Z>)] for Z a Gaussian matrix shaped like A.
-
-    Equals (1+2 lam)^{-dm/2} * exp(||A||_F^2 / (2 (1+2 lam))).
-    """
-    if not lam > 0:
-        raise ValueError(f"need lam > 0, got {lam}")
-    A = np.asarray(A, dtype=float)
-    dm = A.size
-    fro2 = float((A * A).sum())
-    return float((1.0 + 2.0 * lam) ** (-dm / 2.0) * math.exp(fro2 / (2.0 * (1.0 + 2.0 * lam))))
-
-
-def gaussian_quadform_moment(A: np.ndarray, k: int) -> float:
-    """E[exp(-tr(Z^T A Z))] for Z d x k Gaussian and A symmetric PSD.
-
-    Equals det(I + 2A)^{-k/2}, evaluated through the eigenvalues of A.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(A)))):
-        raise ValueError("A must be symmetric")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] < -PSD_REL_TOL * max(float(eigs[-1]), 0.0):
-        raise ValueError(f"A must be PSD, smallest eigenvalue {eigs[0]}")
-    eigs = np.clip(eigs, 0.0, None)
-    return float(math.exp(-0.5 * k * np.log1p(2.0 * eigs).sum()))
-
-
-def submatrix_density(Z: np.ndarray, d: int) -> float:
-    """Density of the upper-left p x q block of a Haar d x d orthogonal matrix.
-
-    For p >= q (roles are swapped internally otherwise):
-    omega(d-p, q) / (omega(d, q) (2 pi)^{pq/2})
-        * det(I_q - Z^T Z)^{(d-p-q-1)/2}
-    on the set where every eigenvalue of Z^T Z lies in [0, 1]; zero outside.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError(f"Z must be 2-d, got shape {Z.shape}")
-    p, q = Z.shape
-    if p < q:
-        Z = Z.T
-        p, q = q, p
-    if p + q > d:
-        raise UnsupportedRegimeError(f"need p + q <= d, got p={p}, q={q}, d={d}")
-    eigs = np.linalg.eigvalsh(Z.T @ Z)
-    if eigs[-1] > 1.0 + ZETA_SLACK or eigs[0] < -ZETA_SLACK:
-        return 0.0
-    clipped = np.clip(eigs, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        logdet_gap = float(np.log1p(-clipped).sum())
-    log_dens = (
-        log_wishart_constant(d - p, q)
-        - log_wishart_constant(d, q)
-        - (p * q / 2.0) * math.log(2.0 * math.pi)
-        + 0.5 * (d - p - q - 1) * logdet_gap
-    )
-    return float(math.exp(log_dens))

@@ -389,8 +389,9 @@ def _parse_scalar(token: str) -> object:
 
 
 def parse_config(text: str) -> dict[str, object]:
-    """Parse the flat config format, preserving key order."""
+    """Parse the flat config format, preserving key order; a key may appear once."""
     out: dict[str, object] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -400,6 +401,9 @@ def parse_config(text: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         if value.startswith("[") and value.endswith("]"):
             inner = value[1:-1].strip()
             out[key] = [_parse_scalar(tok) for tok in inner.split(",")] if inner else []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import draw_chunked
-from .model import Instance, ModelParams, sample_null_batch, sample_planted_batch
+from .model import ModelParams, sample_null_batch, sample_planted_batch
 
 _TRIAL_CHUNK = 512
 
@@ -61,15 +61,9 @@ class ErrorRates:
     trials_per_hypothesis: int
 
 
-def statistic_f(inst: Instance) -> float:
-    """(||Y||_F^2 - ||X||_F^2)^2 for a single instance."""
-    x2 = float((inst.X * inst.X).sum())
-    y2 = float((inst.Y * inst.Y).sum())
-    return (y2 - x2) ** 2
-
-
-def _statistic_batch(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = np.einsum("sij,sij->s", Y, Y) - np.einsum("sij,sij->s", X, X)
+def statistic_f(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(||Y||_F^2 - ||X||_F^2)^2 over the last two axes: one value per instance of a stack."""
+    diff = np.einsum("...ij,...ij->...", Y, Y) - np.einsum("...ij,...ij->...", X, X)
     return diff**2
 
 
@@ -78,7 +72,7 @@ def _sample_f(
 ) -> np.ndarray:
     sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
     return draw_chunked(
-        lambda b: _statistic_batch(*sampler(params, b, rng)), trials, _TRIAL_CHUNK
+        lambda b: statistic_f(*sampler(params, b, rng)), trials, _TRIAL_CHUNK
     )
 
 

@@ -6,10 +6,11 @@ recurrence
 
     h_{k+1}(z) = (z * h_k(z) - sqrt(k) * h_{k-1}(z)) / sqrt(k+1)
 
-is ever evaluated; the raw polynomials with explicit factorials overflow
-past degree ~85.  Multi-index products over matrix entries form the basis
-functions phi used by the advantage estimators, and the closed-form joint
-coefficients for a single response column live here too.
+is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
+factorials overflow past degree ~85.  Multi-index products over matrix
+entries form the basis functions phi used by the advantage estimators, all
+evaluated by ``phi_batch``, and the closed-form joint coefficients for a
+single response column live here too.
 """
 
 from __future__ import annotations
@@ -28,19 +29,7 @@ UNIT_NORM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# scalar / tabulated evaluation
-
-
-def hermite_normalized(degree: int, z: float) -> float:
-    """Normalized Hermite polynomial h_degree(z)."""
-    if degree < 0 or int(degree) != degree:
-        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-    if degree == 0:
-        return 1.0
-    prev, cur = 1.0, float(z)
-    for k in range(1, degree):
-        prev, cur = cur, (z * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur
+# tabulated evaluation
 
 
 def hermite_table(x: np.ndarray, max_degree: int) -> np.ndarray:
@@ -59,11 +48,6 @@ def hermite_table(x: np.ndarray, max_degree: int) -> np.ndarray:
 # multi-indices
 
 MultiIndex = Sequence[int]
-
-
-def weight(alpha: MultiIndex) -> int:
-    """|alpha|, the part sum."""
-    return int(sum(alpha))
 
 
 def multinomial_exact(total: int, alpha: MultiIndex) -> int:
@@ -100,34 +84,6 @@ def multiindex_enumerate(dimension: int, max_weight: int) -> list[tuple[int, ...
     out: list[tuple[int, ...]] = []
     for w in range(max_weight + 1):
         out.extend(compositions(w, dimension))
-    return out
-
-
-def hermite_multi(alpha: MultiIndex, x: Sequence[float]) -> float:
-    """Product of normalized Hermite polynomials, one factor per coordinate."""
-    alpha = tuple(int(a) for a in alpha)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(alpha),):
-        raise ValueError(f"dimension mismatch: alpha has {len(alpha)} parts, x has shape {x.shape}")
-    out = 1.0
-    for a, xi in zip(alpha, x):
-        if a:
-            out *= hermite_normalized(a, xi)
-    return out
-
-
-def _hermite_multi_batch(alpha: MultiIndex, x: np.ndarray) -> np.ndarray:
-    """h_alpha evaluated on rows of x (shape (S, dim)) -> shape (S,)."""
-    alpha = np.asarray(alpha, dtype=int)
-    if x.shape[1] != alpha.shape[0]:
-        raise ValueError("dimension mismatch between alpha and x rows")
-    out = np.ones(x.shape[0])
-    maxdeg = int(alpha.max(initial=0))
-    if maxdeg == 0:
-        return out
-    for i, a in enumerate(alpha):
-        if a:
-            out *= hermite_table(x[:, i], int(a))[:, int(a)]
     return out
 
 
@@ -185,16 +141,6 @@ def pattern_count(n: int, d: int, m: int, max_degree: int) -> int:
     return math.comb(n * (d + m) + max_degree, max_degree)
 
 
-def phi(pattern: PatternPair, inst) -> float:
-    """Evaluate one basis function on one instance."""
-    n, d, m = inst.shape
-    if pattern.A.shape != (n, d) or pattern.B.shape != (n, m):
-        raise ValueError(
-            f"pattern shapes {pattern.A.shape}/{pattern.B.shape} do not match instance {(n, d, m)}"
-        )
-    return float(phi_batch([pattern], inst.X[None], inst.Y[None])[0, 0])
-
-
 def phi_batch(
     patterns: Sequence[PatternPair], X: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
@@ -250,8 +196,13 @@ class CoeffTable:
         return math.sqrt(sum(c * c for c in self.entries.values()))
 
     def evaluate(self, x: Sequence[float]) -> float:
-        """Sum of coeff(alpha) * h_alpha(x)."""
-        return sum(c * hermite_multi(alpha, x) for alpha, c in self.entries.items())
+        """Sum of coeff(alpha) * h_alpha(x), h_alpha the product of h_{alpha_i}(x_i)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"x must have shape ({self.dimension},), got {x.shape}")
+        table = hermite_table(x, max(map(sum, self.entries), default=0))
+        cols = np.arange(self.dimension)
+        return float(sum(c * math.prod(table[cols, alpha]) for alpha, c in self.entries.items()))
 
 
 def expand_inner_product(y: Sequence[float], degree: int) -> CoeffTable:
@@ -276,11 +227,6 @@ def expand_inner_product(y: Sequence[float], degree: int) -> CoeffTable:
     return CoeffTable(dimension=d, entries=entries)
 
 
-def joint_coefficient_weight(alpha: MultiIndex, beta: int) -> float:
-    """sqrt(alpha!/beta!) * binom(beta, alpha) = sqrt(multinomial(beta, alpha))."""
-    return sqrt_multinomial(beta, alpha)
-
-
 def lambda_m1_closed(alpha: MultiIndex, beta: int, q: Sequence[float]) -> float:
     """Closed-form joint coefficient for one response column, zero noise.
 
@@ -293,9 +239,9 @@ def lambda_m1_closed(alpha: MultiIndex, beta: int, q: Sequence[float]) -> float:
         raise ValueError("dimension mismatch between alpha and q")
     if abs(np.linalg.norm(q) - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"q must be a unit vector, got norm {np.linalg.norm(q)!r}")
-    if weight(alpha) != beta:
+    if sum(alpha) != beta:
         return 0.0
-    return joint_coefficient_weight(alpha, beta) * float(np.prod(q ** np.asarray(alpha)))
+    return sqrt_multinomial(beta, alpha) * float(np.prod(q ** np.asarray(alpha)))
 
 
 def lambda_mc_pairs(
@@ -315,20 +261,20 @@ def lambda_mc_pairs(
         raise ValueError(f"samples must be >= 1, got {samples}")
     Q = np.asarray(Q, dtype=float)
     d, m = Q.shape
-    U = rng.standard_normal((samples, d))
-    V = rng.standard_normal((samples, m))
-    W = planted_response(U, Q, V, sigma)
-    out = []
+    patterns = []
     for alpha, beta in pairs:
-        alpha = tuple(int(a) for a in alpha)
-        beta = tuple(int(b) for b in beta)
         if len(alpha) != d or len(beta) != m:
             raise ValueError(
                 f"pair dims {(len(alpha), len(beta))} do not match Q shape {(d, m)}"
             )
-        if weight(alpha) == 0 and weight(beta) == 0:
-            out.append(MomentEstimate(value=1.0, stderr=0.0, samples=0))
-            continue
-        vals = _hermite_multi_batch(alpha, U) * _hermite_multi_batch(beta, W)
-        out.append(MomentEstimate.from_values(vals))
-    return out
+        patterns.append(PatternPair(A=[alpha], B=[beta]))
+    U = rng.standard_normal((samples, d))
+    V = rng.standard_normal((samples, m))
+    W = planted_response(U, Q, V, sigma)
+    vals = phi_batch(patterns, U[:, None, :], W[:, None, :])
+    return [
+        MomentEstimate(value=1.0, stderr=0.0, samples=0)
+        if p.is_empty
+        else MomentEstimate.from_values(vals[:, j])
+        for j, p in enumerate(patterns)
+    ]

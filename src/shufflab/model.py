@@ -4,7 +4,9 @@ Under the null, X (n x d) and Y (n x m) are independent Gaussian matrices.
 Under the planted law, Y = (P X Q + sigma * Z) / sqrt(1 + sigma^2) with P a
 uniform row permutation, Q Haar on the d x m Stiefel manifold, and Z
 Gaussian noise, all independent.  The permutation is applied by an index
-gather; the n x n matrix is never materialized.
+gather; the n x n matrix is never materialized.  The batch samplers draw
+stacks of independent instances; ``sample_null`` and ``sample_planted``
+are their size-1 draws.
 
 The reduced k-row models drop the permutation: they are the k-row laws
 whose chi-square divergence bounds the low-degree advantage.
@@ -12,6 +14,7 @@ whose chi-square divergence bounds the low-degree advantage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,8 @@ def _check_dims(row_name: str, rows: int, d: int, m: int, sigma: float) -> None:
         raise ValueError(f"need {row_name} >= 1, got {rows}")
     if not 1 <= m <= d:
         raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
-    if not sigma >= 0:
-        raise ValueError(f"need sigma >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"need finite sigma >= 0, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -95,40 +98,6 @@ def planted_response(
     return (XP @ Q + sigma * Z) / np.sqrt(1.0 + sigma**2)
 
 
-def sample_null(params: ModelParams, rng: np.random.Generator) -> Instance:
-    X = randmat.gaussian_matrix(params.n, params.d, rng)
-    Y = randmat.gaussian_matrix(params.n, params.m, rng)
-    return Instance(X=X, Y=Y, hypothesis="null")
-
-
-def sample_planted(
-    params: ModelParams, rng: np.random.Generator, keep_latent: bool = False
-) -> Instance:
-    X = randmat.gaussian_matrix(params.n, params.d, rng)
-    perm = randmat.uniform_permutation(params.n, rng)
-    Q = randmat.stiefel(params.d, params.m, rng)
-    Z = randmat.gaussian_matrix(params.n, params.m, rng)
-    Y = planted_response(X[perm], Q, Z, params.sigma)
-    latent = Latent(perm=perm, Q=Q, Z=Z) if keep_latent else None
-    return Instance(X=X, Y=Y, hypothesis="planted", latent=latent)
-
-
-def sample_reduced(
-    params: ReducedParams, hypothesis: str, rng: np.random.Generator
-) -> Instance:
-    """k-row instance without the permutation layer."""
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    X = randmat.gaussian_matrix(params.k, params.d, rng)
-    if hypothesis == "null":
-        Y = randmat.gaussian_matrix(params.k, params.m, rng)
-        return Instance(X=X, Y=Y, hypothesis="null")
-    Q = randmat.stiefel(params.d, params.m, rng)
-    Z = randmat.gaussian_matrix(params.k, params.m, rng)
-    Y = planted_response(X, Q, Z, params.sigma)
-    return Instance(X=X, Y=Y, hypothesis="planted")
-
-
 def sample_null_batch(
     params: ModelParams, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +107,49 @@ def sample_null_batch(
     return X, Y
 
 
+def _planted_draws(
+    params: ModelParams, size: int, rng: np.random.Generator, permute: bool = True
+) -> tuple[np.ndarray, ...]:
+    """size planted draws as stacks (X, Y, perm, Q, Z); perm is None when not permuting."""
+    X = rng.standard_normal((size, params.n, params.d))
+    perm = randmat.permutation_batch(params.n, size, rng) if permute else None
+    Q = randmat.stiefel_batch(params.d, params.m, size, rng)
+    Z = rng.standard_normal((size, params.n, params.m))
+    XP = X if perm is None else np.take_along_axis(X, perm[:, :, None], axis=1)
+    return X, planted_response(XP, Q, Z, params.sigma), perm, Q, Z
+
+
 def sample_planted_batch(
     params: ModelParams, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """size independent planted draws, stacked as (size, n, d) and (size, n, m)."""
-    n, d, m, sigma = params.n, params.d, params.m, params.sigma
-    X = rng.standard_normal((size, n, d))
-    perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-    Q = randmat.stiefel_batch(d, m, size, rng)
-    Z = rng.standard_normal((size, n, m))
-    Xp = np.take_along_axis(X, perms[:, :, None], axis=1)
-    return X, planted_response(Xp, Q, Z, sigma)
+    X, Y, *_ = _planted_draws(params, size, rng)
+    return X, Y
+
+
+def sample_null(params: ModelParams, rng: np.random.Generator) -> Instance:
+    """One null draw: the size-1 stack of ``sample_null_batch``."""
+    X, Y = sample_null_batch(params, 1, rng)
+    return Instance(X=X[0], Y=Y[0], hypothesis="null")
+
+
+def sample_planted(
+    params: ModelParams, rng: np.random.Generator, keep_latent: bool = False
+) -> Instance:
+    """One planted draw: the size-1 stack of ``sample_planted_batch``, latents kept on request."""
+    X, Y, perm, Q, Z = _planted_draws(params, 1, rng)
+    latent = Latent(perm=perm[0], Q=Q[0], Z=Z[0]) if keep_latent else None
+    return Instance(X=X[0], Y=Y[0], hypothesis="planted", latent=latent)
+
+
+def sample_reduced(
+    params: ReducedParams, hypothesis: str, rng: np.random.Generator
+) -> Instance:
+    """k-row instance without the permutation layer (reference sampler of the reduced law)."""
+    if hypothesis not in HYPOTHESES:
+        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
+    rows = ModelParams(n=params.k, d=params.d, m=params.m, sigma=params.sigma)
+    if hypothesis == "null":
+        return sample_null(rows, rng)
+    X, Y, *_ = _planted_draws(rows, 1, rng, permute=False)
+    return Instance(X=X[0], Y=Y[0], hypothesis="planted")

@@ -1,5 +1,10 @@
 """Self-test oracles: analytic identities checked against Monte Carlo.
 
+The analytic moment references live here: sphere monomial moments, in
+floating point and as exact rationals, Gaussian exponential and
+quadratic-form moments, and the density of a block of a Haar orthogonal
+matrix.  No production route calls them; tests and the checks below do.
+
 Each check compares an implemented closed form against an independent
 numerical route (Monte Carlo sampling, quadrature, or a pointwise
 identity) and returns a CheckResult.  Scalar comparisons use the
@@ -20,10 +25,14 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.special import gammaln
 
 from . import chisq as chisq_mod
-from .common import MomentEstimate
-from .hermite import expand_inner_product, hermite_normalized, pattern_pairs, phi_batch
+from .chisq import SYMMETRY_TOL, ZETA_SLACK, log_wishart_constant
+from .common import MomentEstimate, UnsupportedRegimeError
+from .hermite import (
+    expand_inner_product, hermite_table, multiindex_enumerate, pattern_pairs, phi_batch,
+)
 from .randmat import haar_orthogonal_batch, uniform_sphere
 from .rng import make_rng
 
@@ -31,6 +40,7 @@ FAMILY_STRICT_LIMIT = 100
 FAMILY_P3 = 0.0027  # two-sided 3-sigma exceedance rate
 FAMILY_RATE_CAP = 0.005
 Z_HARD_CAP = 6.0
+PSD_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,33 +88,40 @@ def _zscore(mean: float, target: float, stderr: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# analytic moment references
 
 
-def check_inner_expansion(seed: int = 0) -> CheckResult:
-    """Pointwise identity: h_deg(<x, y>) equals its Hermite expansion in x."""
-    rng = make_rng(seed, 0)
-    tol = 1e-9
-    worst = 0.0
-    for d in (2, 3):
-        for deg in range(1, 6):
-            for _ in range(100):
-                y = uniform_sphere(d, rng)
-                x = rng.standard_normal(d)
-                lhs = hermite_normalized(deg, float(x @ y))
-                rhs = expand_inner_product(y, deg).evaluate(x)
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return CheckResult(
-        name="inner-expansion",
-        passed=worst <= tol,
-        observed=worst,
-        tolerance=tol,
-        detail="max relative error over 100 points per (d, degree) in {2,3}x{1..5}",
+def _log_double_factorial_odd(g: int) -> float:
+    """log((g-1)!!) for even g >= 0, via (2s-1)!! = (2s)!/(2^s s!)."""
+    s = g // 2
+    return float(gammaln(2 * s + 1) - s * math.log(2.0) - gammaln(s + 1))
+
+
+def sphere_moment(gamma: Sequence[int], d: int) -> float:
+    """E[q^gamma] for q uniform on the unit sphere in R^d.
+
+    Zero when any part is odd; otherwise
+    Gamma(d/2) * prod (gamma_i - 1)!! / (Gamma((d+|gamma|)/2) * 2^{|gamma|/2}).
+    """
+    gamma = tuple(int(g) for g in gamma)
+    if len(gamma) != d:
+        raise ValueError(f"gamma has {len(gamma)} parts, expected d={d}")
+    if any(g < 0 for g in gamma):
+        raise ValueError("gamma parts must be nonnegative")
+    if any(g % 2 for g in gamma):
+        return 0.0
+    w = sum(gamma)
+    log_val = (
+        gammaln(d / 2.0)
+        - gammaln((d + w) / 2.0)
+        - (w / 2.0) * math.log(2.0)
+        + sum(_log_double_factorial_odd(g) for g in gamma)
     )
+    return float(math.exp(log_val))
 
 
 def sphere_moment_exact(gamma: Sequence[int], d: int) -> Fraction:
-    """Exact rational value of chisq.sphere_moment: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j)."""
+    """Exact rational value of sphere_moment: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j)."""
     gamma = tuple(int(g) for g in gamma)
     if any(g % 2 for g in gamma):
         return Fraction(0)
@@ -118,10 +135,98 @@ def sphere_moment_exact(gamma: Sequence[int], d: int) -> Fraction:
     return Fraction(num, den)
 
 
+def gaussian_exp_moment(lam: float, A: np.ndarray) -> float:
+    """E[exp(-lam ||Z||_F^2 + <A, Z>)] for Z a Gaussian matrix shaped like A.
+
+    Equals (1+2 lam)^{-dm/2} * exp(||A||_F^2 / (2 (1+2 lam))).
+    """
+    if not lam > 0:
+        raise ValueError(f"need lam > 0, got {lam}")
+    A = np.asarray(A, dtype=float)
+    dm = A.size
+    fro2 = float((A * A).sum())
+    return float((1.0 + 2.0 * lam) ** (-dm / 2.0) * math.exp(fro2 / (2.0 * (1.0 + 2.0 * lam))))
+
+
+def gaussian_quadform_moment(A: np.ndarray, k: int) -> float:
+    """E[exp(-tr(Z^T A Z))] for Z d x k Gaussian and A symmetric PSD.
+
+    Equals det(I + 2A)^{-k/2}, evaluated through the eigenvalues of A.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(A)))):
+        raise ValueError("A must be symmetric")
+    eigs = np.linalg.eigvalsh(A)
+    if eigs[0] < -PSD_REL_TOL * max(float(eigs[-1]), 0.0):
+        raise ValueError(f"A must be PSD, smallest eigenvalue {eigs[0]}")
+    eigs = np.clip(eigs, 0.0, None)
+    return float(math.exp(-0.5 * k * np.log1p(2.0 * eigs).sum()))
+
+
+def submatrix_density(Z: np.ndarray, d: int) -> float:
+    """Density of the upper-left p x q block of a Haar d x d orthogonal matrix.
+
+    For p >= q (roles are swapped internally otherwise):
+    omega(d-p, q) / (omega(d, q) (2 pi)^{pq/2})
+        * det(I_q - Z^T Z)^{(d-p-q-1)/2}
+    on the set where every eigenvalue of Z^T Z lies in [0, 1]; zero outside.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2:
+        raise ValueError(f"Z must be 2-d, got shape {Z.shape}")
+    p, q = Z.shape
+    if p < q:
+        Z = Z.T
+        p, q = q, p
+    if p + q > d:
+        raise UnsupportedRegimeError(f"need p + q <= d, got p={p}, q={q}, d={d}")
+    eigs = np.linalg.eigvalsh(Z.T @ Z)
+    if eigs[-1] > 1.0 + ZETA_SLACK or eigs[0] < -ZETA_SLACK:
+        return 0.0
+    clipped = np.clip(eigs, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        logdet_gap = float(np.log1p(-clipped).sum())
+    log_dens = (
+        log_wishart_constant(d - p, q)
+        - log_wishart_constant(d, q)
+        - (p * q / 2.0) * math.log(2.0 * math.pi)
+        + 0.5 * (d - p - q - 1) * logdet_gap
+    )
+    return float(math.exp(log_dens))
+
+
+# ---------------------------------------------------------------------------
+# individual checks
+
+
+def check_inner_expansion(seed: int = 0) -> CheckResult:
+    """Pointwise identity: h_deg(<x, y>) equals its Hermite expansion in x."""
+    rng = make_rng(seed, 0)
+    tol = 1e-9
+    worst = 0.0
+    for d in (2, 3):
+        for deg in range(1, 6):
+            for _ in range(100):
+                y = uniform_sphere(d, rng)
+                x = rng.standard_normal(d)
+                lhs = float(hermite_table(x @ y, deg)[deg])
+                rhs = expand_inner_product(y, deg).evaluate(x)
+                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return CheckResult(
+        name="inner-expansion",
+        passed=worst <= tol,
+        observed=worst,
+        tolerance=tol,
+        detail="max relative error over 100 points per (d, degree) in {2,3}x{1..5}",
+    )
+
+
 def check_sphere(seed: int = 0, draws: int = 100_000, max_weight: int = 6) -> CheckResult:
     """Uniform-sphere monomial moments vs the closed form, d in {2, 3, 8}."""
-    from .hermite import multiindex_enumerate
-
     zs = []
     for stream, d in enumerate((2, 3, 8)):
         rng = make_rng(seed, stream)
@@ -140,7 +245,7 @@ def check_sphere(seed: int = 0, draws: int = 100_000, max_weight: int = 6) -> Ch
                 if e:
                     vals = vals * pow_table[c][:, e]
             est = MomentEstimate.from_values(vals)
-            zs.append(_zscore(est.value, chisq_mod.sphere_moment(gamma, d), est.stderr))
+            zs.append(_zscore(est.value, sphere_moment(gamma, d), est.stderr))
     passed, detail = family_gate(np.asarray(zs))
     return CheckResult(
         name="sphere",
@@ -153,7 +258,7 @@ def check_sphere(seed: int = 0, draws: int = 100_000, max_weight: int = 6) -> Ch
 
 def _submatrix_density_1x1(d: int):
     def dens(z: float) -> float:
-        return chisq_mod.submatrix_density(np.array([[z]]), d)
+        return submatrix_density(np.array([[z]]), d)
 
     return dens
 
@@ -192,7 +297,7 @@ def check_gaussian_exp(seed: int = 0, draws: int = 200_000) -> CheckResult:
     rng = make_rng(seed, 0)
     d, m, lam = 2, 2, 0.3
     A = rng.standard_normal((d, m))
-    target = chisq_mod.gaussian_exp_moment(lam, A)
+    target = gaussian_exp_moment(lam, A)
     Z = rng.standard_normal((draws, d, m))
     vals = np.exp(-lam * np.einsum("sij,sij->s", Z, Z) + np.einsum("ij,sij->s", A, Z))
     est = MomentEstimate.from_values(vals)
@@ -212,7 +317,7 @@ def check_gaussian_quad(seed: int = 0, draws: int = 200_000) -> CheckResult:
     d, k = 3, 2
     G = rng.standard_normal((d, d))
     A = G @ G.T / d
-    target = chisq_mod.gaussian_quadform_moment(A, k)
+    target = gaussian_quadform_moment(A, k)
     Z = rng.standard_normal((draws, d, k))
     vals = np.exp(-np.einsum("sik,ij,sjk->s", Z, A, Z))
     est = MomentEstimate.from_values(vals)

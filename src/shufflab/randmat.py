@@ -1,30 +1,23 @@
-"""Seedable samplers for the random-matrix priors used throughout the lab.
+"""Seedable samplers for the Haar, Stiefel, permutation and sphere priors.
 
-All samplers are pure functions of their arguments and the supplied
-generator: a fixed stream reproduces bit-identical output on the same
-build.  The Haar sampler uses QR of a square Gaussian with the R-diagonal
-signs normalized to positive, which corrects the raw QR factorization to
-the exact Haar law.
+The matrix samplers draw a stack of ``size`` independent draws in one call;
+a single draw is the size-1 stack.  Gaussian matrices need no sampler of
+their own: they are ``rng.standard_normal(shape)``.  All samplers are pure
+functions of their arguments and the supplied generator: a fixed stream
+reproduces bit-identical output on the same build.  The Haar sampler uses
+QR of a square Gaussian with the R-diagonal signs normalized to positive,
+which corrects the raw QR factorization to the exact Haar law.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ORTHOGONALITY_TOL = 1e-10
-UNIT_NORM_TOL = 1e-12
-
 
 def _require_positive(**dims: int) -> None:
     for name, value in dims.items():
         if int(value) != value or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal entries."""
-    _require_positive(rows=rows, cols=cols)
-    return rng.standard_normal((rows, cols))
 
 
 def _qr_sign_fixed(g: np.ndarray) -> np.ndarray:
@@ -40,40 +33,27 @@ def _qr_sign_fixed(g: np.ndarray) -> np.ndarray:
     return q * np.sign(diag)[..., None, :]
 
 
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the Haar measure on the d x d orthogonal group."""
-    _require_positive(d=d)
-    return _qr_sign_fixed(rng.standard_normal((d, d)))
-
-
 def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """size x d x d stack of independent Haar orthogonal draws."""
     _require_positive(d=d, size=size)
     return _qr_sign_fixed(rng.standard_normal((size, d, d)))
 
 
-def stiefel(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """d x m matrix with orthonormal columns, Haar on the Stiefel manifold.
-
-    Equals in law the first m columns of ``haar_orthogonal(d, rng)``.
-    """
-    _require_positive(d=d, m=m)
-    if m > d:
-        raise ValueError(f"need m <= d, got m={m} > d={d}")
-    return _qr_sign_fixed(rng.standard_normal((d, m)))
-
-
 def stiefel_batch(d: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size x d x m stack of matrices with orthonormal columns, Haar on the Stiefel manifold.
+
+    Each equals in law the first m columns of a Haar orthogonal draw.
+    """
     _require_positive(d=d, m=m, size=size)
     if m > d:
         raise ValueError(f"need m <= d, got m={m} > d={d}")
     return _qr_sign_fixed(rng.standard_normal((size, d, m)))
 
 
-def uniform_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform permutation of [0, n) as an index array (Fisher-Yates)."""
-    _require_positive(n=n)
-    return rng.permutation(n)
+def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size x n stack of independent uniform permutations of [0, n) (Fisher-Yates per row)."""
+    _require_positive(n=n, size=size)
+    return rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
 
 
 def uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,9 +65,3 @@ def uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
         if norm > 0.0:  # astronomically unlikely to loop
             return g / norm
 
-
-def orthogonality_defect(q: np.ndarray) -> float:
-    """max |Q^T Q - I|, the residual checked against ORTHOGONALITY_TOL."""
-    q = np.asarray(q)
-    m = q.shape[-1]
-    return float(np.max(np.abs(np.swapaxes(q, -2, -1) @ q - np.eye(m))))

@@ -16,17 +16,19 @@ from shufflab.chisq import (
     chisq_m_eq_d_mc,
     det_integral_mc,
     evaluate,
-    gaussian_exp_moment,
-    gaussian_quadform_moment,
     likelihood_ratio_case1,
     likelihood_ratio_case1_mc_mean,
     log_wishart_constant,
-    sphere_moment,
-    submatrix_density,
     wishart_ratio_exact,
 )
 from shufflab.common import UnsupportedRegimeError
-from shufflab.oracles import sphere_moment_exact
+from shufflab.oracles import (
+    gaussian_exp_moment,
+    gaussian_quadform_moment,
+    sphere_moment,
+    sphere_moment_exact,
+    submatrix_density,
+)
 
 # ---------------------------------------------------------------------------
 # Wishart constants

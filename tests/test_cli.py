@@ -69,6 +69,11 @@ def test_detect_usage_errors(tmp_path):
     assert run_cli("detect", "--n", 8, "--d", 4, "--m", 6, "--sigma", 1.0,
                    "--seed", 1, "--output", tmp_path / "x.csv") == 2
     assert run_cli("detect", "--n", 8) == 2  # missing required flags
+    # an infinite sigma would write a NaN threshold that reads as a perfect test
+    out = tmp_path / "inf.csv"
+    assert run_cli("detect", "--n", 8, "--d", 4, "--m", 4, "--sigma", "inf",
+                   "--seed", 1, "--output", out) == 2
+    assert not out.exists()
 
 
 def test_advantage_csv(tmp_path):
@@ -256,9 +261,11 @@ def test_sweep_sample_command(tmp_path):
          "samples = 100\n", "'D' takes an integer, got 2.9"),
         ("command = sample\nn = 3\nd = 2\nm = 2\nsigma = 0.5\nhypothesis = planted\n"
          "keep_latent = no\n", "'keep_latent' takes true or false, got 'no'"),
+        ("command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nd = [60]\n",
+         "config line 7: key 'd' repeats line 3"),
     ],
     ids=["sample-n", "chisq-samples", "chisq-sampels-typo", "detect-n-fraction",
-         "advantage-D-fraction", "sample-keep-latent-no"],
+         "advantage-D-fraction", "sample-keep-latent-no", "chisq-repeated-key"],
 )
 def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body, reason):
     config = tmp_path / "bad.cfg"

@@ -10,14 +10,12 @@ from shufflab import make_rng
 from shufflab.hermite import (
     PatternPair,
     expand_inner_product,
-    hermite_multi,
-    hermite_normalized,
+    hermite_table,
     lambda_m1_closed,
     lambda_mc_pairs,
     multiindex_enumerate,
     pattern_count,
     pattern_pairs,
-    phi,
     phi_batch,
 )
 from shufflab.model import ModelParams, sample_null
@@ -25,10 +23,10 @@ from shufflab.randmat import uniform_sphere
 
 
 def test_hermite_low_degrees():
-    assert hermite_normalized(0, 3.7) == 1.0
-    assert hermite_normalized(1, 2.0) == 2.0
+    assert hermite_table(3.7, 0)[0] == 1.0
+    assert hermite_table(2.0, 1)[1] == 2.0
     # degree 2: (z^2 - 1)/sqrt(2) at z = 2
-    assert math.isclose(hermite_normalized(2, 2.0), 3 / math.sqrt(2), rel_tol=1e-15)
+    assert math.isclose(hermite_table(2.0, 2)[2], 3 / math.sqrt(2), rel_tol=1e-15)
 
 
 @given(st.integers(0, 20), st.floats(-8, 8))
@@ -38,28 +36,29 @@ def test_hermite_matches_numpy_hermite_e(degree, z):
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
     expected = np.polynomial.hermite_e.hermeval(z, coeffs) / math.sqrt(math.factorial(degree))
-    got = hermite_normalized(degree, z)
+    got = hermite_table(z, degree)[degree]
     assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(st.integers(1, 20), st.floats(-10, 10))
 @settings(max_examples=100)
 def test_three_term_recurrence_consistency(m, z):
-    lhs = hermite_normalized(m + 1, z) * math.sqrt(m + 1)
-    rhs = z * hermite_normalized(m, z) - math.sqrt(m) * hermite_normalized(m - 1, z)
+    lhs = hermite_table(z, m + 1)[m + 1] * math.sqrt(m + 1)
+    rhs = z * hermite_table(z, m)[m] - math.sqrt(m) * hermite_table(z, m - 1)[m - 1]
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_high_degree_stays_finite():
     for z in (-10.0, -1.0, 0.3, 10.0):
-        assert math.isfinite(hermite_normalized(200, z))
+        assert math.isfinite(hermite_table(z, 200)[200])
 
 
 def test_hermite_multi_basics():
-    assert hermite_multi((0, 0, 0), (1.0, -2.0, 0.5)) == 1.0
-    assert hermite_multi((1, 0), (3.0, 5.0)) == 3.0
+    pat = PatternPair(A=[(0, 0, 0)], B=[[0]])
+    assert phi_batch([pat], [[[1.0, -2.0, 0.5]]], [[[0.0]]])[0, 0] == 1.0
+    assert phi_batch([PatternPair(A=[(1, 0)], B=[[0]])], [[[3.0, 5.0]]], [[[0.0]]])[0, 0] == 3.0
     with pytest.raises(ValueError):
-        hermite_multi((1, 0), (3.0, 5.0, 7.0))
+        phi_batch([PatternPair(A=[(1, 0)], B=[[0]])], [[[3.0, 5.0, 7.0]]], [[[0.0]]])
 
 
 def test_hermite_multi_orthonormality_small():
@@ -67,9 +66,8 @@ def test_hermite_multi_orthonormality_small():
     rng = make_rng(40)
     x = rng.standard_normal((400_000, 2))
     idxs = [a for a in multiindex_enumerate(2, 2)]
-    from shufflab.hermite import _hermite_multi_batch
-
-    vals = np.stack([_hermite_multi_batch(a, x) for a in idxs], axis=1)
+    pats = [PatternPair(A=[a], B=[[0]]) for a in idxs]
+    vals = phi_batch(pats, x[:, None], np.zeros((len(x), 1, 1)))
     for i, a in enumerate(idxs):
         for j, b in enumerate(idxs):
             if j < i:
@@ -86,7 +84,7 @@ def test_phi_empty_pattern_is_one():
     params = ModelParams(n=3, d=2, m=2, sigma=0.0)
     inst = sample_null(params, make_rng(41))
     pat = PatternPair(A=np.zeros((3, 2), int), B=np.zeros((3, 2), int))
-    assert phi(pat, inst) == 1.0
+    assert phi_batch([pat], inst.X[None], inst.Y[None])[0, 0] == 1.0
 
 
 def test_phi_shape_mismatch_rejected():
@@ -94,7 +92,7 @@ def test_phi_shape_mismatch_rejected():
     inst = sample_null(params, make_rng(42))
     pat = PatternPair(A=np.zeros((2, 2), int), B=np.zeros((2, 2), int))
     with pytest.raises(ValueError):
-        phi(pat, inst)
+        phi_batch([pat], inst.X[None], inst.Y[None])
 
 
 def test_phi_null_mean_zero_for_nonempty_patterns():
@@ -115,12 +113,16 @@ def test_phi_batch_agrees_with_scalar_phi():
     Y = rng.standard_normal((7, 2, 1))
     pats = pattern_pairs(2, 3, 1, 3)
     vals = phi_batch(pats, X, Y)
-    from shufflab.model import Instance
+
+    def hermite_e(x, a):
+        # independent route: numpy's probabilists' Hermite, then normalized
+        return np.polynomial.hermite_e.hermeval(x, np.eye(a + 1)[a]) / math.sqrt(math.factorial(a))
 
     for s in (0, 3, 6):
-        inst = Instance(X=X[s], Y=Y[s], hypothesis="null")
+        slots = np.concatenate([X[s].ravel(), Y[s].ravel()])
         for j in (0, 5, len(pats) // 2, len(pats) - 1):
-            assert math.isclose(vals[s, j], phi(pats[j], inst), rel_tol=1e-12, abs_tol=1e-12)
+            expected = math.prod(hermite_e(x, a) for x, a in zip(slots, pats[j].slot_degrees()))
+            assert math.isclose(vals[s, j], expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_expand_inner_product_coordinate_vector():
@@ -133,7 +135,7 @@ def test_expand_inner_product_pointwise_identity():
     y = np.array([1.0, 1.0]) / math.sqrt(2)
     x = np.array([0.3, -1.7])
     table = expand_inner_product(y, 2)
-    lhs = hermite_normalized(2, float(x @ y))
+    lhs = hermite_table(x @ y, 2)[2]
     rhs = table.evaluate(x)
     assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-14)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import assert_within_nse, mean_and_stderr, two_sample_z
@@ -22,6 +24,8 @@ def test_param_validation():
         ModelParams(n=1, d=2, m=3, sigma=0.0)
     with pytest.raises(ValueError):
         ModelParams(n=1, d=2, m=1, sigma=-1.0)
+    with pytest.raises(ValueError):
+        ModelParams(n=1, d=2, m=1, sigma=math.inf)
     with pytest.raises(ValueError):
         ReducedParams(k=0, d=2, m=1, sigma=0.0)
     with pytest.raises(ValueError):

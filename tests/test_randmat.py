@@ -7,42 +7,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from shufflab import make_rng
+from shufflab import ModelParams, make_rng
+from shufflab.model import sample_null_batch
 from shufflab.randmat import (
-    ORTHOGONALITY_TOL,
-    gaussian_matrix,
-    haar_orthogonal,
     haar_orthogonal_batch,
-    orthogonality_defect,
-    stiefel,
+    permutation_batch,
     stiefel_batch,
-    uniform_permutation,
     uniform_sphere,
 )
 
+ORTHOGONALITY_TOL = 1e-10
+
+
+def orthogonality_defect(q: np.ndarray) -> float:
+    """max |Q^T Q - I|, the residual checked against ORTHOGONALITY_TOL."""
+    q = np.asarray(q)
+    m = q.shape[-1]
+    return float(np.max(np.abs(np.swapaxes(q, -2, -1) @ q - np.eye(m))))
+
 
 def test_gaussian_determinism():
-    a = gaussian_matrix(2, 3, make_rng(42))
-    b = gaussian_matrix(2, 3, make_rng(42))
+    a = sample_null_batch(ModelParams(n=2, d=3, m=1, sigma=0.0), 1, make_rng(42))[0][0]
+    b = sample_null_batch(ModelParams(n=2, d=3, m=1, sigma=0.0), 1, make_rng(42))[0][0]
     assert np.array_equal(a, b)
     assert a.shape == (2, 3)
 
 
 def test_gaussian_moments():
-    x = gaussian_matrix(1000, 1000, make_rng(1))
+    x = sample_null_batch(ModelParams(n=1000, d=1000, m=1, sigma=0.0), 1, make_rng(1))[0][0]
     assert abs(x.mean()) <= 0.01
     assert abs(x.var() - 1.0) <= 0.01
 
 
 def test_haar_d1_is_signs():
-    vals = np.array([haar_orthogonal(1, make_rng(2, i))[0, 0] for i in range(10_000)])
+    vals = np.array([haar_orthogonal_batch(1, 1, make_rng(2, i))[0, 0, 0] for i in range(10_000)])
     assert set(np.unique(vals)) == {-1.0, 1.0}
     assert abs((vals == 1.0).mean() - 0.5) <= 0.02
 
 
 def test_haar_orthogonality():
     for d in (1, 3, 10, 50):
-        q = haar_orthogonal(d, make_rng(3, d))
+        q = haar_orthogonal_batch(d, 1, make_rng(3, d))[0]
         assert orthogonality_defect(q) <= ORTHOGONALITY_TOL
         assert orthogonality_defect(q.T) <= ORTHOGONALITY_TOL  # rows too
 
@@ -65,7 +70,7 @@ def test_haar_entry_distribution_ks():
 def test_haar_left_invariance():
     # UQ and Q agree in law: compare moments of tr(Q) and Q[0,0]
     d, draws = 6, 10_000
-    u = haar_orthogonal(d, make_rng(5))
+    u = haar_orthogonal_batch(d, 1, make_rng(5))[0]
     q = haar_orthogonal_batch(d, draws, make_rng(6))
     uq = u @ haar_orthogonal_batch(d, draws, make_rng(7))
     for stat in (lambda a: np.trace(a, axis1=1, axis2=2), lambda a: a[:, 0, 0]):
@@ -75,7 +80,7 @@ def test_haar_left_invariance():
 
 
 def test_stiefel_orthonormal_columns():
-    q = stiefel(7, 3, make_rng(8))
+    q = stiefel_batch(7, 3, 1, make_rng(8))[0]
     assert q.shape == (7, 3)
     assert orthogonality_defect(q) <= ORTHOGONALITY_TOL
 
@@ -110,7 +115,7 @@ def test_stiefel_prefix_columns_match_smaller_stiefel():
 
 
 def test_permutation_identity_at_n1():
-    assert uniform_permutation(1, make_rng(14)).tolist() == [0]
+    assert permutation_batch(1, 1, make_rng(14))[0].tolist() == [0]
 
 
 def test_permutation_uniform_at_n3():
@@ -118,7 +123,7 @@ def test_permutation_uniform_at_n3():
     rng = make_rng(15)
     counts: dict[tuple, int] = {}
     for _ in range(draws):
-        key = tuple(uniform_permutation(3, rng))
+        key = tuple(permutation_batch(3, 1, rng)[0])
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     for key, c in counts.items():
@@ -128,7 +133,7 @@ def test_permutation_uniform_at_n3():
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30)
 def test_permutation_is_bijection(n, seed):
-    p = uniform_permutation(n, make_rng(seed))
+    p = permutation_batch(n, 1, make_rng(seed))[0]
     assert sorted(p.tolist()) == list(range(n))
 
 
@@ -157,12 +162,12 @@ def test_sphere_moment_family_matches_closed_form():
 def test_degenerate_dimensions_rejected():
     rng = make_rng(0)
     with pytest.raises(ValueError):
-        gaussian_matrix(0, 3, rng)
+        sample_null_batch(ModelParams(n=0, d=3, m=1, sigma=0.0), 1, rng)
     with pytest.raises(ValueError):
-        haar_orthogonal(0, rng)
+        haar_orthogonal_batch(0, 1, rng)
     with pytest.raises(ValueError):
-        stiefel(3, 5, rng)
+        stiefel_batch(3, 5, 1, rng)
     with pytest.raises(ValueError):
-        uniform_permutation(0, rng)
+        permutation_batch(0, 1, rng)
     with pytest.raises(ValueError):
         uniform_sphere(0, rng)
