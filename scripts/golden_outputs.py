@@ -53,6 +53,11 @@ RUNS: dict[str, list[str]] = {
     "advantage-m1": CLI + [
         "advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0", "--D", "0", "4",
         "--samples", "20000", "--seed", "6", "--output", "advantage_m1.csv"],
+    # 1,820 patterns over 18 slots: wider than any other run's pattern set
+    "advantage-n3": CLI + [
+        "advantage", "--n", "3", "--d", "2", "--m", "2", "--sigma", "1", "--D", "4",
+        "--samples", "400", "--seed", "9", "--output", "advantage_n3.csv",
+        "--per-pattern", "advantage_n3_patterns.csv"],
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],

@@ -26,6 +26,7 @@ from . import randmat
 from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
 from .hermite import (
     PatternPair,
+    PatternStack,
     pattern_count,
     pattern_pairs,
     phi_batch,
@@ -52,7 +53,7 @@ class AdvantageEstimate:
 
 
 def _perm_averaged_phi(
-    patterns: list[PatternPair], params: ModelParams, size: int, rng: np.random.Generator
+    patterns: PatternStack, params: ModelParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-draw basis values averaged over every row permutation.
 
@@ -65,16 +66,14 @@ def _perm_averaged_phi(
     Q = randmat.stiefel_batch(d, m, size, rng)
     Z = rng.standard_normal((size, n, m))
     acc = np.zeros((size, len(patterns)))
-    count = 0
     for perm in itertools.permutations(range(n)):
         Y = planted_response(X[:, perm, :], Q, Z, sigma)
         acc += phi_batch(patterns, X, Y)
-        count += 1
-    return acc / count
+    return acc / math.factorial(n)
 
 
 def _planted_phi(
-    patterns: list[PatternPair], params: ModelParams, size: int, rng: np.random.Generator
+    patterns: PatternStack, params: ModelParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     from .model import sample_planted_batch
 
@@ -102,7 +101,8 @@ def estimate_phi_mean_planted(
     if exact_perm and params.n > EXACT_PERM_MAX_N:
         raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
     sampler = _perm_averaged_phi if exact_perm else _planted_phi
-    return MomentEstimate.from_values(sampler([pattern], params, samples, rng)[:, 0])
+    patterns = PatternStack(pattern.A[None], pattern.B[None])
+    return MomentEstimate.from_values(sampler(patterns, params, samples, rng)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,6 @@ def advantage_sq_with_patterns(
         raise CapacityError(
             f"pattern enumeration needs {count} patterns, above the cap {pattern_cap}"
         )
-    patterns = pattern_pairs(params.n, params.d, params.m, D)
     if D == 0:
         est = AdvantageEstimate(degree=0, value_sq=1.0, stderr=0.0, pattern_count=1, samples=0)
         return est, [PatternContribution(0, 0, 1.0, 0.0, 1.0)]
@@ -141,6 +140,7 @@ def advantage_sq_with_patterns(
     if exact_perm and params.n > EXACT_PERM_MAX_N:
         raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
     sampler = _perm_averaged_phi if exact_perm else _planted_phi
+    patterns = pattern_pairs(params.n, params.d, params.m, D)
 
     n_batches = min(_JACKKNIFE_BATCHES, samples)
     sizes = [samples // n_batches + (1 if b < samples % n_batches else 0) for b in range(n_batches)]
@@ -175,12 +175,12 @@ def advantage_sq_with_patterns(
     rows = [
         PatternContribution(
             pattern_id=i,
-            degree=p.degree,
+            degree=int(patterns.degrees[i]),
             mean=float(mean[i]),
             stderr=float(per_mean_stderr[i]),
             squared_contribution=float(mean[i] ** 2 - var[i] / samples),
         )
-        for i, p in enumerate(patterns)
+        for i in range(K)
     ]
     return est, rows
 

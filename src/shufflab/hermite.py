@@ -8,16 +8,19 @@ recurrence
 
 is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
 factorials overflow past degree ~85.  Multi-index products over matrix
-entries form the basis functions phi used by the advantage estimators, all
-evaluated by ``phi_batch``, and the closed-form joint coefficients for a
-single response column live here too.
+entries form the basis functions phi used by the advantage estimators.  A
+list of them is stacked once into a ``PatternStack`` of degree arrays, and
+``phi_batch`` evaluates a stack with one table gather and one multiply per
+matrix entry (slot) and sample block, whatever the number of patterns.  The
+closed-form joint coefficients for a single response column live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .model import planted_response
 
 EXACT_FACTORIAL_LIMIT = 20
 UNIT_NORM_TOL = 1e-10
+PHI_BLOCK_BYTES = 1 << 19  # phi_batch's per-block product; larger blocks fall out of cache
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +76,12 @@ def multiindex_enumerate(dimension: int, max_weight: int) -> list[tuple[int, ...
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-
-    def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     out: list[tuple[int, ...]] = []
     for w in range(max_weight + 1):
-        out.extend(compositions(w, dimension))
+        # stars and bars: bar positions in lex order give the parts in lex order
+        for bars in itertools.combinations(range(w + dimension - 1), dimension - 1):
+            edges = (-1, *bars, w + dimension - 1)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
 
 
@@ -121,19 +119,31 @@ class PatternPair:
     def is_empty(self) -> bool:
         return self.degree == 0
 
-    def slot_degrees(self) -> np.ndarray:
-        """Concatenated degree vector: X slots row-major, then Y slots."""
-        return np.concatenate([self.A.ravel(), self.B.ravel()])
+
+class PatternStack(Sequence[PatternPair]):
+    """K patterns of one shape, stacked: A is (K, n, d) and B is (K, n, m).
+
+    Built by ``pattern_pairs``, or by ``phi_batch`` from a list of
+    ``PatternPair``s; indexing or iterating gives ``PatternPair`` rows.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray) -> None:
+        self.A, self.B = A, B
+        # (K, slots): pattern k's degrees, X slots row-major, then Y slots
+        self.slot_degrees = np.concatenate([A.reshape(len(A), -1), B.reshape(len(B), -1)], axis=1)
+        self.degrees = self.slot_degrees.sum(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def __getitem__(self, index: int) -> PatternPair:
+        return PatternPair(A=self.A[index], B=self.B[index])
 
 
-def pattern_pairs(n: int, d: int, m: int, max_degree: int) -> list[PatternPair]:
+def pattern_pairs(n: int, d: int, m: int, max_degree: int) -> PatternStack:
     """All (A, B) with total degree <= max_degree, graded lex over slots."""
-    nslots = n * (d + m)
-    out = []
-    for vec in multiindex_enumerate(nslots, max_degree):
-        arr = np.asarray(vec, dtype=int)
-        out.append(PatternPair(A=arr[: n * d].reshape(n, d), B=arr[n * d :].reshape(n, m)))
-    return out
+    degs = np.array(multiindex_enumerate(n * (d + m), max_degree), dtype=int)
+    return PatternStack(degs[:, : n * d].reshape(-1, n, d), degs[:, n * d :].reshape(-1, n, m))
 
 
 def pattern_count(n: int, d: int, m: int, max_degree: int) -> int:
@@ -146,38 +156,32 @@ def phi_batch(
 ) -> np.ndarray:
     """Evaluate many basis functions on a stack of instances.
 
-    X has shape (S, n, d) and Y (S, n, m); the result is (S, K) with one
-    column per pattern, in the order given.  Patterns are internally
-    re-sorted lexicographically so that shared slot prefixes are computed
-    once; columns are written back in caller order.
+    X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
+    array, one column per pattern in the order given; pass a ``PatternStack``
+    to evaluate one pattern list many times.  With the Hermite table laid out
+    (slots, maxdeg+1, S), one gather and one multiply per slot serve every
+    pattern, over sample blocks whose (K, block) product stays in cache.  A
+    column's slot factors multiply left to right, and a zero-degree slot by
+    h_0 = 1.0, which is exact: the bits are those of the nonzero-slot product.
     """
+    if not isinstance(patterns, PatternStack):  # np.stack rejects mixed shapes
+        patterns = PatternStack(np.stack([p.A for p in patterns]), np.stack([p.B for p in patterns]))
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    S = X.shape[0]
-    nslots = X.shape[1] * X.shape[2] + Y.shape[1] * Y.shape[2]
-    degs = np.stack([p.slot_degrees() for p in patterns])
-    if degs.shape[1] != nslots:
-        raise ValueError("pattern slot count does not match instance shape")
-    slots = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
-    maxdeg = int(degs.max(initial=0))
-    table = hermite_table(slots, maxdeg)  # (S, nslots, maxdeg+1)
-
-    order = np.lexsort(degs[:, ::-1].T)  # row-lexicographic
-    out = np.empty((S, len(patterns)))
-    prefixes: list[np.ndarray] = [np.ones(S)] + [None] * nslots  # type: ignore[list-item]
-    prev: np.ndarray | None = None
-    for idx in order:
-        row = degs[idx]
-        if prev is None:
-            start = 0
-        else:
-            diff = np.nonzero(row != prev)[0]
-            start = int(diff[0]) if diff.size else nslots
-        for c in range(start, nslots):
-            dg = int(row[c])
-            prefixes[c + 1] = prefixes[c] if dg == 0 else prefixes[c] * table[:, c, dg]
-        out[:, idx] = prefixes[nslots]
-        prev = row
+    if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
+        raise ValueError(f"pattern shapes do not match instance shapes {X.shape}/{Y.shape}")
+    S, degs = X.shape[0], patterns.slot_degrees
+    values = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
+    table = hermite_table(values.T, int(degs.max(initial=0)))  # (slots, S, maxdeg+1)
+    table = np.ascontiguousarray(table.transpose(0, 2, 1))
+    out = np.empty((S, len(patterns)))  # C order: numpy sums a contiguous axis pairwise
+    step = max(1, PHI_BLOCK_BYTES // (8 * len(patterns)))
+    for lo in range(0, S, step):
+        block = table[:, :, lo : lo + step]
+        acc = block[0][degs[:, 0]]  # (K, step)
+        for c in range(1, degs.shape[1]):
+            acc *= block[c][degs[:, c]]
+        out[lo : lo + step] = acc.T
     return out
 
 
@@ -261,13 +265,9 @@ def lambda_mc_pairs(
         raise ValueError(f"samples must be >= 1, got {samples}")
     Q = np.asarray(Q, dtype=float)
     d, m = Q.shape
-    patterns = []
-    for alpha, beta in pairs:
-        if len(alpha) != d or len(beta) != m:
-            raise ValueError(
-                f"pair dims {(len(alpha), len(beta))} do not match Q shape {(d, m)}"
-            )
-        patterns.append(PatternPair(A=[alpha], B=[beta]))
+    patterns = [PatternPair(A=[alpha], B=[beta]) for alpha, beta in pairs]
+    if any(p.A.shape[1] != d or p.B.shape[1] != m for p in patterns):
+        raise ValueError(f"pair dims do not match Q shape {(d, m)}")
     U = rng.standard_normal((samples, d))
     V = rng.standard_normal((samples, m))
     W = planted_response(U, Q, V, sigma)

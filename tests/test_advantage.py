@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import assert_within_nse
 
+from shufflab import advantage as advantage_mod
 from shufflab import make_rng
 from shufflab.advantage import (
     advantage_bound_m1,
@@ -157,6 +158,29 @@ def test_pattern_cap_enforced():
     with pytest.raises(CapacityError) as err:
         estimate_advantage_sq(params, 6, 100, make_rng(95), pattern_cap=1000)
     assert "1000" in str(err.value)
+
+
+def test_argument_checks_run_before_patterns_are_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("patterns built before the argument checks")
+
+    monkeypatch.setattr(advantage_mod, "pattern_pairs", fail)
+    with pytest.raises(ValueError, match="samples"):
+        advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 1, make_rng(0))
+    with pytest.raises(ValueError, match="n <= 7"):
+        advantage_sq_with_patterns(
+            ModelParams(8, 1, 1, 0.0), 2, 100, make_rng(0), exact_perm=True
+        )
+
+
+def test_estimate_bits_pinned():
+    # values of the prefix-trie kernel this estimator first ran on; == also
+    # catches a change of summation order, such as an F-ordered phi_batch
+    est, rows = advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 2000, make_rng(5))
+    assert est.value_sq == 2.2058570449024817
+    assert est.stderr == 0.14157975742544518
+    assert rows[123].mean == -0.05203391665058099
+    assert rows[123].stderr == 0.03334152861916319
 
 
 def test_per_pattern_breakdown_sums_to_total():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shufflab import make_rng
 from shufflab.hermite import (
     PatternPair,
+    PatternStack,
     expand_inner_product,
     hermite_table,
     lambda_m1_closed,
@@ -121,8 +122,82 @@ def test_phi_batch_agrees_with_scalar_phi():
     for s in (0, 3, 6):
         slots = np.concatenate([X[s].ravel(), Y[s].ravel()])
         for j in (0, 5, len(pats) // 2, len(pats) - 1):
-            expected = math.prod(hermite_e(x, a) for x, a in zip(slots, pats[j].slot_degrees()))
+            degs = np.concatenate([pats[j].A.ravel(), pats[j].B.ravel()])
+            expected = math.prod(hermite_e(x, a) for x, a in zip(slots, degs))
             assert math.isclose(vals[s, j], expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_phi_rejects_shapes_with_matching_slot_count():
+    # six slots on both sides, but A is (2, 1) against X's (2, 2): B[1, 1]
+    # would land on Y[0, 1, 0], a slot B does not have
+    pat = PatternPair(A=[[0], [0]], B=[[0, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        phi_batch([pat], np.ones((1, 2, 2)), np.full((1, 2, 1), 2.0))
+    # a list of patterns of two shapes has no stacked form
+    with pytest.raises(ValueError):
+        phi_batch([pat, PatternPair(A=[[0, 0], [0, 0]], B=[[0], [0]])], np.ones((1, 2, 2)),
+                  np.ones((1, 2, 1)))
+
+
+def _prefix_phi(patterns, X, Y):
+    """phi_batch by a prefix trie over the patterns sorted lexicographically.
+
+    Shared slot prefixes are multiplied once and zero-degree slots are
+    skipped.  The slot-major kernel must match it bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    S = X.shape[0]
+    degs = np.stack([np.concatenate([p.A.ravel(), p.B.ravel()]) for p in patterns])
+    nslots = degs.shape[1]
+    slots = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
+    table = hermite_table(slots, int(degs.max(initial=0)))  # (S, nslots, maxdeg+1)
+    order = np.lexsort(degs[:, ::-1].T)
+    out = np.empty((S, len(patterns)))
+    prefixes = [np.ones(S)] + [None] * nslots
+    prev = None
+    for idx in order:
+        row = degs[idx]
+        if prev is None:
+            start = 0
+        else:
+            diff = np.nonzero(row != prev)[0]
+            start = int(diff[0]) if diff.size else nslots
+        for c in range(start, nslots):
+            dg = int(row[c])
+            prefixes[c + 1] = prefixes[c] if dg == 0 else prefixes[c] * table[:, c, dg]
+        out[:, idx] = prefixes[nslots]
+        prev = row
+    return out
+
+
+@pytest.mark.parametrize("n,d,m,D", [(2, 2, 2, 4), (3, 2, 2, 4), (1, 2, 1, 4), (2, 3, 1, 3)])
+def test_phi_batch_matches_prefix_trie_bitwise(n, d, m, D):
+    # (3, 2, 2, 4) has 1,820 patterns, so its S = 100 spans several sample blocks
+    pats = pattern_pairs(n, d, m, D)
+    rng = make_rng(45)
+    for S in (1, 100):
+        X = rng.standard_normal((S, n, d))
+        Y = rng.standard_normal((S, n, m))
+        got = phi_batch(pats, X, Y)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _prefix_phi(pats, X, Y))
+        assert np.array_equal(phi_batch(list(pats), X, Y), got)
+
+
+def test_pattern_pairs_stack_indexes_as_pattern_pairs():
+    pats = pattern_pairs(2, 2, 2, 4)
+    vecs = multiindex_enumerate(8, 4)
+    assert isinstance(pats, PatternStack)
+    assert len(list(pats)) == len(vecs) == 495
+    for i in (0, 1, 7, 200, 494, -1):
+        vec = np.array(vecs[i])
+        p = pats[i]
+        assert isinstance(p, PatternPair)
+        assert np.array_equal(p.A, vec[:4].reshape(2, 2))
+        assert np.array_equal(p.B, vec[4:].reshape(2, 2))
+        assert np.array_equal(pats.slot_degrees[i], vec)
+        assert pats.degrees[i] == p.degree == vec.sum()
 
 
 def test_expand_inner_product_coordinate_vector():
