@@ -67,6 +67,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc": CLI + [
         "chisq", "--d", "16", "--m", "16", "--k", "1", "2", "--sigma", "1", "3",
         "--mode", "mc", "--samples", "5000", "--seed", "12", "--output", "chisq_mc.csv"],
+    # the shortest determinant recursion (d = 2), and k = 3 > d
+    "chisq-mc-small": CLI + [
+        "chisq", "--d", "2", "--m", "2", "--k", "1", "3", "--sigma", "0.5", "2",
+        "--mode", "mc", "--samples", "4000", "--seed", "13", "--output", "chisq_mc_small.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

@@ -3,7 +3,7 @@
 Library layout:
 
 - ``randmat``: seedable batch samplers for the Haar / Stiefel / permutation
-  priors, and a uniform-sphere sampler.
+  priors, Haar Verblunsky coefficients, and a uniform-sphere sampler.
 - ``model``: null and planted batch samplers (a single instance is the
   size-1 draw) plus the reduced k-row laws.
 - ``hermite``: the orthonormal Hermite table, basis functions over (X, Y)
@@ -15,7 +15,7 @@ Library layout:
 - ``detect``: the constant-degree detection statistic, thresholded testing,
   and separation reporting.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
-  submatrix) and the self-checks that compare closed forms with sampling.
+  submatrix and determinant) and the self-checks that compare closed forms with sampling.
 - ``cli``: the batch experiment harness (``shufflab`` console script).
 """
 

@@ -6,7 +6,16 @@ regimes where the divergence is tractable; ``evaluate`` picks the evaluator
 for a regime and method.  The Haar determinant integral behind the m = d
 Monte Carlo lives here too; the analytic moments that check the samplers
 (sphere monomials, Gaussian exponential moments, orthogonal submatrix
-density) live in ``oracles``.
+density, Haar determinant moments) live in ``oracles``.
+
+The determinant integral forms no d x d matrix: the spectral measure of e_1
+under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
+(Killip and Nenciu, "Matrix models for circular ensembles", IMRN 2004; laws in
+``randmat.haar_verblunsky_batch``), and Szego's recursion Phi_{j+1} = z Phi_j -
+alpha_j Phi*_j, Phi*_{j+1} = Phi*_j - alpha_j z Phi_j gives det(I - z Q) = Phi*_d(z).
+At z = -eps, with r_j = Phi_j / Phi*_j and r_0 = 1, log det(I + eps Q) is
+sum_{j<d} log1p(-alpha_j z r_j) with r_{j+1} = (z r_j - alpha_j) / (1 - alpha_j z r_j):
+O(d) per draw, and each factor is >= 1 - |eps| > 0, so it is stable as |eps| -> 1.
 
 All normalizing constants and determinants are handled in log space: the
 raw constants overflow double precision once d reaches the low hundreds.
@@ -21,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
-from .randmat import haar_orthogonal_batch
+from .randmat import haar_verblunsky_batch
 
 ZETA_SLACK = 1e-12
 SYMMETRY_TOL = 1e-10
@@ -240,21 +249,29 @@ def likelihood_ratio_case1_mc_mean(
     return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 
+def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
+    """log det(I + eps Q) per row of (size, d) Verblunsky coefficients, |eps| < 1."""
+    z, r, logdet = -eps, 1.0, 0.0
+    for a in alpha.T:
+        t = a * z * r
+        logdet = logdet + np.log1p(-t)
+        r = (z * r - a) / (1.0 - t)
+    return logdet
+
+
 def det_integral_mc(
     d: int, eps: float, k: int, samples: int, rng: np.random.Generator
 ) -> MomentEstimate:
-    """Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q, via slogdet."""
+    """Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q, O(d) per draw (module docstring)."""
     if not abs(eps) < 1:
         raise ValueError(f"need |eps| < 1, got {eps}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if eps == 0.0 or k == 0:
         return MomentEstimate(value=1.0, stderr=0.0, samples=0)
-    eye = np.eye(d)
 
     def draw(b: int) -> np.ndarray:
-        _, logdet = np.linalg.slogdet(eye + eps * haar_orthogonal_batch(d, b, rng))
-        return np.exp(k * logdet)
+        return np.exp(k * _verblunsky_log_det(haar_verblunsky_batch(d, b, rng), eps))
 
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 

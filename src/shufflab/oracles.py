@@ -2,8 +2,9 @@
 
 The analytic moment references live here: sphere monomial moments, in
 floating point and as exact rationals, Gaussian exponential and
-quadratic-form moments, and the density of a block of a Haar orthogonal
-matrix.  No production route calls them; tests and the checks below do.
+quadratic-form moments, Haar determinant moments, and the density of a
+block of a Haar orthogonal matrix.  No production route calls them; tests
+and the checks below do.
 
 Each check compares an implemented closed form against an independent
 numerical route (Monte Carlo sampling, quadrature, or a pointwise
@@ -199,6 +200,23 @@ def submatrix_density(Z: np.ndarray, d: int) -> float:
     return float(math.exp(log_dens))
 
 
+def haar_det_moment(d: int, eps: float, k: int) -> float:
+    """Exact E[det(I + eps Q)^k] over Haar Q on O(d), |eps| < 1; ValueError where unknown.
+
+    k <= 0 with |k| <= d: (1 - eps^2)^{-|k|(|k|+1)/2}, by Cauchy's identity, the
+    O(d) integral of s_lambda (1{lambda even} for at most d rows) and Littlewood's
+    identity; Q and -Q share a law, so the sign of eps does not matter.  k in {1, 2}:
+    sum_{j <= (k-1) d} eps^{2j}, by Cauchy's dual identity with lambda = (2^j).
+    """
+    if int(d) != d or d < 1 or not abs(eps) < 1:
+        raise ValueError(f"need an integer d >= 1 and |eps| < 1, got d={d!r}, eps={eps}")
+    if int(k) == k and -d <= k <= 0:
+        return float((1.0 - eps * eps) ** (-k * (k - 1) / 2))
+    if k in (1, 2):
+        return float(sum(eps ** (2 * j) for j in range((k - 1) * d + 1)))
+    raise ValueError(f"no exact Haar determinant moment for k={k} at d={d}")
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -332,17 +350,20 @@ def check_gaussian_quad(seed: int = 0, draws: int = 200_000) -> CheckResult:
 
 
 def check_det_integral(seed: int = 0, draws: int = 100_000) -> CheckResult:
-    """Haar determinant integral stays within the 2*eps*k envelope of 1."""
+    """Haar determinant integral vs its exact value, inside the 2*eps*k envelope of 1."""
     d, eps, k = 50, 0.1, 2
     est = chisq_mod.det_integral_mc(d, eps, k, draws, make_rng(seed, 0))
-    tol = 2.0 * eps * k
+    exact = haar_det_moment(d, eps, k)
+    z = abs(_zscore(est.value, exact, est.stderr))
+    z_tol, envelope = 4.0, 2.0 * eps * k
     dev = abs(est.value - 1.0)
     return CheckResult(
         name="det-integral",
-        passed=dev <= tol,
-        observed=dev,
-        tolerance=tol,
-        detail=f"estimate={est.value:.5f} stderr={est.stderr:.2e} at (d={d}, eps={eps}, k={k})",
+        passed=z <= z_tol and dev <= envelope,
+        observed=z,
+        tolerance=z_tol,
+        detail=f"estimate={est.value:.5f} stderr={est.stderr:.2e} exact={exact:.6f}; "
+        f"|estimate - 1|={dev:.2e} (envelope {envelope:g}) at (d={d}, eps={eps}, k={k})",
     )
 
 

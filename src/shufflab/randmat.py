@@ -6,7 +6,8 @@ their own: they are ``rng.standard_normal(shape)``.  All samplers are pure
 functions of their arguments and the supplied generator: a fixed stream
 reproduces bit-identical output on the same build.  The Haar sampler uses
 QR of a square Gaussian with the R-diagonal signs normalized to positive,
-which corrects the raw QR factorization to the exact Haar law.
+which corrects the raw QR factorization to the exact Haar law; where only its
+spectrum matters, ``haar_verblunsky_batch`` draws O(d) numbers in place of a QR.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
     """size x d x d stack of independent Haar orthogonal draws."""
     _require_positive(d=d, size=size)
     return _qr_sign_fixed(rng.standard_normal((size, d, d)))
+
+
+def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size x d real Verblunsky coefficients of Haar orthogonal draws (Killip-Nenciu, IMRN 2004).
+
+    Row s holds alpha_0..alpha_{d-1} of the spectral measure of e_1 under a
+    Haar Q on O(d).  They are independent: alpha_j = 2 Beta((d-j-1)/2, (d-j-1)/2) - 1
+    for j <= d - 2, the first coordinate of a uniform point on the sphere in
+    R^{d-j}, and alpha_{d-1} is a fair sign, det Q = (-1)^{d-1} alpha_{d-1}.
+    Stream order: the (size, d-1) Beta block, then the size signs.
+    """
+    _require_positive(d=d, size=size)
+    half = (d - 1 - np.arange(d - 1)) / 2.0
+    betas = 2.0 * rng.beta(half, half, size=(size, d - 1)) - 1.0
+    return np.column_stack([betas, 2.0 * rng.integers(0, 2, size) - 1.0])
 
 
 def stiefel_batch(d: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:

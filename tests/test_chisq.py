@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import assert_within_nse
+from scipy.stats import ks_2samp
 
 from shufflab import make_rng
 from shufflab.chisq import (
+    _MC_CHUNK,
+    _verblunsky_log_det,
     REGIME_CASE1,
     REGIME_CASE2,
     REGIME_M_EQ_D,
@@ -21,14 +24,16 @@ from shufflab.chisq import (
     log_wishart_constant,
     wishart_ratio_exact,
 )
-from shufflab.common import UnsupportedRegimeError
+from shufflab.common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from shufflab.oracles import (
     gaussian_exp_moment,
     gaussian_quadform_moment,
+    haar_det_moment,
     sphere_moment,
     sphere_moment_exact,
     submatrix_density,
 )
+from shufflab.randmat import haar_orthogonal_batch, haar_verblunsky_batch
 
 # ---------------------------------------------------------------------------
 # Wishart constants
@@ -324,6 +329,103 @@ def test_det_integral_exact_cases():
 def test_det_integral_near_one():
     est = det_integral_mc(50, 0.1, 2, 30_000, make_rng(68))
     assert abs(est.value - 1.0) <= 0.2
+
+
+def _slogdet_log_det(d: int, eps: float, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: log det(I + eps Q) from a full Haar draw, QR and slogdet, O(d^3) per draw.
+
+    This is the route det_integral_mc took before it drew Verblunsky
+    coefficients, with the same chunks on the stream.
+    """
+    eye = np.eye(d)
+
+    def draw(b: int) -> np.ndarray:
+        return np.linalg.slogdet(eye + eps * haar_orthogonal_batch(d, b, rng))[1]
+
+    return draw_chunked(draw, samples, _MC_CHUNK)
+
+
+def test_slogdet_oracle_is_the_former_route():
+    # det_integral_mc(5, -0.5, -2, 5000, make_rng(95)) before Verblunsky draws
+    est = MomentEstimate.from_values(np.exp(-2 * _slogdet_log_det(5, -0.5, 5000, make_rng(95))))
+    assert (est.value, est.stderr) == (2.4068263764220634, 0.04813310490524923)
+
+
+def test_haar_det_moment_values():
+    assert haar_det_moment(1, 0.5, 2) == 1.25
+    assert haar_det_moment(3, 0.5, 2) == 1.328125
+    assert haar_det_moment(7, 0.3, 1) == 1.0
+    assert haar_det_moment(4, 0.3, 0) == 1.0
+    assert math.isclose(haar_det_moment(40, -0.5, -2), 0.75**-3, rel_tol=1e-15)
+    assert haar_det_moment(3, 0.5, -3) == haar_det_moment(3, -0.5, -3)
+    for d, eps, k in ((2, 0.5, -3), (5, 0.5, 3), (5, 1.0, 2), (0, 0.5, 1), (5, 0.5, 1.5)):
+        with pytest.raises(ValueError):
+            haar_det_moment(d, eps, k)
+
+
+def test_haar_det_moment_hand_cases():
+    # d = 1: Q = +-1 with equal odds; d = 2, k = -1 by the arcsine law of cos(theta)
+    for eps, k in ((0.5, 2), (0.5, -1), (-0.3, 1)):
+        assert math.isclose(haar_det_moment(1, eps, k),
+                            ((1 + eps) ** k + (1 - eps) ** k) / 2, rel_tol=1e-15)
+    eps = 0.4
+    rotation = 1 / math.sqrt((1 + eps * eps) ** 2 - 4 * eps * eps)  # E (1 + 2 eps cos + eps^2)^-1
+    assert math.isclose(haar_det_moment(2, eps, -1),
+                        (rotation + 1 / (1 - eps * eps)) / 2, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 40])
+def test_det_integral_matches_exact_moments(d):
+    # z-tests against the exact moments at eps = -1/(1 + sigma^2), the chi-square sign
+    powers = [k for k in (-1, -2, -3) if -k <= d] + [2]
+    zs = {}
+    for i, (sigma, k) in enumerate((s, k) for s in (0.5, 1.0, 2.0) for k in powers):
+        eps = -1.0 / (1.0 + sigma**2)
+        est = det_integral_mc(d, eps, k, 100_000, make_rng(90, 100 * d + i))
+        zs[(sigma, k)] = (est.value - haar_det_moment(d, eps, k)) / est.stderr
+    assert max(abs(z) for z in zs.values()) <= 4.0, zs
+
+
+@pytest.mark.parametrize("d", [3, 7, 40])
+def test_det_integral_log_det_law_matches_qr_route(d):
+    # two-sample KS of log det(I + eps Q); d = 2 is left out because its
+    # reflection atom at log(1 - eps^2) rounds differently on the two routes
+    eps, n = -0.5, 20_000
+    fast = _verblunsky_log_det(haar_verblunsky_batch(d, n, make_rng(91, d)), eps)
+    slow = _slogdet_log_det(d, eps, n, make_rng(92, d))
+    assert ks_2samp(fast, slow).pvalue >= 0.001
+
+
+def test_det_integral_d1_draws_are_one_plus_or_minus_eps():
+    eps, k = 0.35, -3
+    alpha = haar_verblunsky_batch(1, 1000, make_rng(93))
+    log_det = _verblunsky_log_det(alpha, eps)
+    assert set(np.unique(alpha[:, 0])) == {-1.0, 1.0}
+    assert np.array_equal(log_det, np.log1p(eps * alpha[:, 0]))
+    np.testing.assert_allclose(np.exp(k * log_det), (1 + eps * alpha[:, 0]) ** k, rtol=1e-14)
+
+
+def test_det_integral_d2_rotations_and_reflections():
+    # alpha_1 = -1: rotation by theta with cos(theta) = alpha_0; alpha_1 = +1: reflection
+    eps, k = -0.6, -2
+    alpha = haar_verblunsky_batch(2, 2000, make_rng(94))
+    draws = np.exp(k * _verblunsky_log_det(alpha, eps))
+    reflection = alpha[:, 1] == 1.0
+    assert 0 < reflection.sum() < len(alpha)
+    np.testing.assert_allclose(draws[reflection], (1 - eps * eps) ** k, rtol=1e-14)
+    rot = alpha[~reflection, 0]
+    np.testing.assert_allclose(draws[~reflection], (1 + 2 * eps * rot + eps * eps) ** k, rtol=1e-14)
+
+
+def test_det_integral_forms_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("det_integral_mc formed a d x d matrix")
+
+    for name in ("qr", "slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr("shufflab.randmat.haar_orthogonal_batch", refuse)
+    est = det_integral_mc(40, 0.2, 2, 5000, make_rng(96))
+    assert math.isfinite(est.value) and est.samples == 5000
 
 
 def test_gaussian_exp_moment_values():

@@ -6,11 +6,13 @@ from conftest import assert_within_nse, mean_and_stderr, two_sample_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from shufflab import ModelParams, make_rng
 from shufflab.model import sample_null_batch
 from shufflab.randmat import (
     haar_orthogonal_batch,
+    haar_verblunsky_batch,
     permutation_batch,
     stiefel_batch,
     uniform_sphere,
@@ -77,6 +79,35 @@ def test_haar_left_invariance():
         m1, se1 = mean_and_stderr(stat(q))
         m2, se2 = mean_and_stderr(stat(uq))
         assert abs(two_sample_z(m1, se1, m2, se2)) <= 3.0
+
+
+def test_verblunsky_shape_and_range():
+    for d in (1, 2, 3, 40):
+        alpha = haar_verblunsky_batch(d, 500, make_rng(19, d))
+        assert alpha.shape == (500, d)
+        assert np.all(np.abs(alpha) <= 1.0)
+        assert set(np.unique(alpha[:, -1])) == {-1.0, 1.0}
+
+
+def test_verblunsky_stream_order():
+    # the (size, d-1) Beta block first, then the size signs
+    d, size = 6, 7
+    alpha = haar_verblunsky_batch(d, size, make_rng(20))
+    rng = make_rng(20)
+    half = (d - 1 - np.arange(d - 1)) / 2.0
+    assert np.array_equal(alpha[:, :-1], 2.0 * rng.beta(half, half, size=(size, d - 1)) - 1.0)
+    assert np.array_equal(alpha[:, -1], 2.0 * rng.integers(0, 2, size) - 1.0)
+
+
+def test_verblunsky_first_and_last_match_haar_entry_and_det():
+    # alpha_0 has the law of Q[0, 0]; alpha_{d-1} = (-1)^{d-1} det Q is a fair sign
+    d, draws = 7, 20_000
+    alpha = haar_verblunsky_batch(d, draws, make_rng(21))
+    q = haar_orthogonal_batch(d, draws, make_rng(22))
+    assert ks_2samp(alpha[:, 0], q[:, 0, 0]).pvalue >= 0.001
+    m1, se1 = mean_and_stderr(alpha[:, -1])
+    m2, se2 = mean_and_stderr((-1) ** (d - 1) * np.sign(np.linalg.det(q)))
+    assert abs(two_sample_z(m1, se1, m2, se2)) <= 3.0
 
 
 def test_stiefel_orthonormal_columns():
@@ -165,6 +196,8 @@ def test_degenerate_dimensions_rejected():
         sample_null_batch(ModelParams(n=0, d=3, m=1, sigma=0.0), 1, rng)
     with pytest.raises(ValueError):
         haar_orthogonal_batch(0, 1, rng)
+    with pytest.raises(ValueError):
+        haar_verblunsky_batch(0, 1, rng)
     with pytest.raises(ValueError):
         stiefel_batch(3, 5, 1, rng)
     with pytest.raises(ValueError):
