@@ -46,6 +46,10 @@ RUNS: dict[str, list[str]] = {
     "detect-threshold": CLI + [
         "detect", "--n", "16", "--d", "4", "--m", "2", "--sigma", "0.5", "--trials", "300",
         "--threshold", "100", "--seed", "4", "--output", "detect_threshold.csv"],
+    # nm - 1 = 0 (no C draw), B > 0, and sigma = 0 with m < d
+    "detect-small": CLI + [
+        "detect", "--n", "1", "--d", "3", "--m", "1", "--sigma", "0", "0.5", "--trials", "500",
+        "--seed", "14", "--output", "detect_small.csv"],
     "advantage-per-pattern": CLI + [
         "advantage", "--n", "2", "--d", "2", "--m", "2", "--sigma", "0.5", "--D", "0", "2", "4",
         "--samples", "2000", "--seed", "5", "--output", "advantage.csv",

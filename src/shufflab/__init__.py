@@ -12,10 +12,11 @@ Library layout:
   low-degree advantage, plus its chi-square upper bound.
 - ``chisq``: closed-form and Monte Carlo chi-square divergences between the
   reduced laws, and the Haar determinant integral behind the m = d route.
-- ``detect``: the constant-degree detection statistic, thresholded testing,
-  and separation reporting.
+- ``detect``: the constant-degree detection statistic, drawn from its exact
+  four-number law, thresholded testing, and separation reporting.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
-  submatrix and determinant) and the self-checks that compare closed forms with sampling.
+  submatrix and determinant), the detection statistic on full sampled
+  instances, and the self-checks that compare closed forms with sampling.
 - ``cli``: the batch experiment harness (``shufflab`` console script).
 """
 

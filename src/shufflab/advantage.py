@@ -106,14 +106,29 @@ def estimate_phi_mean_planted(
 
 
 @dataclass(frozen=True)
-class PatternContribution:
-    """Per-pattern line of the advantage sum, for the CSV report."""
+class PatternBreakdown:
+    """Per-pattern terms of the advantage sum, as arrays indexed by pattern id.
 
-    pattern_id: int
-    degree: int
-    mean: float
-    stderr: float
-    squared_contribution: float
+    ``mean`` is each pattern's planted-mean estimate and ``mean_var`` its
+    squared standard error, var/samples.
+    """
+
+    degree: np.ndarray
+    mean: np.ndarray
+    mean_var: np.ndarray
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return np.sqrt(self.mean_var)
+
+    @property
+    def squared_contribution(self) -> np.ndarray:
+        """The unbiased terms mean^2 - var/samples, which sum to the estimate.
+
+        Each mean is squared on its own, by the scalar power the per-pattern
+        CSV has always used: it can round differently from the array square.
+        """
+        return np.array([m**2 for m in self.mean.tolist()]) - self.mean_var
 
 
 def advantage_sq_with_patterns(
@@ -123,7 +138,7 @@ def advantage_sq_with_patterns(
     rng: np.random.Generator,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
     exact_perm: bool = False,
-) -> tuple[AdvantageEstimate, list[PatternContribution]]:
+) -> tuple[AdvantageEstimate, PatternBreakdown]:
     """Estimate the squared advantage and return the per-pattern breakdown."""
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
@@ -134,7 +149,7 @@ def advantage_sq_with_patterns(
         )
     if D == 0:
         est = AdvantageEstimate(degree=0, value_sq=1.0, stderr=0.0, pattern_count=1, samples=0)
-        return est, [PatternContribution(0, 0, 1.0, 0.0, 1.0)]
+        return est, PatternBreakdown(np.zeros(1, dtype=int), np.ones(1), np.zeros(1))
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if exact_perm and params.n > EXACT_PERM_MAX_N:
@@ -171,18 +186,7 @@ def advantage_sq_with_patterns(
     est = AdvantageEstimate(
         degree=D, value_sq=value, stderr=stderr, pattern_count=K, samples=samples
     )
-    per_mean_stderr = np.sqrt(var / samples)
-    rows = [
-        PatternContribution(
-            pattern_id=i,
-            degree=int(patterns.degrees[i]),
-            mean=float(mean[i]),
-            stderr=float(per_mean_stderr[i]),
-            squared_contribution=float(mean[i] ** 2 - var[i] / samples),
-        )
-        for i in range(K)
-    ]
-    return est, rows
+    return est, PatternBreakdown(degree=patterns.degrees, mean=mean, mean_var=var / samples)
 
 
 def estimate_advantage_sq(

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .randmat import haar_verblunsky_batch
@@ -66,6 +65,8 @@ def log_wishart_constant(s: int, t: int) -> float:
     """
     if not s >= t >= 1:
         raise ValueError(f"need s >= t >= 1, got s={s}, t={t}")
+    from scipy.special import gammaln  # here, so importing the CLI loads no SciPy
+
     js = np.arange(1, t + 1)
     return -float(
         (t * (t - 1) / 4.0) * math.log(math.pi)

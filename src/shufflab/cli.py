@@ -152,7 +152,7 @@ def advantage_rows(
         D = combo.pop("D")
         params = ModelParams(**combo)
         rng = make_rng(master_seed, cell * STREAM_STRIDE)
-        est, contribs = advantage_sq_with_patterns(
+        est, breakdown = advantage_sq_with_patterns(
             params, D, samples, rng, pattern_cap=pattern_cap
         )
         rows.append(
@@ -165,16 +165,12 @@ def advantage_rows(
             )
         )
         if per_pattern:
-            for c in contribs:
-                pattern_rows.append(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            c.pattern_id, c.degree, c.mean, c.stderr,
-                            c.squared_contribution,
-                        )
-                    )
-                )
+            columns = zip(
+                breakdown.degree.tolist(), breakdown.mean.tolist(),
+                breakdown.stderr.tolist(), breakdown.squared_contribution.tolist(),
+            )
+            for pattern_id, values in enumerate(columns):
+                pattern_rows.append(",".join(_fmt(v) for v in (pattern_id, *values)))
     return rows, pattern_rows
 
 

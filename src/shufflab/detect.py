@@ -12,12 +12,35 @@ likelihood-ratio (Neyman-Pearson) cutoff between those two laws,
 
 the point where their densities cross; no threshold on f has a smaller
 type-I + type-II sum.  That sum tends to 0 like sqrt(s log(1/s)) as
-sigma -> 0 and to 1 as sigma grows.  At sigma = 0 the planted f is 0 up to
-rounding, and the cutoff is a worst-case bound on that rounding (see
+sigma -> 0 and to 1 as sigma grows.  At sigma = 0 and m = d the planted f is
+exactly 0, and the cutoff is a small positive floor (see
 ``default_threshold``).
 
-For m < d the statistic is still computable, but the mean formulas and the
-test calibration only apply at m = d; a warning is issued.
+The law of T, and how it is drawn.  f sees an instance only through
+(||X||^2, ||Y||^2), and it does not see P or Q.  The joint law of that pair
+is exact in four scalar draws per trial, whatever n, d, m, P and Q are.
+
+- Null: ||Y||^2 ~ chi^2(nm) and ||X||^2 ~ chi^2(nd), independent.
+- Planted: complete Q to an orthogonal [Q Q_perp].  XQ and XQ_perp are
+  independent Gaussian matrices, so ||X||^2 = A + B with A = ||XQ||^2 ~
+  chi^2(nm) and B ~ chi^2(n(d - m)), independent, and ||PXQ||^2 = A.  Given
+  X, rotate R^{nm} so that PXQ lies along e_1; the noise Z keeps its law, so
+  (1 + sigma^2) ||Y||^2 = (sqrt(A) + sigma N)^2 + sigma^2 C with N ~ N(0, 1)
+  and C ~ chi^2(nm - 1), independent of A and B.  Hence
+
+      T = (2 sigma sqrt(A) N + sigma^2 (N^2 + C - A)) / (1 + sigma^2) - B.
+
+T is computed in that form: it never subtracts two numbers of size nd, and
+at sigma = 0, m = d it is exactly 0.  Per trial the planted route draws
+A, B, N, C in that order (B only when d > m, C only when nm > 1, since a
+chi-square needs df > 0) and the null route draws ||Y||^2 then ||X||^2; the
+order does not depend on sigma, so runs that differ only in sigma share
+their random numbers.  The full-instance route, f on sampled (X, Y), is the
+reference ``oracles.sample_f_instances``.
+
+The law is exact for every m <= d.  For m < d the statistic is still
+computable, but the mean formulas and the test calibration only apply at
+m = d; a warning is issued.
 """
 
 from __future__ import annotations
@@ -30,9 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import draw_chunked
-from .model import ModelParams, sample_null_batch, sample_planted_batch
+from .model import ModelParams
 
-_TRIAL_CHUNK = 512
+# four float64 draws per trial: a chunk holds about 2 MB of them
+_TRIAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,18 +85,27 @@ class ErrorRates:
     trials_per_hypothesis: int
 
 
-def statistic_f(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(||Y||_F^2 - ||X||_F^2)^2 over the last two axes: one value per instance of a stack."""
-    diff = np.einsum("...ij,...ij->...", Y, Y) - np.einsum("...ij,...ij->...", X, X)
-    return diff**2
+def _norm_gap(
+    params: ModelParams, hypothesis: str, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """size draws of T = ||Y||_F^2 - ||X||_F^2 from its exact law (module docstring)."""
+    n, d, m, sigma = params.n, params.d, params.m, params.sigma
+    nm = n * m
+    if hypothesis == "null":
+        return rng.chisquare(nm, size) - rng.chisquare(n * d, size)
+    A = rng.chisquare(nm, size)
+    B = rng.chisquare(n * (d - m), size) if d > m else 0.0
+    N = rng.standard_normal(size)
+    C = rng.chisquare(nm - 1, size) if nm > 1 else 0.0
+    s2 = sigma * sigma
+    return (2.0 * sigma * np.sqrt(A) * N + s2 * (N * N + C - A)) / (1.0 + s2) - B
 
 
 def _sample_f(
     params: ModelParams, hypothesis: str, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
     return draw_chunked(
-        lambda b: statistic_f(*sampler(params, b, rng)), trials, _TRIAL_CHUNK
+        lambda b: _norm_gap(params, hypothesis, b, rng) ** 2, trials, _TRIAL_CHUNK
     )
 
 
@@ -96,7 +129,8 @@ def default_threshold(params: ModelParams) -> float:
     4nd x*, the threshold on f with the smallest type-I + type-II sum.
 
     The cutoff never drops below delta^2, a worst-case bound on the rounding
-    of T = ||Y||_F^2 - ||X||_F^2 where T is 0 in exact arithmetic (sigma = 0):
+    of T = ||Y||_F^2 - ||X||_F^2 computed from a full instance where T is 0
+    in exact arithmetic (sigma = 0; the sampled law gives exactly 0 there):
     the nd-term sums of squares and the d-term products in Y = P X Q carry a
     relative error of at most about (nd + d) u, u the float64 machine epsilon,
     on ||X||_F^2 ~ nd; a factor 64 covers both sums and large draws of

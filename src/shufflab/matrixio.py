@@ -26,9 +26,9 @@ def write_matrix(path: str | os.PathLike, mat: np.ndarray) -> None:
         a = a[:, None]
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    row_fmt = " ".join([FLOAT_FMT] * a.shape[1])
     lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(format_float(x) for x in row))
+    lines.extend(row_fmt % tuple(row) for row in a.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

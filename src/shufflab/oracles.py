@@ -3,8 +3,11 @@
 The analytic moment references live here: sphere monomial moments, in
 floating point and as exact rationals, Gaussian exponential and
 quadratic-form moments, Haar determinant moments, and the density of a
-block of a Haar orthogonal matrix.  No production route calls them; tests
-and the checks below do.
+block of a Haar orthogonal matrix.  The detector statistic f on full
+sampled instances lives here too, as the reference for the detector's
+exact law.  No production route calls them; tests and the checks below do.  SciPy is
+imported inside the functions that use it, so importing this module (as
+the CLI does to list the checks) loads none of it.
 
 Each check compares an implemented closed form against an independent
 numerical route (Monte Carlo sampling, quadrature, or a pointwise
@@ -25,15 +28,14 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.special import gammaln
 
 from . import chisq as chisq_mod
 from .chisq import SYMMETRY_TOL, ZETA_SLACK, log_wishart_constant
-from .common import MomentEstimate, UnsupportedRegimeError
+from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .hermite import (
     expand_inner_product, hermite_table, multiindex_enumerate, pattern_pairs, phi_batch,
 )
+from .model import ModelParams, sample_null_batch, sample_planted_batch
 from .randmat import haar_orthogonal_batch, uniform_sphere
 from .rng import make_rng
 
@@ -94,6 +96,8 @@ def _zscore(mean: float, target: float, stderr: float) -> float:
 
 def _log_double_factorial_odd(g: int) -> float:
     """log((g-1)!!) for even g >= 0, via (2s-1)!! = (2s)!/(2^s s!)."""
+    from scipy.special import gammaln
+
     s = g // 2
     return float(gammaln(2 * s + 1) - s * math.log(2.0) - gammaln(s + 1))
 
@@ -111,6 +115,8 @@ def sphere_moment(gamma: Sequence[int], d: int) -> float:
         raise ValueError("gamma parts must be nonnegative")
     if any(g % 2 for g in gamma):
         return 0.0
+    from scipy.special import gammaln
+
     w = sum(gamma)
     log_val = (
         gammaln(d / 2.0)
@@ -218,6 +224,32 @@ def haar_det_moment(d: int, eps: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the detector statistic on full instances
+
+_INSTANCE_CHUNK = 512
+
+
+def statistic_f(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(||Y||_F^2 - ||X||_F^2)^2 over the last two axes: one value per instance of a stack."""
+    diff = np.einsum("...ij,...ij->...", Y, Y) - np.einsum("...ij,...ij->...", X, X)
+    return diff**2
+
+
+def sample_f_instances(
+    params: ModelParams, hypothesis: str, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """f on ``trials`` full instances from the model's batch samplers.
+
+    The reference route for ``detect._sample_f``, which draws f from its
+    exact four-number law instead of building X and Y.
+    """
+    sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
+    return draw_chunked(
+        lambda b: statistic_f(*sampler(params, b, rng)), trials, _INSTANCE_CHUNK
+    )
+
+
+# ---------------------------------------------------------------------------
 # individual checks
 
 
@@ -283,6 +315,8 @@ def _submatrix_density_1x1(d: int):
 
 def check_submatrix_density(seed: int = 0, draws: int = 5000) -> CheckResult:
     """Haar entry law vs the 1 x 1 submatrix density: KS and normalization."""
+    from scipy.integrate import cumulative_trapezoid, quad
+
     d = 10
     # normalization by quadrature
     norm_err = 0.0

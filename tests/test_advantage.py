@@ -179,17 +179,19 @@ def test_estimate_bits_pinned():
     est, rows = advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 2000, make_rng(5))
     assert est.value_sq == 2.2058570449024817
     assert est.stderr == 0.14157975742544518
-    assert rows[123].mean == -0.05203391665058099
-    assert rows[123].stderr == 0.03334152861916319
+    assert rows.mean[123] == -0.05203391665058099
+    assert rows.stderr[123] == 0.03334152861916319
+    # here the array square mean**2 would round the other way in the last bit
+    assert rows.squared_contribution[376] == -0.0002599113478536564
 
 
 def test_per_pattern_breakdown_sums_to_total():
     params = ModelParams(n=1, d=2, m=1, sigma=0.0)
     est, rows = advantage_sq_with_patterns(params, 4, 50_000, make_rng(96))
-    assert len(rows) == est.pattern_count
-    total = sum(r.squared_contribution for r in rows)
+    assert len(rows.mean) == est.pattern_count
+    total = sum(rows.squared_contribution)
     assert math.isclose(total, est.value_sq, rel_tol=1e-12)
-    assert rows[0].mean == 1.0 and rows[0].degree == 0
+    assert rows.mean[0] == 1.0 and rows.degree[0] == 0
 
 
 def test_bound_m1_base_cases_and_monotonicity():

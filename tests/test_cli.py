@@ -1,10 +1,13 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shufflab
 from shufflab.cli import main, parse_config, resolve_config
 from shufflab.matrixio import read_matrix, read_sidecar
 
@@ -13,6 +16,19 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def test_cli_start_loads_no_scipy():
+    # SciPy is imported by the commands that use it, not when the CLI starts
+    code = (
+        "import sys, shufflab.cli; shufflab.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(shufflab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sample_writes_instance_and_reruns_identical(tmp_path):

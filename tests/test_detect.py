@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from conftest import assert_within_nse, mean_and_stderr
 from scipy.stats import chi2 as chi2_dist
+from scipy.stats import ks_2samp
 
 from shufflab import make_rng
 from shufflab.detect import (
+    _TRIAL_CHUNK,
+    _sample_f,
     default_threshold,
     null_mean,
     planted_mean,
     run_test,
     separation_report,
-    statistic_f,
 )
 from shufflab.model import ModelParams, sample_planted
+from shufflab.oracles import sample_f_instances, statistic_f
 
 PARAMS = ModelParams(n=256, d=16, m=16, sigma=0.05)
 
@@ -64,8 +67,6 @@ def test_null_second_moment_formula_small_case():
 def test_null_second_moment_at_working_size():
     params = ModelParams(n=256, d=16, m=16, sigma=1.0)
     rng = make_rng(105)
-    from shufflab.detect import _sample_f
-
     f = _sample_f(params, "null", 2000, rng)
     nd = params.n * params.d
     m, se = mean_and_stderr(f**2 / nd**2)
@@ -179,3 +180,80 @@ def test_trial_count_validation():
         run_test(PARAMS, None, 0, make_rng(117))
     with pytest.raises(ValueError):
         separation_report(PARAMS, 1, make_rng(118))
+
+
+# --- the exact four-number law against the full-instance route
+
+# (3, 4, 1, 0) has B > 0 at sigma = 0; (1, 1, 1, 2) draws neither B nor C
+KS_CASES = [(256, 16, 16, 0.05), (256, 16, 16, 1.0), (8, 5, 2, 0.7), (3, 4, 1, 0.0),
+            (1, 1, 1, 2.0)]
+
+
+@pytest.mark.parametrize("hypothesis", ("null", "planted"))
+@pytest.mark.parametrize("case", KS_CASES, ids=lambda c: "n{}-d{}-m{}-s{}".format(*c))
+def test_exact_law_matches_instance_oracle(case, hypothesis):
+    # two-sample KS of f drawn from (A, B, N, C) against f on sampled (X, Y)
+    params = ModelParams(*case)
+    stream = 2 * KS_CASES.index(case) + (hypothesis == "planted")
+    exact = _sample_f(params, hypothesis, 3000, make_rng(120, stream))
+    reference = sample_f_instances(params, hypothesis, 3000, make_rng(121, stream))
+    assert ks_2samp(exact, reference).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("sigma", (0.05, 0.5, 1.0, 2.0))
+def test_exact_law_moments_at_criteria_size(sigma):
+    params = ModelParams(n=256, d=16, m=16, sigma=sigma)
+    nd = params.n * params.d
+    trials = 400_000
+    f_null = _sample_f(params, "null", trials, make_rng(122))
+    f_planted = _sample_f(params, "planted", trials, make_rng(123))
+    m, se = mean_and_stderr(f_null)
+    assert_within_nse(m, se, 4.0 * nd, n=4, label="null mean")
+    m, se = mean_and_stderr(f_planted)
+    assert_within_nse(m, se, 4.0 * sigma**2 * nd / (1 + sigma**2), n=4, label="planted mean")
+    m, se = mean_and_stderr(f_null**2 / nd**2)
+    assert_within_nse(m, se, 48.0 + 96.0 / nd, n=4, label="null E[f^2]/(nd)^2")
+
+
+def test_exact_law_means_off_square():
+    # T = W - B with E[W] = 0, E[W^2] = 4 s2 nm / (1 + s2) and B ~ chi^2(n(d - m)),
+    # so E_P[f] = 4 s2 nm / (1 + s2) + n(d - m) (n(d - m) + 2); under the null
+    # T = chi^2(nm) - chi^2(nd) and E[f] = 2nm + 2nd + (n(d - m))^2
+    n, d, m, sigma = 8, 5, 2, 0.7
+    params = ModelParams(n, d, m, sigma)
+    s2, gap = sigma**2, n * (d - m)
+    m1, se1 = mean_and_stderr(_sample_f(params, "planted", 400_000, make_rng(126)))
+    assert_within_nse(m1, se1, 4 * s2 * n * m / (1 + s2) + gap * (gap + 2), n=4,
+                      label="planted mean, m < d")
+    m0, se0 = mean_and_stderr(_sample_f(params, "null", 400_000, make_rng(127)))
+    assert_within_nse(m0, se0, 2 * n * m + 2 * n * d + gap**2, n=4, label="null mean, m < d")
+
+
+def test_exact_law_zero_at_sigma0_square():
+    for n, d in ((256, 16), (1, 1)):
+        f = _sample_f(ModelParams(n, d, d, 0.0), "planted", 1000, make_rng(124))
+        assert not f.any()
+
+
+def test_planted_draws_do_not_depend_on_sigma():
+    # every sigma reads the same A, B, N, C off the stream, in that order
+    n, d, m, trials = 8, 5, 2, 1000
+    ref = make_rng(125)
+    A = ref.chisquare(n * m, trials)
+    B = ref.chisquare(n * (d - m), trials)
+    N = ref.standard_normal(trials)
+    C = ref.chisquare(n * m - 1, trials)
+    for sigma in (0.0, 0.05, 1.0, 20.0):
+        rng = make_rng(125)
+        f = _sample_f(ModelParams(n, d, m, sigma), "planted", trials, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the norms themselves, differenced the naive way
+        y2 = ((np.sqrt(A) + sigma * N) ** 2 + sigma**2 * C) / (1 + sigma**2)
+        np.testing.assert_allclose(np.sqrt(f), np.abs(y2 - (A + B)), rtol=1e-9,
+                                   atol=1e-9 * n * d)
+
+
+def test_sample_f_spans_chunks():
+    trials = _TRIAL_CHUNK + 3
+    f = _sample_f(ModelParams(2, 2, 1, 0.5), "planted", trials, make_rng(128))
+    assert f.shape == (trials,) and np.isfinite(f).all() and (f >= 0).all()

@@ -36,6 +36,24 @@ def test_format_details(tmp_path):
     assert lines[1].split() == ["1", "2.5"]
 
 
+def test_bytes_match_per_element_format(tmp_path):
+    # each row goes through one "%.17g %.17g ..." string; the bytes are those
+    # of formatting every element on its own
+    cases = [
+        np.array([[-0.0, 5e-324, 1e300], [np.inf, -np.inf, np.nan]]),
+        np.array([[0.1], [-0.0], [np.nan]]),
+        np.array([2.5, -1e-310]),  # 1-d: written as one column
+    ]
+    for k, mat in enumerate(cases):
+        path = tmp_path / f"m{k}.txt"
+        write_matrix(path, mat)
+        a = mat[:, None] if mat.ndim == 1 else mat
+        expected = f"{a.shape[0]} {a.shape[1]}\n" + "".join(
+            " ".join(format_float(x) for x in row) + "\n" for row in a
+        )
+        assert path.read_text() == expected
+
+
 def test_17_digit_roundtrip_of_irrationals():
     x = np.pi / 3
     assert float(format_float(x)) == x
