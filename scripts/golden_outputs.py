@@ -62,6 +62,17 @@ RUNS: dict[str, list[str]] = {
         "advantage", "--n", "3", "--d", "2", "--m", "2", "--sigma", "1", "--D", "4",
         "--samples", "400", "--seed", "9", "--output", "advantage_n3.csv",
         "--per-pattern", "advantage_n3_patterns.csv"],
+    # jackknife batch edges: unequal batches, then fewer samples than batches
+    "advantage-2003": CLI + [
+        "advantage", "--n", "2", "--d", "2", "--m", "2", "--sigma", "0.5", "--D", "4",
+        "--samples", "2003", "--seed", "10", "--output", "advantage_2003.csv"],
+    "advantage-7": CLI + [
+        "advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0", "--D", "3",
+        "--samples", "7", "--seed", "11", "--output", "advantage_7.csv"],
+    # two cells of one shape, so the second reuses the first's pattern stack
+    "advantage-sigma-grid": CLI + [
+        "advantage", "--n", "2", "--d", "2", "--m", "1", "--sigma", "0", "1", "--D", "4",
+        "--samples", "1000", "--seed", "12", "--output", "advantage_sigma_grid.csv"],
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],

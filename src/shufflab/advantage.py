@@ -7,6 +7,12 @@ inflates each term by its variance over the sample count, so the standard
 (mean^2 - var/samples) correction is applied per pattern.  Standard errors
 come from a batch jackknife.
 
+An estimate draws its jackknife batches in stream order, as one sampler
+call per batch would, then shares one QR, response and slot-major Hermite
+table among them; each batch's (size, K) block is summed on its own.  Memory
+holds one such block plus one chunk of consecutive batches' draws and table,
+at most ``DRAW_CHUNK_BYTES`` unless one batch needs more: never (samples, K).
+
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
 times sphere moments, in exact integers), and the chi-square route
@@ -18,11 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import chisq as chisq_mod
-from . import randmat
 from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
 from .hermite import (
     PatternPair,
@@ -30,8 +36,10 @@ from .hermite import (
     pattern_count,
     pattern_pairs,
     phi_batch,
+    phi_block,
+    slot_table,
 )
-from .model import ModelParams, planted_response
+from .model import ModelParams, planted_response, sample_planted_batches
 
 DEFAULT_PATTERN_CAP = 1_000_000
 EXACT_PERM_MAX_N = 7
@@ -39,6 +47,7 @@ BOUND_M1_MAX_D = 6
 BOUND_M1_MAX_DEGREE = 8
 
 _JACKKNIFE_BATCHES = 20
+DRAW_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -52,33 +61,36 @@ class AdvantageEstimate:
     samples: int
 
 
-def _perm_averaged_phi(
-    patterns: PatternStack, params: ModelParams, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-draw basis values averaged over every row permutation.
+def _planted_phi_blocks(
+    patterns: PatternStack,
+    params: ModelParams,
+    sizes: list[int],
+    rng: np.random.Generator,
+    exact_perm: bool,
+) -> Iterator[np.ndarray]:
+    """Each batch's (size, K) basis values under the planted law, in batch order.
 
-    Conditioning on (X, Q, Z) and averaging the permutation out exactly
-    (Rao-Blackwellization) keeps the estimator unbiased while removing the
-    permutation's contribution to the variance.  Only viable for small n.
+    Chunks of consecutive batches are drawn by one ``sample_planted_batches``
+    call and share one Hermite table.  ``exact_perm`` averages each draw over
+    every row permutation of X given (X, Q, Z) (Rao-Blackwellization): still
+    unbiased, without the permutation's variance.  Only viable for small n.
     """
-    n, d, m, sigma = params.n, params.d, params.m, params.sigma
-    X = rng.standard_normal((size, n, d))
-    Q = randmat.stiefel_batch(d, m, size, rng)
-    Z = rng.standard_normal((size, n, m))
-    acc = np.zeros((size, len(patterns)))
-    for perm in itertools.permutations(range(n)):
-        Y = planted_response(X[:, perm, :], Q, Z, sigma)
-        acc += phi_batch(patterns, X, Y)
-    return acc / math.factorial(n)
-
-
-def _planted_phi(
-    patterns: PatternStack, params: ModelParams, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    from .model import sample_planted_batch
-
-    X, Y = sample_planted_batch(params, size, rng)
-    return phi_batch(patterns, X, Y)
+    n, max_degree = params.n, int(patterns.slot_degrees.max(initial=0))
+    sample_bytes = 8 * n * (params.d + params.m) * (max_degree + 2)  # X, Y and the table
+    per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
+    for first in range(0, len(sizes), per_chunk):
+        chunk = sizes[first : first + per_chunk]
+        X, Y, _, Q, Z = sample_planted_batches(params, chunk, rng, permute=not exact_perm)
+        table = None if exact_perm else slot_table(X, Y, max_degree)
+        for lo, hi in itertools.pairwise(np.cumsum([0, *chunk]).tolist()):
+            if not exact_perm:
+                yield phi_block(patterns, table[:, :, lo:hi])
+                continue
+            acc = np.zeros((hi - lo, len(patterns)))
+            for perm in itertools.permutations(range(n)):
+                Yp = planted_response(X[lo:hi, perm, :], Q[lo:hi], Z[lo:hi], params.sigma)
+                acc += phi_batch(patterns, X[lo:hi], Yp)
+            yield acc / math.factorial(n)
 
 
 def estimate_phi_mean_planted(
@@ -100,9 +112,9 @@ def estimate_phi_mean_planted(
         raise ValueError(f"samples must be >= 2, got {samples}")
     if exact_perm and params.n > EXACT_PERM_MAX_N:
         raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
-    sampler = _perm_averaged_phi if exact_perm else _planted_phi
     patterns = PatternStack(pattern.A[None], pattern.B[None])
-    return MomentEstimate.from_values(sampler(patterns, params, samples, rng)[:, 0])
+    (vals,) = _planted_phi_blocks(patterns, params, [samples], rng, exact_perm)
+    return MomentEstimate.from_values(vals[:, 0])
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,6 @@ def advantage_sq_with_patterns(
         raise ValueError(f"samples must be >= 2, got {samples}")
     if exact_perm and params.n > EXACT_PERM_MAX_N:
         raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
-    sampler = _perm_averaged_phi if exact_perm else _planted_phi
     patterns = pattern_pairs(params.n, params.d, params.m, D)
 
     n_batches = min(_JACKKNIFE_BATCHES, samples)
@@ -162,8 +173,7 @@ def advantage_sq_with_patterns(
     K = len(patterns)
     sum1 = np.zeros((n_batches, K))
     sum2 = np.zeros((n_batches, K))
-    for b, size in enumerate(sizes):
-        vals = sampler(patterns, params, size, rng)
+    for b, vals in enumerate(_planted_phi_blocks(patterns, params, sizes, rng, exact_perm)):
         sum1[b] = vals.sum(axis=0)
         sum2[b] = (vals * vals).sum(axis=0)
 
@@ -173,14 +183,13 @@ def advantage_sq_with_patterns(
         contrib = mean**2 - var / n
         return mean, var, float(contrib.sum())
 
-    mean, var, value = sum_of_squares(sum1.sum(axis=0), sum2.sum(axis=0), samples)
+    total1, total2 = sum1.sum(axis=0), sum2.sum(axis=0)
+    mean, var, value = sum_of_squares(total1, total2, samples)
 
     # leave-one-batch-out jackknife for the standard error of the total
     loo = np.empty(n_batches)
     for b in range(n_batches):
-        s1 = sum1.sum(axis=0) - sum1[b]
-        s2 = sum2.sum(axis=0) - sum2[b]
-        _, _, loo[b] = sum_of_squares(s1, s2, samples - sizes[b])
+        _, _, loo[b] = sum_of_squares(total1 - sum1[b], total2 - sum2[b], samples - sizes[b])
     stderr = math.sqrt((n_batches - 1) / n_batches * float(((loo - loo.mean()) ** 2).sum()))
 
     est = AdvantageEstimate(

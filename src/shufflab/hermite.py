@@ -10,13 +10,14 @@ is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
 factorials overflow past degree ~85.  Multi-index products over matrix
 entries form the basis functions phi used by the advantage estimators.  A
 list of them is stacked once into a ``PatternStack`` of degree arrays, and
-``phi_batch`` evaluates a stack with one table gather and one multiply per
+``phi_block`` evaluates a stack with one table gather and one multiply per
 matrix entry (slot) and sample block, whatever the number of patterns.  The
 closed-form joint coefficients for a single response column live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,10 +141,14 @@ class PatternStack(Sequence[PatternPair]):
         return PatternPair(A=self.A[index], B=self.B[index])
 
 
+@functools.lru_cache(maxsize=8)
 def pattern_pairs(n: int, d: int, m: int, max_degree: int) -> PatternStack:
-    """All (A, B) with total degree <= max_degree, graded lex over slots."""
+    """All (A, B) with total degree <= max_degree, graded lex over slots; cached, so read-only."""
     degs = np.array(multiindex_enumerate(n * (d + m), max_degree), dtype=int)
-    return PatternStack(degs[:, : n * d].reshape(-1, n, d), degs[:, n * d :].reshape(-1, n, m))
+    stack = PatternStack(degs[:, : n * d].reshape(-1, n, d), degs[:, n * d :].reshape(-1, n, m))
+    for array in (stack.A, stack.B, stack.slot_degrees, stack.degrees):
+        array.setflags(write=False)
+    return stack
 
 
 def pattern_count(n: int, d: int, m: int, max_degree: int) -> int:
@@ -151,29 +156,23 @@ def pattern_count(n: int, d: int, m: int, max_degree: int) -> int:
     return math.comb(n * (d + m) + max_degree, max_degree)
 
 
-def phi_batch(
-    patterns: Sequence[PatternPair], X: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """Evaluate many basis functions on a stack of instances.
-
-    X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
-    array, one column per pattern in the order given; pass a ``PatternStack``
-    to evaluate one pattern list many times.  With the Hermite table laid out
-    (slots, maxdeg+1, S), one gather and one multiply per slot serve every
-    pattern, over sample blocks whose (K, block) product stays in cache.  A
-    column's slot factors multiply left to right, and a zero-degree slot by
-    h_0 = 1.0, which is exact: the bits are those of the nonzero-slot product.
-    """
-    if not isinstance(patterns, PatternStack):  # np.stack rejects mixed shapes
-        patterns = PatternStack(np.stack([p.A for p in patterns]), np.stack([p.B for p in patterns]))
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
-        raise ValueError(f"pattern shapes do not match instance shapes {X.shape}/{Y.shape}")
-    S, degs = X.shape[0], patterns.slot_degrees
+def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:
+    """Hermite table (slots, max_degree+1, S) of X (S, n, d) then Y (S, n, m), slots row-major."""
+    S = X.shape[0]
     values = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
-    table = hermite_table(values.T, int(degs.max(initial=0)))  # (slots, S, maxdeg+1)
-    table = np.ascontiguousarray(table.transpose(0, 2, 1))
+    table = hermite_table(values.T, max_degree)  # (slots, S, max_degree+1)
+    return np.ascontiguousarray(table.transpose(0, 2, 1))
+
+
+def phi_block(patterns: PatternStack, table: np.ndarray) -> np.ndarray:
+    """Basis values of the samples of a ``slot_table`` (or a sample slice of one), as (S, K).
+
+    One gather and one multiply per slot serve every pattern, over sample
+    blocks whose (K, block) product stays in cache.  A column's slot factors
+    multiply left to right, and a zero-degree slot by h_0 = 1.0, which is
+    exact: the bits are those of the nonzero-slot product for any blocks.
+    """
+    S, degs = table.shape[2], patterns.slot_degrees
     out = np.empty((S, len(patterns)))  # C order: numpy sums a contiguous axis pairwise
     step = max(1, PHI_BLOCK_BYTES // (8 * len(patterns)))
     for lo in range(0, S, step):
@@ -183,6 +182,26 @@ def phi_batch(
             acc *= block[c][degs[:, c]]
         out[lo : lo + step] = acc.T
     return out
+
+
+def phi_batch(
+    patterns: Sequence[PatternPair], X: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
+    """Evaluate many basis functions on a stack of instances.
+
+    X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
+    array, one column per pattern in the order given; pass a ``PatternStack``
+    to evaluate one pattern list many times.  This is ``phi_block`` on the
+    whole ``slot_table`` of (X, Y); a caller that evaluates many sample
+    ranges of one draw builds the table once and passes ``phi_block`` slices.
+    """
+    if not isinstance(patterns, PatternStack):  # np.stack rejects mixed shapes
+        patterns = PatternStack(np.stack([p.A for p in patterns]), np.stack([p.B for p in patterns]))
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
+        raise ValueError(f"pattern shapes do not match instance shapes {X.shape}/{Y.shape}")
+    return phi_block(patterns, slot_table(X, Y, int(patterns.slot_degrees.max(initial=0))))
 
 
 # ---------------------------------------------------------------------------

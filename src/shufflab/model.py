@@ -6,7 +6,9 @@ uniform row permutation, Q Haar on the d x m Stiefel manifold, and Z
 Gaussian noise, all independent.  The permutation is applied by an index
 gather; the n x n matrix is never materialized.  The batch samplers draw
 stacks of independent instances; ``sample_null`` and ``sample_planted``
-are their size-1 draws.
+are their size-1 draws.  The one planted sampler, ``sample_planted_batches``,
+draws consecutive batches in stream order and plants them in one pass; the
+other planted samplers are its one-batch case.
 
 The reduced k-row models drop the permutation: they are the k-row laws
 whose chi-square divergence bounds the low-degree advantage.
@@ -107,14 +109,27 @@ def sample_null_batch(
     return X, Y
 
 
-def _planted_draws(
-    params: ModelParams, size: int, rng: np.random.Generator, permute: bool = True
+def sample_planted_batches(
+    params: ModelParams, sizes: list[int], rng: np.random.Generator, permute: bool = True
 ) -> tuple[np.ndarray, ...]:
-    """size planted draws as stacks (X, Y, perm, Q, Z); perm is None when not permuting."""
-    X = rng.standard_normal((size, params.n, params.d))
-    perm = randmat.permutation_batch(params.n, size, rng) if permute else None
-    Q = randmat.stiefel_batch(params.d, params.m, size, rng)
-    Z = rng.standard_normal((size, params.n, params.m))
+    """Planted draws of consecutive batches, concatenated as stacks (X, Y, perm, Q, Z).
+
+    Each batch draws X, perm, Q's Gaussian and Z in turn, as one
+    ``sample_planted_batch`` call would; one sign-fixed QR, gather and
+    response then serve all batches.  perm is None when not permuting.
+    """
+    n, d, m = params.n, params.d, params.m
+    parts = []
+    for size in sizes:
+        X = rng.standard_normal((size, n, d))
+        perm = randmat.permutation_batch(n, size, rng) if permute else None
+        G = rng.standard_normal((size, d, m))
+        parts.append((X, perm, G, rng.standard_normal((size, n, m))))
+    # one batch is used as drawn: a copy would add its size to the peak
+    X, perm, G, Z = (
+        p[0] if len(p) == 1 or p[0] is None else np.concatenate(p) for p in zip(*parts)
+    )
+    Q = randmat.qr_sign_fixed(G)
     XP = X if perm is None else np.take_along_axis(X, perm[:, :, None], axis=1)
     return X, planted_response(XP, Q, Z, params.sigma), perm, Q, Z
 
@@ -123,7 +138,7 @@ def sample_planted_batch(
     params: ModelParams, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """size independent planted draws, stacked as (size, n, d) and (size, n, m)."""
-    X, Y, *_ = _planted_draws(params, size, rng)
+    X, Y, *_ = sample_planted_batches(params, [size], rng)
     return X, Y
 
 
@@ -137,7 +152,7 @@ def sample_planted(
     params: ModelParams, rng: np.random.Generator, keep_latent: bool = False
 ) -> Instance:
     """One planted draw: the size-1 stack of ``sample_planted_batch``, latents kept on request."""
-    X, Y, perm, Q, Z = _planted_draws(params, 1, rng)
+    X, Y, perm, Q, Z = sample_planted_batches(params, [1], rng)
     latent = Latent(perm=perm[0], Q=Q[0], Z=Z[0]) if keep_latent else None
     return Instance(X=X[0], Y=Y[0], hypothesis="planted", latent=latent)
 
@@ -151,5 +166,5 @@ def sample_reduced(
     rows = ModelParams(n=params.k, d=params.d, m=params.m, sigma=params.sigma)
     if hypothesis == "null":
         return sample_null(rows, rng)
-    X, Y, *_ = _planted_draws(rows, 1, rng, permute=False)
+    X, Y, *_ = sample_planted_batches(rows, [1], rng, permute=False)
     return Instance(X=X[0], Y=Y[0], hypothesis="planted")

@@ -21,8 +21,8 @@ def _require_positive(**dims: int) -> None:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _qr_sign_fixed(g: np.ndarray) -> np.ndarray:
-    """Reduced QR with the R diagonal forced positive (batch-aware).
+def qr_sign_fixed(g: np.ndarray) -> np.ndarray:
+    """Reduced QR with the R diagonal forced positive (batch-aware, each matrix on its own).
 
     Sign fixing makes the factorization unique, which turns QR of a
     Gaussian matrix into an exact Haar sample on the orthogonal group /
@@ -37,7 +37,7 @@ def _qr_sign_fixed(g: np.ndarray) -> np.ndarray:
 def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """size x d x d stack of independent Haar orthogonal draws."""
     _require_positive(d=d, size=size)
-    return _qr_sign_fixed(rng.standard_normal((size, d, d)))
+    return qr_sign_fixed(rng.standard_normal((size, d, d)))
 
 
 def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,7 +63,7 @@ def stiefel_batch(d: int, m: int, size: int, rng: np.random.Generator) -> np.nda
     _require_positive(d=d, m=m, size=size)
     if m > d:
         raise ValueError(f"need m <= d, got m={m} > d={d}")
-    return _qr_sign_fixed(rng.standard_normal((size, d, m)))
+    return qr_sign_fixed(rng.standard_normal((size, d, m)))
 
 
 def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

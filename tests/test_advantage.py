@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +23,17 @@ from shufflab.chisq import (
     evaluate,
 )
 from shufflab.common import CapacityError, UnsupportedRegimeError
-from shufflab.hermite import PatternPair, multiindex_enumerate, multinomial_exact
-from shufflab.model import ModelParams
+from shufflab.hermite import (
+    PatternPair,
+    PatternStack,
+    multiindex_enumerate,
+    multinomial_exact,
+    pattern_pairs,
+    phi_batch,
+)
+from shufflab.model import ModelParams, planted_response, sample_planted_batch
 from shufflab.oracles import sphere_moment_exact
+from shufflab.randmat import stiefel_batch
 
 
 def _pattern(n, d, m, a_rows, b_rows):
@@ -183,6 +192,119 @@ def test_estimate_bits_pinned():
     assert rows.stderr[123] == 0.03334152861916319
     # here the array square mean**2 would round the other way in the last bit
     assert rows.squared_contribution[376] == -0.0002599113478536564
+
+
+def _perm_averaged_phi_reference(patterns, params, size, rng):
+    n, d, m, sigma = params.n, params.d, params.m, params.sigma
+    X = rng.standard_normal((size, n, d))
+    Q = stiefel_batch(d, m, size, rng)
+    Z = rng.standard_normal((size, n, m))
+    acc = np.zeros((size, len(patterns)))
+    for perm in itertools.permutations(range(n)):
+        Y = planted_response(X[:, perm, :], Q, Z, sigma)
+        acc += phi_batch(patterns, X, Y)
+    return acc / math.factorial(n)
+
+
+def _planted_phi_reference(patterns, params, size, rng):
+    X, Y = sample_planted_batch(params, size, rng)
+    return phi_batch(patterns, X, Y)
+
+
+def _per_batch_reference(params, D, samples, rng, exact_perm=False):
+    """The estimator with one sampler call, QR and Hermite table per jackknife batch.
+
+    Returns (value_sq, stderr, mean, mean_var).
+    """
+    sampler = _perm_averaged_phi_reference if exact_perm else _planted_phi_reference
+    patterns = pattern_pairs(params.n, params.d, params.m, D)
+
+    n_batches = min(20, samples)
+    sizes = [samples // n_batches + (1 if b < samples % n_batches else 0) for b in range(n_batches)]
+    K = len(patterns)
+    sum1 = np.zeros((n_batches, K))
+    sum2 = np.zeros((n_batches, K))
+    for b, size in enumerate(sizes):
+        vals = sampler(patterns, params, size, rng)
+        sum1[b] = vals.sum(axis=0)
+        sum2[b] = (vals * vals).sum(axis=0)
+
+    def sum_of_squares(s1, s2, n):
+        mean = s1 / n
+        var = (s2 - n * mean**2) / (n - 1)
+        contrib = mean**2 - var / n
+        return mean, var, float(contrib.sum())
+
+    mean, var, value = sum_of_squares(sum1.sum(axis=0), sum2.sum(axis=0), samples)
+    loo = np.empty(n_batches)
+    for b in range(n_batches):
+        s1 = sum1.sum(axis=0) - sum1[b]
+        s2 = sum2.sum(axis=0) - sum2[b]
+        _, _, loo[b] = sum_of_squares(s1, s2, samples - sizes[b])
+    stderr = math.sqrt((n_batches - 1) / n_batches * float(((loo - loo.mean()) ** 2).sum()))
+    return value, stderr, mean, var / samples
+
+
+@pytest.mark.parametrize(
+    "params, D, samples, exact_perm",
+    [
+        (ModelParams(2, 2, 2, 0.5), 4, 2000, False),
+        (ModelParams(2, 2, 2, 0.5), 4, 2003, False),  # unequal batches
+        (ModelParams(2, 2, 2, 0.5), 4, 7, False),  # fewer samples than batches
+        (ModelParams(1, 2, 1, 0.0), 4, 2000, False),
+        (ModelParams(3, 2, 1, 0.4), 3, 600, True),
+    ],
+)
+def test_shared_draw_matches_per_batch_draws(params, D, samples, exact_perm):
+    est, rows = advantage_sq_with_patterns(params, D, samples, make_rng(21), exact_perm=exact_perm)
+    value, stderr, mean, mean_var = _per_batch_reference(
+        params, D, samples, make_rng(21), exact_perm=exact_perm
+    )
+    assert est.value_sq == value and est.stderr == stderr
+    assert np.array_equal(rows.mean, mean) and np.array_equal(rows.mean_var, mean_var)
+
+
+def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
+    calls = []
+
+    def counted(params, sizes, rng, permute=True):
+        calls.append(sum(sizes))
+        return sample_planted_batches(params, sizes, rng, permute)
+
+    sample_planted_batches = advantage_mod.sample_planted_batches
+    monkeypatch.setattr(advantage_mod, "sample_planted_batches", counted)
+    params = ModelParams(2, 2, 2, 0.5)
+    est, rows = advantage_sq_with_patterns(params, 4, 20_000, make_rng(22))
+    assert len(calls) >= 2 and sum(calls) == 20_000
+    value, stderr, mean, mean_var = _per_batch_reference(params, 4, 20_000, make_rng(22))
+    assert est.value_sq == value and est.stderr == stderr
+    assert np.array_equal(rows.mean, mean) and np.array_equal(rows.mean_var, mean_var)
+
+
+@pytest.mark.parametrize("exact_perm", [False, True])
+def test_phi_mean_keeps_its_stream(exact_perm):
+    params = ModelParams(n=3, d=2, m=2, sigma=0.4)
+    pat = _pattern(3, 2, 2, [[1, 0], [1, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]])
+    est = estimate_phi_mean_planted(pat, params, 3000, make_rng(23), exact_perm=exact_perm)
+    sampler = _perm_averaged_phi_reference if exact_perm else _planted_phi_reference
+    vals = sampler(PatternStack(pat.A[None], pat.B[None]), params, 3000, make_rng(23))[:, 0]
+    assert est.value == vals.mean() and est.stderr == vals.std(ddof=1) / math.sqrt(3000)
+
+
+def test_estimate_memory_stays_per_batch():
+    # 200,000 samples of 495 patterns: the (samples, K) matrix would be 792 MB,
+    # one jackknife batch block (with its square) 2 x 39.6 MB
+    params, samples = ModelParams(2, 2, 2, 0.5), 200_000
+    block_bytes = samples // 20 * 495 * 8
+    pattern_pairs(2, 2, 2, 4)  # the cached stack is not the estimate's memory
+    tracemalloc.start()
+    try:
+        advantage_sq_with_patterns(params, 4, samples, make_rng(24))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block_bytes + 4 * advantage_mod.DRAW_CHUNK_BYTES + block_bytes // 4
+    assert peak < samples * 495 * 8 / 8
 
 
 def test_per_pattern_breakdown_sums_to_total():

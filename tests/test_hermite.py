@@ -185,6 +185,14 @@ def test_phi_batch_matches_prefix_trie_bitwise(n, d, m, D):
         assert np.array_equal(phi_batch(list(pats), X, Y), got)
 
 
+def test_pattern_pairs_cache_is_read_only():
+    pats = pattern_pairs(2, 2, 1, 3)
+    assert pattern_pairs(2, 2, 1, 3) is pats
+    for array in (pats.A, pats.B, pats.slot_degrees, pats.degrees, pats[5].A):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 def test_pattern_pairs_stack_indexes_as_pattern_pairs():
     pats = pattern_pairs(2, 2, 2, 4)
     vecs = multiindex_enumerate(8, 4)
