@@ -5,7 +5,7 @@ Library layout:
 - ``randmat``: seedable batch samplers for the Haar / Stiefel / permutation
   priors, Haar Verblunsky coefficients, and a uniform-sphere sampler.
 - ``model``: null and planted batch samplers (a single instance is the
-  size-1 draw) plus the reduced k-row laws.
+  size-1 draw).
 - ``hermite``: the orthonormal Hermite table, basis functions over (X, Y)
   pairs, and the joint-coefficient closed form for one response column.
 - ``advantage``: unbiased estimators and exact enumerations for the squared
@@ -23,7 +23,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
-from .model import Instance, ModelParams, ReducedParams
+from .model import Instance, ModelParams
 from .rng import make_rng
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Instance",
     "ModelParams",
     "MomentEstimate",
-    "ReducedParams",
     "UnsupportedRegimeError",
     "make_rng",
     "__version__",

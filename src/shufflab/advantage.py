@@ -5,7 +5,8 @@ planted-law means of the basis functions.  The Monte Carlo estimator here
 is unbiased for that sum of squares: naive squaring of a Monte Carlo mean
 inflates each term by its variance over the sample count, so the standard
 (mean^2 - var/samples) correction is applied per pattern.  Standard errors
-come from a batch jackknife.
+come from a batch jackknife.  The per-pattern breakdown returns each
+planted mean with its standard error.
 
 An estimate draws its jackknife batches in stream order, as one sampler
 call per batch would, then shares one QR, response and slot-major Hermite
@@ -29,20 +30,11 @@ from typing import Iterator
 import numpy as np
 
 from . import chisq as chisq_mod
-from .common import CapacityError, MomentEstimate, UnsupportedRegimeError
-from .hermite import (
-    PatternPair,
-    PatternStack,
-    pattern_count,
-    pattern_pairs,
-    phi_batch,
-    phi_block,
-    slot_table,
-)
-from .model import ModelParams, planted_response, sample_planted_batches
+from .common import CapacityError, UnsupportedRegimeError
+from .hermite import PatternStack, pattern_count, pattern_pairs, phi_block, slot_table
+from .model import ModelParams, sample_planted_batches
 
 DEFAULT_PATTERN_CAP = 1_000_000
-EXACT_PERM_MAX_N = 7
 BOUND_M1_MAX_D = 6
 BOUND_M1_MAX_DEGREE = 8
 
@@ -62,59 +54,22 @@ class AdvantageEstimate:
 
 
 def _planted_phi_blocks(
-    patterns: PatternStack,
-    params: ModelParams,
-    sizes: list[int],
-    rng: np.random.Generator,
-    exact_perm: bool,
+    patterns: PatternStack, params: ModelParams, sizes: list[int], rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Each batch's (size, K) basis values under the planted law, in batch order.
 
     Chunks of consecutive batches are drawn by one ``sample_planted_batches``
-    call and share one Hermite table.  ``exact_perm`` averages each draw over
-    every row permutation of X given (X, Q, Z) (Rao-Blackwellization): still
-    unbiased, without the permutation's variance.  Only viable for small n.
+    call and share one Hermite table.
     """
     n, max_degree = params.n, int(patterns.slot_degrees.max(initial=0))
     sample_bytes = 8 * n * (params.d + params.m) * (max_degree + 2)  # X, Y and the table
     per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
     for first in range(0, len(sizes), per_chunk):
         chunk = sizes[first : first + per_chunk]
-        X, Y, _, Q, Z = sample_planted_batches(params, chunk, rng, permute=not exact_perm)
-        table = None if exact_perm else slot_table(X, Y, max_degree)
+        X, Y, *_ = sample_planted_batches(params, chunk, rng)
+        table = slot_table(X, Y, max_degree)
         for lo, hi in itertools.pairwise(np.cumsum([0, *chunk]).tolist()):
-            if not exact_perm:
-                yield phi_block(patterns, table[:, :, lo:hi])
-                continue
-            acc = np.zeros((hi - lo, len(patterns)))
-            for perm in itertools.permutations(range(n)):
-                Yp = planted_response(X[lo:hi, perm, :], Q[lo:hi], Z[lo:hi], params.sigma)
-                acc += phi_batch(patterns, X[lo:hi], Yp)
-            yield acc / math.factorial(n)
-
-
-def estimate_phi_mean_planted(
-    pattern: PatternPair,
-    params: ModelParams,
-    samples: int,
-    rng: np.random.Generator,
-    exact_perm: bool = False,
-) -> MomentEstimate:
-    """Unbiased Monte Carlo estimate of the planted-law mean of one basis function."""
-    if pattern.A.shape != (params.n, params.d) or pattern.B.shape != (params.n, params.m):
-        raise ValueError(
-            f"pattern shapes {pattern.A.shape}/{pattern.B.shape} do not match params "
-            f"(n={params.n}, d={params.d}, m={params.m})"
-        )
-    if pattern.is_empty:
-        return MomentEstimate(value=1.0, stderr=0.0, samples=0)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if exact_perm and params.n > EXACT_PERM_MAX_N:
-        raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
-    patterns = PatternStack(pattern.A[None], pattern.B[None])
-    (vals,) = _planted_phi_blocks(patterns, params, [samples], rng, exact_perm)
-    return MomentEstimate.from_values(vals[:, 0])
+            yield phi_block(patterns, table[:, :, lo:hi])
 
 
 @dataclass(frozen=True)
@@ -135,12 +90,8 @@ class PatternBreakdown:
 
     @property
     def squared_contribution(self) -> np.ndarray:
-        """The unbiased terms mean^2 - var/samples, which sum to the estimate.
-
-        Each mean is squared on its own, by the scalar power the per-pattern
-        CSV has always used: it can round differently from the array square.
-        """
-        return np.array([m**2 for m in self.mean.tolist()]) - self.mean_var
+        """The unbiased terms mean^2 - var/samples, which sum to the estimate."""
+        return self.mean**2 - self.mean_var
 
 
 def advantage_sq_with_patterns(
@@ -149,7 +100,6 @@ def advantage_sq_with_patterns(
     samples: int,
     rng: np.random.Generator,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
-    exact_perm: bool = False,
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
     """Estimate the squared advantage and return the per-pattern breakdown."""
     if D < 0:
@@ -164,8 +114,6 @@ def advantage_sq_with_patterns(
         return est, PatternBreakdown(np.zeros(1, dtype=int), np.ones(1), np.zeros(1))
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if exact_perm and params.n > EXACT_PERM_MAX_N:
-        raise ValueError(f"exact permutation averaging supports n <= {EXACT_PERM_MAX_N}")
     patterns = pattern_pairs(params.n, params.d, params.m, D)
 
     n_batches = min(_JACKKNIFE_BATCHES, samples)
@@ -173,7 +121,7 @@ def advantage_sq_with_patterns(
     K = len(patterns)
     sum1 = np.zeros((n_batches, K))
     sum2 = np.zeros((n_batches, K))
-    for b, vals in enumerate(_planted_phi_blocks(patterns, params, sizes, rng, exact_perm)):
+    for b, vals in enumerate(_planted_phi_blocks(patterns, params, sizes, rng)):
         sum1[b] = vals.sum(axis=0)
         sum2[b] = (vals * vals).sum(axis=0)
 
@@ -204,12 +152,9 @@ def estimate_advantage_sq(
     samples: int,
     rng: np.random.Generator,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
-    exact_perm: bool = False,
 ) -> AdvantageEstimate:
     """Unbiased estimate of the squared degree-D advantage (see module docstring)."""
-    est, _ = advantage_sq_with_patterns(
-        params, D, samples, rng, pattern_cap=pattern_cap, exact_perm=exact_perm
-    )
+    est, _ = advantage_sq_with_patterns(params, D, samples, rng, pattern_cap=pattern_cap)
     return est
 
 

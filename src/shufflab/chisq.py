@@ -328,6 +328,8 @@ def evaluate(
     with noise; both need ``rng``.  Other regimes raise
     UnsupportedRegimeError.
     """
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"need finite sigma >= 0, got {sigma}")
     if method == "closed":
         if sigma != 0:
             raise UnsupportedRegimeError(

@@ -35,9 +35,6 @@ class MomentEstimate:
         stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
         return cls(value=float(vals.mean()), stderr=stderr, samples=n)
 
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.stderr
-
 
 def draw_chunked(
     draw: Callable[[int], np.ndarray], total: int, chunk: int

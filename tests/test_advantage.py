@@ -15,7 +15,6 @@ from shufflab.advantage import (
     advantage_bound_via_chisq,
     advantage_sq_with_patterns,
     estimate_advantage_sq,
-    estimate_phi_mean_planted,
 )
 from shufflab.chisq import (
     chisq_case1_closed,
@@ -23,73 +22,47 @@ from shufflab.chisq import (
     evaluate,
 )
 from shufflab.common import CapacityError, UnsupportedRegimeError
-from shufflab.hermite import (
-    PatternPair,
-    PatternStack,
-    multiindex_enumerate,
-    multinomial_exact,
-    pattern_pairs,
-    phi_batch,
-)
-from shufflab.model import ModelParams, planted_response, sample_planted_batch
+from shufflab.hermite import multiindex_enumerate, multinomial_exact, pattern_pairs, phi_batch
+from shufflab.model import ModelParams, sample_planted_batch
 from shufflab.oracles import sphere_moment_exact
-from shufflab.randmat import stiefel_batch
 
 
-def _pattern(n, d, m, a_rows, b_rows):
-    return PatternPair(A=np.array(a_rows).reshape(n, d), B=np.array(b_rows).reshape(n, m))
+def _planted_mean(params, D, a_rows, b_rows, samples, seed):
+    """One pattern's planted-mean estimate and stderr, read from the advantage breakdown."""
+    _, rows = advantage_sq_with_patterns(params, D, samples, make_rng(seed))
+    patterns = pattern_pairs(params.n, params.d, params.m, D)
+    A = np.array(a_rows).reshape(params.n, params.d)
+    B = np.array(b_rows).reshape(params.n, params.m)
+    (k,) = np.flatnonzero((patterns.A == A).all(axis=(1, 2)) & (patterns.B == B).all(axis=(1, 2)))
+    return rows.mean[k], rows.stderr[k]
 
 
 def test_phi_mean_empty_pattern_exact():
     params = ModelParams(n=2, d=2, m=1, sigma=0.3)
-    pat = _pattern(2, 2, 1, [[0, 0], [0, 0]], [[0], [0]])
-    est = estimate_phi_mean_planted(pat, params, 100, make_rng(80))
-    assert est.value == 1.0 and est.stderr == 0.0
+    mean, stderr = _planted_mean(params, 2, [[0, 0], [0, 0]], [[0], [0]], 100, 80)
+    assert mean == 1.0 and stderr == 0.0
 
 
 def test_phi_mean_odd_pattern_is_zero():
     params = ModelParams(n=2, d=2, m=1, sigma=0.5)
-    pat = _pattern(2, 2, 1, [[1, 0], [0, 0]], [[0], [0]])
-    est = estimate_phi_mean_planted(pat, params, 100_000, make_rng(81))
-    assert_within_nse(est.value, est.stderr, 0.0, label="odd pattern mean")
+    mean, stderr = _planted_mean(params, 1, [[1, 0], [0, 0]], [[0], [0]], 100_000, 81)
+    assert_within_nse(mean, stderr, 0.0, label="odd pattern mean")
 
 
 def test_phi_mean_matches_sphere_moment():
     # n=1, sigma=0, m=1: the planted mean of the (alpha=(2,0), beta=2)
     # pattern is E[q_1^2] = 1/2 on the circle
     params = ModelParams(n=1, d=2, m=1, sigma=0.0)
-    pat = _pattern(1, 2, 1, [[2, 0]], [[2]])
-    est = estimate_phi_mean_planted(pat, params, 300_000, make_rng(82))
-    assert_within_nse(est.value, est.stderr, 0.5, label="E[phi] for (2,0)/(2)")
-
-
-def test_phi_mean_shape_mismatch():
-    params = ModelParams(n=2, d=2, m=1, sigma=0.0)
-    pat = _pattern(1, 2, 1, [[2, 0]], [[2]])
-    with pytest.raises(ValueError):
-        estimate_phi_mean_planted(pat, params, 100, make_rng(83))
-
-
-def test_phi_mean_exact_perm_agrees_with_plain():
-    params = ModelParams(n=3, d=2, m=2, sigma=0.4)
-    pat = _pattern(3, 2, 2, [[1, 0], [1, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]])
-    plain = estimate_phi_mean_planted(pat, params, 150_000, make_rng(84))
-    rb = estimate_phi_mean_planted(pat, params, 30_000, make_rng(85), exact_perm=True)
-    z = (plain.value - rb.value) / math.hypot(plain.stderr, rb.stderr)
-    assert abs(z) <= 3.0
-    with pytest.raises(ValueError):
-        estimate_phi_mean_planted(pat, ModelParams(n=8, d=2, m=2, sigma=0.4), 10,
-                                  make_rng(86), exact_perm=True)
+    mean, stderr = _planted_mean(params, 4, [[2, 0]], [[2]], 300_000, 82)
+    assert_within_nse(mean, stderr, 0.5, label="E[phi] for (2,0)/(2)")
 
 
 def test_pattern_row_permutation_symmetry():
     # exchangeability: permuting the rows of (A, B) jointly keeps the mean
     params = ModelParams(n=2, d=2, m=1, sigma=0.0)
-    pat = _pattern(2, 2, 1, [[2, 0], [0, 0]], [[2], [0]])
-    swapped = _pattern(2, 2, 1, [[0, 0], [2, 0]], [[0], [2]])
-    e1 = estimate_phi_mean_planted(pat, params, 200_000, make_rng(87))
-    e2 = estimate_phi_mean_planted(swapped, params, 200_000, make_rng(88))
-    z = (e1.value - e2.value) / math.hypot(e1.stderr, e2.stderr)
+    m1, se1 = _planted_mean(params, 4, [[2, 0], [0, 0]], [[2], [0]], 200_000, 87)
+    m2, se2 = _planted_mean(params, 4, [[0, 0], [2, 0]], [[0], [2]], 200_000, 88)
+    z = (m1 - m2) / math.hypot(se1, se2)
     assert abs(z) <= 3.0
 
 
@@ -147,7 +120,7 @@ def test_estimate_matches_exact_enumeration():
     for n, d, D, seed in ((1, 3, 4, 92), (2, 2, 4, 93)):
         params = ModelParams(n=n, d=d, m=1, sigma=0.0)
         exact = _m1_exact_advantage_sq(n, d, D)
-        est = estimate_advantage_sq(params, D, 150_000, make_rng(seed), exact_perm=(n > 1))
+        est = estimate_advantage_sq(params, D, 150_000, make_rng(seed))
         assert_within_nse(est.value_sq, est.stderr, exact, label=f"n={n} d={d} D={D}")
 
 
@@ -176,10 +149,6 @@ def test_argument_checks_run_before_patterns_are_built(monkeypatch):
     monkeypatch.setattr(advantage_mod, "pattern_pairs", fail)
     with pytest.raises(ValueError, match="samples"):
         advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 1, make_rng(0))
-    with pytest.raises(ValueError, match="n <= 7"):
-        advantage_sq_with_patterns(
-            ModelParams(8, 1, 1, 0.0), 2, 100, make_rng(0), exact_perm=True
-        )
 
 
 def test_estimate_bits_pinned():
@@ -190,33 +159,15 @@ def test_estimate_bits_pinned():
     assert est.stderr == 0.14157975742544518
     assert rows.mean[123] == -0.05203391665058099
     assert rows.stderr[123] == 0.03334152861916319
-    # here the array square mean**2 would round the other way in the last bit
-    assert rows.squared_contribution[376] == -0.0002599113478536564
+    # the array square; a scalar float64 ** rounds this one up in the last bit
+    assert rows.squared_contribution[376] == -0.0002599113478536563
 
 
-def _perm_averaged_phi_reference(patterns, params, size, rng):
-    n, d, m, sigma = params.n, params.d, params.m, params.sigma
-    X = rng.standard_normal((size, n, d))
-    Q = stiefel_batch(d, m, size, rng)
-    Z = rng.standard_normal((size, n, m))
-    acc = np.zeros((size, len(patterns)))
-    for perm in itertools.permutations(range(n)):
-        Y = planted_response(X[:, perm, :], Q, Z, sigma)
-        acc += phi_batch(patterns, X, Y)
-    return acc / math.factorial(n)
-
-
-def _planted_phi_reference(patterns, params, size, rng):
-    X, Y = sample_planted_batch(params, size, rng)
-    return phi_batch(patterns, X, Y)
-
-
-def _per_batch_reference(params, D, samples, rng, exact_perm=False):
+def _per_batch_reference(params, D, samples, rng):
     """The estimator with one sampler call, QR and Hermite table per jackknife batch.
 
     Returns (value_sq, stderr, mean, mean_var).
     """
-    sampler = _perm_averaged_phi_reference if exact_perm else _planted_phi_reference
     patterns = pattern_pairs(params.n, params.d, params.m, D)
 
     n_batches = min(20, samples)
@@ -225,7 +176,8 @@ def _per_batch_reference(params, D, samples, rng, exact_perm=False):
     sum1 = np.zeros((n_batches, K))
     sum2 = np.zeros((n_batches, K))
     for b, size in enumerate(sizes):
-        vals = sampler(patterns, params, size, rng)
+        X, Y = sample_planted_batch(params, size, rng)
+        vals = phi_batch(patterns, X, Y)
         sum1[b] = vals.sum(axis=0)
         sum2[b] = (vals * vals).sum(axis=0)
 
@@ -246,20 +198,18 @@ def _per_batch_reference(params, D, samples, rng, exact_perm=False):
 
 
 @pytest.mark.parametrize(
-    "params, D, samples, exact_perm",
+    "params, D, samples",
     [
-        (ModelParams(2, 2, 2, 0.5), 4, 2000, False),
-        (ModelParams(2, 2, 2, 0.5), 4, 2003, False),  # unequal batches
-        (ModelParams(2, 2, 2, 0.5), 4, 7, False),  # fewer samples than batches
-        (ModelParams(1, 2, 1, 0.0), 4, 2000, False),
-        (ModelParams(3, 2, 1, 0.4), 3, 600, True),
+        (ModelParams(2, 2, 2, 0.5), 4, 2000),
+        (ModelParams(2, 2, 2, 0.5), 4, 2003),  # unequal batches
+        (ModelParams(2, 2, 2, 0.5), 4, 7),  # fewer samples than batches
+        (ModelParams(1, 2, 1, 0.0), 4, 2000),
+        (ModelParams(3, 2, 1, 0.4), 3, 600),
     ],
 )
-def test_shared_draw_matches_per_batch_draws(params, D, samples, exact_perm):
-    est, rows = advantage_sq_with_patterns(params, D, samples, make_rng(21), exact_perm=exact_perm)
-    value, stderr, mean, mean_var = _per_batch_reference(
-        params, D, samples, make_rng(21), exact_perm=exact_perm
-    )
+def test_shared_draw_matches_per_batch_draws(params, D, samples):
+    est, rows = advantage_sq_with_patterns(params, D, samples, make_rng(21))
+    value, stderr, mean, mean_var = _per_batch_reference(params, D, samples, make_rng(21))
     assert est.value_sq == value and est.stderr == stderr
     assert np.array_equal(rows.mean, mean) and np.array_equal(rows.mean_var, mean_var)
 
@@ -267,9 +217,9 @@ def test_shared_draw_matches_per_batch_draws(params, D, samples, exact_perm):
 def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     calls = []
 
-    def counted(params, sizes, rng, permute=True):
+    def counted(params, sizes, rng):
         calls.append(sum(sizes))
-        return sample_planted_batches(params, sizes, rng, permute)
+        return sample_planted_batches(params, sizes, rng)
 
     sample_planted_batches = advantage_mod.sample_planted_batches
     monkeypatch.setattr(advantage_mod, "sample_planted_batches", counted)
@@ -279,16 +229,6 @@ def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     value, stderr, mean, mean_var = _per_batch_reference(params, 4, 20_000, make_rng(22))
     assert est.value_sq == value and est.stderr == stderr
     assert np.array_equal(rows.mean, mean) and np.array_equal(rows.mean_var, mean_var)
-
-
-@pytest.mark.parametrize("exact_perm", [False, True])
-def test_phi_mean_keeps_its_stream(exact_perm):
-    params = ModelParams(n=3, d=2, m=2, sigma=0.4)
-    pat = _pattern(3, 2, 2, [[1, 0], [1, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]])
-    est = estimate_phi_mean_planted(pat, params, 3000, make_rng(23), exact_perm=exact_perm)
-    sampler = _perm_averaged_phi_reference if exact_perm else _planted_phi_reference
-    vals = sampler(PatternStack(pat.A[None], pat.B[None]), params, 3000, make_rng(23))[:, 0]
-    assert est.value == vals.mean() and est.stderr == vals.std(ddof=1) / math.sqrt(3000)
 
 
 def test_estimate_memory_stays_per_batch():

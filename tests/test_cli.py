@@ -153,6 +153,28 @@ def test_chisq_mc_square_case(tmp_path):
     assert 1.0 <= float(row[6]) <= 1.5
 
 
+@pytest.mark.parametrize("sigma", ["-1", "inf"])
+def test_chisq_rejects_bad_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "chi.csv"
+    assert run_cli("chisq", "--d", 3, "--m", 3, "--k", 1, "--sigma", sigma, "--mode", "mc",
+                   "--samples", 100, "--seed", 1, "--output", out) == 2
+    assert "need finite sigma >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "inf"])
+def test_sweep_chisq_rejects_bad_sigma(tmp_path, capsys, sigma):
+    config = tmp_path / "bad.cfg"
+    out = tmp_path / "out.csv"
+    config.write_text(
+        f"command = chisq\nmaster_seed = 1\nd = [3]\nm = [3]\nk = [1]\nsigma = [1, {sigma}]\n"
+        f"mode = mc\nsamples = 100\noutput = {out}\n"
+    )
+    assert run_cli("sweep", "--config", config) == 2
+    assert "need finite sigma >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_single_check_and_unknown(capsys):
     assert run_cli("oracle", "--check", "gauss-exp", "--seed", 1) == 0
     assert "PASS gauss-exp" in capsys.readouterr().out

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_within_nse, mean_and_stderr, two_sample_z
+from conftest import mean_and_stderr, two_sample_z
 
 from shufflab import make_rng
 from shufflab.model import (
     ModelParams,
-    ReducedParams,
     planted_response,
     sample_null,
     sample_null_batch,
     sample_planted,
     sample_planted_batch,
-    sample_reduced,
 )
 
 
@@ -26,10 +24,6 @@ def test_param_validation():
         ModelParams(n=1, d=2, m=1, sigma=-1.0)
     with pytest.raises(ValueError):
         ModelParams(n=1, d=2, m=1, sigma=math.inf)
-    with pytest.raises(ValueError):
-        ReducedParams(k=0, d=2, m=1, sigma=0.0)
-    with pytest.raises(ValueError):
-        sample_reduced(ReducedParams(k=1, d=2, m=1, sigma=0.0), "other", make_rng(0))
 
 
 def test_null_shapes_and_independence():
@@ -67,48 +61,6 @@ def test_planted_latent_reconstruction():
     inst = sample_planted(params, make_rng(25), keep_latent=True)
     rebuilt = planted_response(inst.X[inst.latent.perm], inst.latent.Q, inst.latent.Z, params.sigma)
     assert np.max(np.abs(rebuilt - inst.Y)) <= 1e-12
-
-
-def test_reduced_null_uncorrelated():
-    params = ReducedParams(k=1, d=1, m=1, sigma=0.0)
-    rng = make_rng(26)
-    vals = np.array(
-        [
-            (lambda i: float(i.X[0, 0] * i.Y[0, 0]))(sample_reduced(params, "null", rng))
-            for _ in range(100_000)
-        ]
-    )
-    m, se = mean_and_stderr(vals)
-    assert_within_nse(m, se, 0.0, label="reduced null correlation")
-
-
-def test_reduced_row_norms_noiseless_square():
-    params = ReducedParams(k=4, d=3, m=3, sigma=0.0)
-    inst = sample_reduced(params, "planted", make_rng(27))
-    rx = (inst.X**2).sum(axis=1)
-    ry = (inst.Y**2).sum(axis=1)
-    assert np.max(np.abs(rx - ry)) <= 1e-9 * rx.max()
-
-
-def test_reduced_k1_matches_planted_n1():
-    # a permutation on one row is the identity, so the laws coincide
-    reduced = ReducedParams(k=1, d=3, m=2, sigma=0.5)
-    full = ModelParams(n=1, d=3, m=2, sigma=0.5)
-    rng1, rng2 = make_rng(28), make_rng(29)
-    draws = 20_000
-    s1 = np.array(
-        [
-            (lambda i: float((i.X[0] ** 2).sum() * (i.Y[0] ** 2).sum()))(
-                sample_reduced(reduced, "planted", rng1)
-            )
-            for _ in range(draws)
-        ]
-    )
-    X, Y = sample_planted_batch(full, draws, rng2)
-    s2 = (X[:, 0] ** 2).sum(axis=1) * (Y[:, 0] ** 2).sum(axis=1)
-    m1, se1 = mean_and_stderr(s1)
-    m2, se2 = mean_and_stderr(s2)
-    assert abs(two_sample_z(m1, se1, m2, se2)) <= 3.0
 
 
 def test_planted_row_exchangeability():
