@@ -76,6 +76,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],
+    # k = 3: below-diagonal Bartlett entries and a three-row forward substitution
+    "chisq-case1-k3": CLI + [
+        "chisq", "--d", "20", "--m", "3", "--k", "3", "--sigma", "0",
+        "--mode", "both", "--samples", "20000", "--seed", "15", "--output", "chisq_case1_k3.csv"],
     "chisq-closed": CLI + [
         "chisq", "--d", "40", "--m", "1", "--k", "2", "--sigma", "0", "--seed", "1",
         "--output", "chisq_closed.csv"],

@@ -17,6 +17,16 @@ At z = -eps, with r_j = Phi_j / Phi*_j and r_0 = 1, log det(I + eps Q) is
 sum_{j<d} log1p(-alpha_j z r_j) with r_{j+1} = (z r_j - alpha_j) / (1 - alpha_j z r_j):
 O(d) per draw, and each factor is >= 1 - |eps| > 0, so it is stable as |eps| -> 1.
 
+The case-1 likelihood-ratio Monte Carlo forms no k x d design either: the
+null sees X only through A = X X^T ~ Wishart_k(d, I), and by Bartlett's
+decomposition (Bartlett 1933; Muirhead, "Aspects of Multivariate Statistical
+Theory", Thm 3.2.14) A = L L^T with L lower triangular, independent
+L_ii = sqrt(chi^2(d - i)) for i = 0..k-1 and L_ij ~ N(0, 1) below the
+diagonal: O(k^2) numbers per draw.  The likelihood ratio needs A only through
+log det A = 2 sum_i log L_ii and the eigenvalues of (A^{-1/2} Y)(A^{-1/2} Y)^T;
+since A^{-1/2} = O L^{-1} with O = A^{-1/2} L orthogonal, those are the
+eigenvalues of M M^T with M = L^{-1} Y, found by forward substitution.
+
 All normalizing constants and determinants are handled in log space: the
 raw constants overflow double precision once d reaches the low hundreds.
 """
@@ -160,20 +170,24 @@ def chisq_case2_closed(d: int, m: int, k: int) -> ChiSquareReport:
 # Monte Carlo: the case-1 likelihood ratio, and the Haar determinant integral at m = d
 
 
-def _reduced_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
+def _reduced_log_likelihood(L: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
     """log density ratio of the noiseless reduced planted law to the null.
 
-    A: (..., k, k) symmetric positive definite, Y: (..., k, m).  Batched;
-    -inf outside the support.  The normalizing constant is
-    omega(d-m, k)/omega(d, k) for k <= m and omega(d-k, m)/omega(d, m)
+    L: (..., k, k) lower-triangular Cholesky factor of the row Gram A = L L^T,
+    Y: (..., k, m).  Batched; -inf outside the support.  The normalizing
+    constant is omega(d-m, k)/omega(d, k) for k <= m and omega(d-k, m)/omega(d, m)
     otherwise (the orthogonal-block density swaps its constant roles when
     the block is taller than wide); everything else is shared.
     """
-    k = A.shape[-1]
+    k = L.shape[-1]
     m = Y.shape[-1]
-    w, v = np.linalg.eigh(A)
-    inv_sqrt = (v * (w[..., None, :] ** -0.5)) @ np.swapaxes(v, -2, -1)
-    M = inv_sqrt @ Y
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    M = np.empty(Y.shape)
+    for i in range(k):  # forward substitution: M = L^{-1} Y
+        row = Y[..., i, :]
+        for j in range(i):
+            row = row - L[..., i, j, None] * M[..., j, :]
+        M[..., i, :] = row / diag[..., i, None]
     gram = M @ np.swapaxes(M, -2, -1)
     eigs = np.linalg.eigvalsh(gram)
     inside = eigs[..., -1] <= 1.0 + ZETA_SLACK
@@ -189,7 +203,7 @@ def _reduced_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
         log_const
         + 0.5 * tr_yy
         + 0.5 * (d - k - m - 1) * logdet_gap
-        - 0.5 * m * np.log(w).sum(axis=-1)
+        - m * np.log(diag).sum(axis=-1)  # 0.5 m log det A
     )
     return np.where(inside, log_l, -np.inf)
 
@@ -212,30 +226,59 @@ def likelihood_ratio_case1(A: np.ndarray, Y: np.ndarray, d: int) -> float:
         raise ValueError("A must be symmetric")
     if np.linalg.eigvalsh(A)[0] <= 0:
         raise ValueError("A must be positive definite")
-    log_l = _reduced_log_likelihood(A[None], Y[None], d)[0]
+    log_l = _reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], d)[0]
     return float(np.exp(log_l))
+
+
+def _bartlett_factor(d: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, k, k) lower-triangular L with L L^T ~ Wishart_k(d, I) (module docstring).
+
+    Stream order: a (size, k) block of chi-square draws with d, d-1, ...,
+    d-k+1 degrees of freedom (the squared diagonal), then a (size, k(k-1)/2)
+    block of normals for the entries below it, row by row.
+    """
+    L = np.zeros((size, k, k))
+    idx = np.arange(k)
+    L[:, idx, idx] = np.sqrt(rng.chisquare(d - idx, size=(size, k)))
+    rows, cols = np.tril_indices(k, -1)
+    L[:, rows, cols] = rng.standard_normal((size, rows.size))
+    return L
 
 
 def _case1_lr_power(
     d: int, m: int, k: int, samples: int, rng: np.random.Generator, power: float
 ) -> np.ndarray:
-    """Draws of L^power under the null, L the case-1 likelihood ratio (0 off support)."""
+    """Draws of L^power under the null, L the case-1 likelihood ratio (0 off support).
+
+    Per chunk of at most ``_MC_CHUNK`` draws the stream gives the chunk's
+    Bartlett factors (its diagonal chi-squares, then its below-diagonal
+    normals; ``_bartlett_factor``), then its (b, k, m) block of Y.  The
+    power is taken per chunk, so no full-length log array is kept.
+    """
 
     def draw(b: int) -> np.ndarray:
-        X = rng.standard_normal((b, k, d))
+        L = _bartlett_factor(d, k, b, rng)
         Y = rng.standard_normal((b, k, m))
-        return _reduced_log_likelihood(X @ np.swapaxes(X, -2, -1), Y, d)
+        return np.exp(power * _reduced_log_likelihood(L, Y, d))  # exp(-inf) = 0 off support
 
-    log_l = draw_chunked(draw, samples, _MC_CHUNK)
-    return np.where(np.isneginf(log_l), 0.0, np.exp(power * log_l))
+    return draw_chunked(draw, samples, _MC_CHUNK)
 
 
 def chisq_case1_mc(
     d: int, m: int, k: int, samples: int, rng: np.random.Generator
 ) -> ChiSquareReport:
-    """Monte Carlo E[L^2] under the null, cross-checking the case-1 closed form."""
+    """Monte Carlo E[L^2] under the null, cross-checking the case-1 closed form.
+
+    Refuses, before any draw, the cells the closed form refuses
+    (d - m - 2k < k), where the second moment is not known to be finite; at
+    k = 1 it diverges for d < m + 2.
+    """
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if d - m - 2 * k < k:
+        raise UnsupportedRegimeError(
+            f"case1 needs d - m - 2k >= k, got d={d}, m={m}, k={k}"
+        )
     est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
     return ChiSquareReport(
         regime=REGIME_CASE1, value=est.value, method="monte_carlo",
@@ -246,7 +289,14 @@ def chisq_case1_mc(
 def likelihood_ratio_case1_mc_mean(
     d: int, m: int, k: int, samples: int, rng: np.random.Generator
 ) -> MomentEstimate:
-    """Monte Carlo E[L] under the null; a likelihood ratio integrates to one."""
+    """Monte Carlo E[L] under the null; a likelihood ratio integrates to one.
+
+    Refuses, before any draw, d - m < k, where the planted law has no density.
+    """
+    if d - m < k:
+        raise UnsupportedRegimeError(
+            f"case1 density needs d - m >= k, got d={d}, m={m}, k={k}"
+        )
     return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_within_nse
+from conftest import assert_within_nse, mean_and_stderr
 from scipy.stats import ks_2samp
 
 from shufflab import make_rng
 from shufflab.chisq import (
     _MC_CHUNK,
+    _bartlett_factor,
+    _case1_lr_power,
+    _reduced_log_likelihood,
     _verblunsky_log_det,
     REGIME_CASE1,
     REGIME_CASE2,
@@ -138,8 +141,6 @@ def test_case2_matches_sphere_overlap_quadrature():
 
 def test_case2_mc_dual_route():
     # E_Q[L^2] for the tall case (m < k) via the shared likelihood kernel
-    from shufflab.chisq import _reduced_log_likelihood
-
     d, m, k, samples = 30, 1, 2, 200_000
     rng = make_rng(71)
     vals = np.empty(samples)
@@ -149,7 +150,7 @@ def test_case2_mc_dual_route():
         X = rng.standard_normal((b, k, d))
         Y = rng.standard_normal((b, k, m))
         A = X @ np.swapaxes(X, -2, -1)
-        log_l = _reduced_log_likelihood(A, Y, d)
+        log_l = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d)
         vals[done : done + b] = np.where(np.isneginf(log_l), 0.0, np.exp(2.0 * log_l))
         done += b
     closed = chisq_case2_closed(d, m, k).value
@@ -185,6 +186,147 @@ def test_likelihood_ratio_validation():
         likelihood_ratio_case1(-np.eye(1), Y, d=50)
     with pytest.raises(ValueError):
         likelihood_ratio_case1(np.eye(2), Y.T, d=50)  # k > m
+
+
+def _eigh_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
+    """Reference: the likelihood kernel on A itself, through eigh(A) and A^{-1/2}.
+
+    This is the route _reduced_log_likelihood took before it worked on the
+    Cholesky factor of A.
+    """
+    k = A.shape[-1]
+    m = Y.shape[-1]
+    w, v = np.linalg.eigh(A)
+    inv_sqrt = (v * (w[..., None, :] ** -0.5)) @ np.swapaxes(v, -2, -1)
+    M = inv_sqrt @ Y
+    eigs = np.linalg.eigvalsh(M @ np.swapaxes(M, -2, -1))
+    inside = eigs[..., -1] <= 1.0 + 1e-12
+    with np.errstate(divide="ignore"):
+        logdet_gap = np.log1p(-np.clip(eigs, 0.0, 1.0)).sum(axis=-1)
+    if k <= m:
+        log_const = log_wishart_constant(d - m, k) - log_wishart_constant(d, k)
+    else:
+        log_const = log_wishart_constant(d - k, m) - log_wishart_constant(d, m)
+    log_l = (
+        log_const
+        + 0.5 * np.einsum("...ij,...ij->...", Y, Y)
+        + 0.5 * (d - k - m - 1) * logdet_gap
+        - 0.5 * m * np.log(w).sum(axis=-1)
+    )
+    return np.where(inside, log_l, -np.inf)
+
+
+def _xxt_draw(d: int, m: int, k: int, size: int, rng: np.random.Generator):
+    """Reference: (A, Y) from a full k x d Gaussian design, A = X X^T, as the
+    case-1 Monte Carlo drew them before Bartlett factors (X block, then Y block)."""
+    X = rng.standard_normal((size, k, d))
+    Y = rng.standard_normal((size, k, m))
+    return X @ np.swapaxes(X, -2, -1), Y
+
+
+def _xxt_lr_power(d, m, k, samples, rng, power):
+    def draw(b):
+        log_l = _eigh_log_likelihood(*_xxt_draw(d, m, k, b, rng), d)
+        return np.where(np.isneginf(log_l), 0.0, np.exp(power * log_l))
+
+    return draw_chunked(draw, samples, _MC_CHUNK)
+
+
+def test_xxt_reference_is_the_former_route():
+    # chisq_case1_mc(50, 2, 2, 5000, make_rng(97)) before Bartlett factors
+    est = MomentEstimate.from_values(_xxt_lr_power(50, 2, 2, 5000, make_rng(97), 2.0))
+    assert (est.value, est.stderr) == (1.111036811110822, 0.014138082943907636)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
+def test_cholesky_kernel_matches_eigh_route(k, m):
+    rng = make_rng(98, 10 * k + m)
+    d, n = 12 + 3 * k + m, 400
+    G = rng.standard_normal((n, k, k))
+    A = G @ np.swapaxes(G, -2, -1) + 4.0 * np.eye(k)
+    Y = 1.2 / math.sqrt(m) * rng.standard_normal((n, k, m))
+    want = _eigh_log_likelihood(A, Y, d)
+    got = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d)
+    assert 0 < np.isneginf(want).sum() < n  # both sides of the support are hit
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    # 1e-12 relative, absolute near log L = 0; log(1 - eig) near the support edge amplifies rounding
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_cholesky_kernel_outside_support_is_zero():
+    A = np.array([[4.0, 1.0], [1.0, 2.0]])
+    Y = np.array([[3.0, 0.0], [0.0, 0.1]])  # (A^{-1/2} Y)(A^{-1/2} Y)^T has eigenvalue > 1
+    assert _eigh_log_likelihood(A, Y, 20) == -np.inf
+    assert likelihood_ratio_case1(A, Y, d=20) == 0.0
+
+
+@pytest.mark.parametrize("d, k, m", [(50, 1, 2), (50, 2, 2), (10, 3, 3)])
+def test_bartlett_law_matches_xxt_route(d, k, m):
+    # two-sample KS of log det A and of log L (ties at -inf off the support)
+    n = 3000
+    rng = make_rng(99, 100 * d + k)
+    L = _bartlett_factor(d, k, n, rng)
+    Y = rng.standard_normal((n, k, m))
+    fast_logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    fast_log_l = _reduced_log_likelihood(L, Y, d)
+    A, Y = _xxt_draw(d, m, k, n, make_rng(100, 100 * d + k))
+    slow_logdet = np.linalg.slogdet(A)[1]
+    slow_log_l = _eigh_log_likelihood(A, Y, d)
+    assert ks_2samp(fast_logdet, slow_logdet).pvalue >= 1e-3
+    assert ks_2samp(fast_log_l, slow_log_l).pvalue >= 1e-3
+
+
+def test_bartlett_factor_wishart_moments():
+    # A = L L^T ~ Wishart_k(d, I): E[A] = d I, and E[A_ij^2] = d off the diagonal
+    d, k, n = 10, 3, 20_000
+    L = _bartlett_factor(d, k, n, make_rng(101))
+    assert np.array_equal(L, np.tril(L)) and (np.diagonal(L, axis1=1, axis2=2) > 0).all()
+    A = L @ np.swapaxes(L, -2, -1)
+    for i in range(k):
+        for j in range(k):
+            mean, se = mean_and_stderr(A[:, i, j])
+            assert_within_nse(mean, se, d if i == j else 0.0, n=4.0, label=f"E[A_{i}{j}]")
+            if i != j:
+                mean, se = mean_and_stderr(A[:, i, j] ** 2)
+                assert_within_nse(mean, se, d, n=4.0, label=f"E[A_{i}{j}^2]")
+
+
+def test_case1_mc_stream_spans_two_chunks():
+    # per chunk: the (b, k) diagonal chi-squares, the (b, 1) below-diagonal
+    # normals, then the (b, k, m) block of Y
+    d, m, k, samples = 20, 3, 2, _MC_CHUNK + 3
+    rng = make_rng(102)
+    parts = []
+    for b in (_MC_CHUNK, 3):
+        L = np.zeros((b, k, k))
+        chi2 = rng.chisquare([d, d - 1], size=(b, k))
+        L[:, 0, 0], L[:, 1, 1] = np.sqrt(chi2[:, 0]), np.sqrt(chi2[:, 1])
+        L[:, 1, 0] = rng.standard_normal((b, 1))[:, 0]
+        Y = rng.standard_normal((b, k, m))
+        parts.append(np.exp(2.0 * _reduced_log_likelihood(L, Y, d)))
+    want = np.concatenate(parts)
+    got = _case1_lr_power(d, m, k, samples, make_rng(102), 2.0)
+    assert np.array_equal(got, want)
+    report = chisq_case1_mc(d, m, k, samples, make_rng(102))
+    assert report.value == MomentEstimate.from_values(want).value
+
+
+@pytest.mark.parametrize(
+    "estimator, d, m, k",
+    [
+        (chisq_case1_mc, 2, 2, 1),  # no density: d - m < k
+        (chisq_case1_mc, 3, 2, 1),  # E[L^2] diverges at k = 1, d < m + 2
+        (chisq_case1_mc, 7, 2, 2),  # d - m - 2k < k, outside the closed form
+        (likelihood_ratio_case1_mc_mean, 2, 2, 1),
+        (likelihood_ratio_case1_mc_mean, 3, 2, 2),
+    ],
+)
+def test_case1_mc_rejects_out_of_domain_before_any_draw(estimator, d, m, k):
+    rng = make_rng(103)
+    before = rng.bit_generator.state
+    with pytest.raises(UnsupportedRegimeError):
+        estimator(d, m, k, 100, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_likelihood_ratio_integrates_to_one():
@@ -272,10 +414,13 @@ def test_mc_estimators_at_one_and_zero_samples(name):
         (40, 1, 2, 0.0, "mc", UnsupportedRegimeError),
         (5, 5, 2, 1.5, "mc", (REGIME_M_EQ_D, "monte_carlo")),
         (16, 8, 1, 1.0, "mc", UnsupportedRegimeError),
+        (3, 2, 1, 0.0, "mc", UnsupportedRegimeError),
+        (2, 2, 1, 0.0, "mc", UnsupportedRegimeError),
     ],
     ids=[
         "closed-sigma0-case1", "closed-sigma0-case2", "closed-noisy",
         "mc-sigma0-case1", "mc-sigma0-k-gt-m", "mc-m-eq-d", "mc-noisy-m-lt-d",
+        "mc-sigma0-case1-l2-diverges", "mc-sigma0-case1-no-density",
     ],
 )
 def test_evaluate_regime_table(d, m, k, sigma, method, expected):
