@@ -42,7 +42,6 @@ from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .randmat import haar_verblunsky_batch
 
 ZETA_SLACK = 1e-12
-SYMMETRY_TOL = 1e-10
 HEAVY_TAIL_SIGMA = 1.0
 
 REGIME_CASE1 = "case1_sigma0"
@@ -206,28 +205,6 @@ def _reduced_log_likelihood(L: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
         - m * np.log(diag).sum(axis=-1)  # 0.5 m log det A
     )
     return np.where(inside, log_l, -np.inf)
-
-
-def likelihood_ratio_case1(A: np.ndarray, Y: np.ndarray, d: int) -> float:
-    """Density ratio of the k-row planted law to the null at (A = X X^T, Y).
-
-    Zero whenever some eigenvalue of (A^{-1/2} Y)(A^{-1/2} Y)^T exceeds 1.
-    """
-    A = np.asarray(A, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    k = A.shape[0]
-    if Y.shape[0] != k:
-        raise ValueError(f"Y row count {Y.shape[0]} does not match A size {k}")
-    if k > Y.shape[1]:
-        raise ValueError(f"need k <= m, got k={k}, m={Y.shape[1]}")
-    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
-        raise ValueError("A must be symmetric")
-    if np.linalg.eigvalsh(A)[0] <= 0:
-        raise ValueError("A must be positive definite")
-    log_l = _reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], d)[0]
-    return float(np.exp(log_l))
 
 
 def _bartlett_factor(d: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -61,13 +61,15 @@ PATTERN_COLUMNS = "pattern_id,degree,mean,stderr,squared_contribution"
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format_float(value)
     if value is None:
         return ""
     return str(value)
+
+
+def _row(*values: object) -> str:
+    return ",".join(map(_fmt, values))
 
 
 def _resolve_output(path: str) -> str:
@@ -111,101 +113,6 @@ def _check_m_le_d(grids: dict[str, list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row builders shared by the flag interface and the sweep driver
-
-
-def detect_rows(
-    grids: dict[str, list], trials: int, threshold: float | None, master_seed: int
-) -> list[str]:
-    _check_m_le_d(grids)
-    rows = [DETECT_COLUMNS]
-    for cell, combo in _iter_grid(grids):
-        params = ModelParams(**combo)
-        base = cell * STREAM_STRIDE
-        rates = run_test(params, threshold, trials, make_rng(master_seed, base))
-        sep = separation_report(params, trials, make_rng(master_seed, base + 1))
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    params.n, params.d, params.m, params.sigma, trials,
-                    rates.threshold, rates.type1, rates.type2,
-                    sep.mean_null, sep.mean_planted, sep.var_null, sep.var_planted,
-                    sep.separation_ratio, master_seed,
-                )
-            )
-        )
-    return rows
-
-
-def advantage_rows(
-    grids: dict[str, list],
-    samples: int,
-    master_seed: int,
-    pattern_cap: int,
-    per_pattern: bool = False,
-) -> tuple[list[str], list[str]]:
-    _check_m_le_d(grids)
-    rows = [ADVANTAGE_COLUMNS]
-    pattern_rows = [PATTERN_COLUMNS]
-    for cell, combo in _iter_grid(grids):
-        D = combo.pop("D")
-        params = ModelParams(**combo)
-        rng = make_rng(master_seed, cell * STREAM_STRIDE)
-        est, breakdown = advantage_sq_with_patterns(
-            params, D, samples, rng, pattern_cap=pattern_cap
-        )
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    params.n, params.d, params.m, params.sigma, D,
-                    est.value_sq, est.stderr, est.pattern_count,
-                )
-            )
-        )
-        if per_pattern:
-            columns = zip(
-                breakdown.degree.tolist(), breakdown.mean.tolist(),
-                breakdown.stderr.tolist(), breakdown.squared_contribution.tolist(),
-            )
-            for pattern_id, values in enumerate(columns):
-                pattern_rows.append(",".join(_fmt(v) for v in (pattern_id, *values)))
-    return rows, pattern_rows
-
-
-def _report_row(report: ChiSquareReport, delta: float | None) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            report.regime, report.d, report.m, report.k, report.sigma,
-            report.method, report.value, report.stderr, report.samples,
-            report.warning, delta,
-        )
-    )
-
-
-def chisq_rows(
-    grids: dict[str, list], mode: str, samples: int, master_seed: int
-) -> list[str]:
-    _check_m_le_d(grids)
-    rows = [CHISQ_COLUMNS]
-    for cell, combo in _iter_grid(grids):
-        rng = make_rng(master_seed, cell * STREAM_STRIDE)
-        closed = mc = None
-        if mode in ("closed", "both"):
-            closed = evaluate(**combo, method="closed")
-        if mode in ("mc", "both"):
-            mc = evaluate(**combo, method="mc", samples=samples, rng=rng)
-        if closed is not None:
-            rows.append(_report_row(closed, None))
-        if mc is not None:
-            delta = abs(mc.value - closed.value) if closed is not None else None
-            rows.append(_report_row(mc, delta))
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # subcommands: ``args`` holds the options, converted and defaulted as the
 # command table says, and ``args.grids`` the grid options in declared order
 
@@ -246,24 +153,74 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    rows = detect_rows(args.grids, args.trials, args.threshold, args.master_seed)
+    _check_m_le_d(args.grids)
+    rows = [DETECT_COLUMNS]
+    for cell, combo in _iter_grid(args.grids):
+        params = ModelParams(**combo)
+        base = cell * STREAM_STRIDE
+        rates = run_test(params, args.threshold, args.trials, make_rng(args.master_seed, base))
+        sep = separation_report(params, args.trials, make_rng(args.master_seed, base + 1))
+        rows.append(_row(
+            params.n, params.d, params.m, params.sigma, args.trials,
+            rates.threshold, rates.type1, rates.type2,
+            sep.mean_null, sep.mean_planted, sep.var_null, sep.var_planted,
+            sep.separation_ratio, args.master_seed,
+        ))
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
 
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
-    per_pattern = args.per_pattern_output is not None
-    rows, pattern_rows = advantage_rows(
-        args.grids, args.samples, args.master_seed, args.pattern_cap, per_pattern=per_pattern
-    )
+    _check_m_le_d(args.grids)
+    rows = [ADVANTAGE_COLUMNS]
+    pattern_rows = [PATTERN_COLUMNS]
+    for cell, combo in _iter_grid(args.grids):
+        D = combo.pop("D")
+        params = ModelParams(**combo)
+        rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
+        est, breakdown = advantage_sq_with_patterns(
+            params, D, args.samples, rng, pattern_cap=args.pattern_cap
+        )
+        rows.append(_row(
+            params.n, params.d, params.m, params.sigma, D,
+            est.value_sq, est.stderr, est.pattern_count,
+        ))
+        if args.per_pattern_output is not None:
+            columns = zip(
+                breakdown.degree.tolist(), breakdown.mean.tolist(),
+                breakdown.stderr.tolist(), breakdown.squared_contribution.tolist(),
+            )
+            for pattern_id, values in enumerate(columns):
+                pattern_rows.append(_row(pattern_id, *values))
     _write_lines(_resolve_output(args.output), rows)
-    if per_pattern:
+    if args.per_pattern_output is not None:
         _write_lines(_resolve_output(args.per_pattern_output), pattern_rows)
     return EXIT_OK
 
 
+def _report_row(report: ChiSquareReport, delta: float | None) -> str:
+    return _row(
+        report.regime, report.d, report.m, report.k, report.sigma,
+        report.method, report.value, report.stderr, report.samples,
+        report.warning, delta,
+    )
+
+
 def _cmd_chisq(args: argparse.Namespace) -> int:
-    rows = chisq_rows(args.grids, args.mode, args.samples, args.master_seed)
+    _check_m_le_d(args.grids)
+    rows = [CHISQ_COLUMNS]
+    for cell, combo in _iter_grid(args.grids):
+        rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
+        closed = mc = None
+        if args.mode in ("closed", "both"):
+            closed = evaluate(**combo, method="closed")
+        if args.mode in ("mc", "both"):
+            mc = evaluate(**combo, method="mc", samples=args.samples, rng=rng)
+        if closed is not None:
+            rows.append(_report_row(closed, None))
+        if mc is not None:
+            delta = abs(mc.value - closed.value) if closed is not None else None
+            rows.append(_report_row(mc, delta))
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
 

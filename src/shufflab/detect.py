@@ -17,26 +17,25 @@ exactly 0, and the cutoff is a small positive floor (see
 ``default_threshold``).
 
 The law of T, and how it is drawn.  f sees an instance only through
-(||X||^2, ||Y||^2), and it does not see P or Q.  The joint law of that pair
-is exact in four scalar draws per trial, whatever n, d, m, P and Q are.
+(||X||^2, ||Y||^2), and it does not see P or Q, so T has an exact law in
+three chi-square draws per trial, whatever n, d, m, P and Q are.
 
-- Null: ||Y||^2 ~ chi^2(nm) and ||X||^2 ~ chi^2(nd), independent.
+- Null: T = U - V with U = ||Y||^2 ~ chi^2(nm) and V = ||X||^2 ~ chi^2(nd),
+  independent.
 - Planted: complete Q to an orthogonal [Q Q_perp].  XQ and XQ_perp are
-  independent Gaussian matrices, so ||X||^2 = A + B with A = ||XQ||^2 ~
-  chi^2(nm) and B ~ chi^2(n(d - m)), independent, and ||PXQ||^2 = A.  Given
-  X, rotate R^{nm} so that PXQ lies along e_1; the noise Z keeps its law, so
-  (1 + sigma^2) ||Y||^2 = (sqrt(A) + sigma N)^2 + sigma^2 C with N ~ N(0, 1)
-  and C ~ chi^2(nm - 1), independent of A and B.  Hence
+  independent Gaussian matrices, ||PXQ||^2 = ||XQ||^2 and ||X||^2 = ||XQ||^2
+  + B with B ~ chi^2(n(d - m)).  Each of the nm entries g of XQ, with its
+  noise z, adds (g + sigma z)^2 / (1 + sigma^2) - g^2 to T: a quadratic form
+  in (g, z) with trace 0 and determinant -s, so eigenvalues +-sqrt(s).  Hence
 
-      T = (2 sigma sqrt(A) N + sigma^2 (N^2 + C - A)) / (1 + sigma^2) - B.
+      T = sqrt(s) (U1 - U2) - B,  U1, U2 ~ chi^2(nm), all independent.
 
-T is computed in that form: it never subtracts two numbers of size nd, and
-at sigma = 0, m = d it is exactly 0.  Per trial the planted route draws
-A, B, N, C in that order (B only when d > m, C only when nm > 1, since a
-chi-square needs df > 0) and the null route draws ||Y||^2 then ||X||^2; the
-order does not depend on sigma, so runs that differ only in sigma share
-their random numbers.  The full-instance route, f on sampled (X, Y), is the
-reference ``oracles.sample_f_instances``.
+At sigma = 0 and m = d, T is exactly 0.  Per trial the planted route draws
+U1, U2, then B (only when d > m, since a chi-square needs df > 0), and the
+null route draws ||Y||^2 then ||X||^2; the order does not depend on sigma,
+so runs that differ only in sigma share their random numbers.  The
+full-instance route, f on sampled (X, Y), is the reference
+``oracles.sample_f_instances``.
 
 The law is exact for every m <= d.  For m < d the statistic is still
 computable, but the mean formulas and the test calibration only apply at
@@ -55,7 +54,7 @@ import numpy as np
 from .common import draw_chunked
 from .model import ModelParams
 
-# four float64 draws per trial: a chunk holds about 2 MB of them
+# three float64 draws per trial: a chunk holds about 1.5 MB of them
 _TRIAL_CHUNK = 1 << 16
 
 
@@ -93,12 +92,10 @@ def _norm_gap(
     nm = n * m
     if hypothesis == "null":
         return rng.chisquare(nm, size) - rng.chisquare(n * d, size)
-    A = rng.chisquare(nm, size)
+    U1 = rng.chisquare(nm, size)
+    U2 = rng.chisquare(nm, size)
     B = rng.chisquare(n * (d - m), size) if d > m else 0.0
-    N = rng.standard_normal(size)
-    C = rng.chisquare(nm - 1, size) if nm > 1 else 0.0
-    s2 = sigma * sigma
-    return (2.0 * sigma * np.sqrt(A) * N + s2 * (N * N + C - A)) / (1.0 + s2) - B
+    return sigma / math.hypot(1.0, sigma) * (U1 - U2) - B  # sqrt(s) (U1 - U2) - B
 
 
 def _sample_f(

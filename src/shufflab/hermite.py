@@ -9,10 +9,11 @@ recurrence
 is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
 factorials overflow past degree ~85.  Multi-index products over matrix
 entries form the basis functions phi used by the advantage estimators.  A
-list of them is stacked once into a ``PatternStack`` of degree arrays, and
-``phi_block`` evaluates a stack with one table gather and one multiply per
-matrix entry (slot) and sample block, whatever the number of patterns.  The
-closed-form joint coefficients for a single response column live here too.
+set of them is a ``PatternStack``: its stacked degree arrays are the only
+form a pattern takes, and ``phi_block`` evaluates a stack with one table
+gather and one multiply per matrix entry (slot) and sample block, whatever
+the number of patterns.  The closed-form joint coefficients for a single
+response column live here too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .model import planted_response
 
 EXACT_FACTORIAL_LIMIT = 20
 UNIT_NORM_TOL = 1e-10
-PHI_BLOCK_BYTES = 1 << 19  # phi_batch's per-block product; larger blocks fall out of cache
+PHI_BLOCK_BYTES = 1 << 19  # phi_block's per-block product; larger blocks fall out of cache
 
 
 # ---------------------------------------------------------------------------
@@ -90,42 +91,11 @@ def multiindex_enumerate(dimension: int, max_weight: int) -> list[tuple[int, ...
 # basis functions phi over (X, Y) pairs
 
 
-@dataclass(frozen=True)
-class PatternPair:
-    """Row-indexed multi-index family (A, B) selecting one basis function.
+class PatternStack:
+    """K patterns of one shape, stacked: A is (K, n, d) X-side degrees, B (K, n, m) Y-side.
 
-    A is an (n, d) array of X-side degrees, B an (n, m) array of Y-side
-    degrees; the basis function is the product of one normalized Hermite
-    factor per matrix entry.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=int)
-        B = np.asarray(self.B, dtype=int)
-        if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
-            raise ValueError("A and B must be 2-d with matching row counts")
-        if (A < 0).any() or (B < 0).any():
-            raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def degree(self) -> int:
-        return int(self.A.sum() + self.B.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return self.degree == 0
-
-
-class PatternStack(Sequence[PatternPair]):
-    """K patterns of one shape, stacked: A is (K, n, d) and B is (K, n, m).
-
-    Built by ``pattern_pairs``, or by ``phi_batch`` from a list of
-    ``PatternPair``s; indexing or iterating gives ``PatternPair`` rows.
+    Pattern k is the basis function with one normalized Hermite factor per
+    matrix entry, of degree A[k] on X's entries and B[k] on Y's.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray) -> None:
@@ -136,9 +106,6 @@ class PatternStack(Sequence[PatternPair]):
 
     def __len__(self) -> int:
         return len(self.A)
-
-    def __getitem__(self, index: int) -> PatternPair:
-        return PatternPair(A=self.A[index], B=self.B[index])
 
 
 @functools.lru_cache(maxsize=8)
@@ -184,19 +151,14 @@ def phi_block(patterns: PatternStack, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_batch(
-    patterns: Sequence[PatternPair], X: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """Evaluate many basis functions on a stack of instances.
+def phi_batch(patterns: PatternStack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Evaluate a stack of basis functions on a stack of instances.
 
     X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
-    array, one column per pattern in the order given; pass a ``PatternStack``
-    to evaluate one pattern list many times.  This is ``phi_block`` on the
-    whole ``slot_table`` of (X, Y); a caller that evaluates many sample
+    array, one column per pattern in stack order.  This is ``phi_block`` on
+    the whole ``slot_table`` of (X, Y); a caller that evaluates many sample
     ranges of one draw builds the table once and passes ``phi_block`` slices.
     """
-    if not isinstance(patterns, PatternStack):  # np.stack rejects mixed shapes
-        patterns = PatternStack(np.stack([p.A for p in patterns]), np.stack([p.B for p in patterns]))
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
@@ -284,16 +246,18 @@ def lambda_mc_pairs(
         raise ValueError(f"samples must be >= 1, got {samples}")
     Q = np.asarray(Q, dtype=float)
     d, m = Q.shape
-    patterns = [PatternPair(A=[alpha], B=[beta]) for alpha, beta in pairs]
-    if any(p.A.shape[1] != d or p.B.shape[1] != m for p in patterns):
+    A = np.array([alpha for alpha, _ in pairs], dtype=int)
+    B = np.array([beta for _, beta in pairs], dtype=int)
+    if A.shape != (len(pairs), d) or B.shape != (len(pairs), m):
         raise ValueError(f"pair dims do not match Q shape {(d, m)}")
+    patterns = PatternStack(A[:, None, :], B[:, None, :])
     U = rng.standard_normal((samples, d))
     V = rng.standard_normal((samples, m))
     W = planted_response(U, Q, V, sigma)
     vals = phi_batch(patterns, U[:, None, :], W[:, None, :])
     return [
         MomentEstimate(value=1.0, stderr=0.0, samples=0)
-        if p.is_empty
+        if degree == 0
         else MomentEstimate.from_values(vals[:, j])
-        for j, p in enumerate(patterns)
+        for j, degree in enumerate(patterns.degrees)
     ]

@@ -2,7 +2,8 @@
 
 Under the null, X (n x d) and Y (n x m) are independent Gaussian matrices.
 Under the planted law, Y = (P X Q + sigma * Z) / sqrt(1 + sigma^2) with P a
-uniform row permutation, Q Haar on the d x m Stiefel manifold, and Z
+uniform row permutation, Q Haar on the d x m Stiefel manifold (the
+sign-fixed QR of a d x m Gaussian, ``randmat.qr_sign_fixed``), and Z
 Gaussian noise, all independent.  The permutation is applied by an index
 gather; the n x n matrix is never materialized.  The batch samplers draw
 stacks of independent instances; ``sample_null`` and ``sample_planted``

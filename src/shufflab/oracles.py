@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import chisq as chisq_mod
-from .chisq import SYMMETRY_TOL, ZETA_SLACK, log_wishart_constant
+from .chisq import ZETA_SLACK, log_wishart_constant
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .hermite import (
     expand_inner_product, hermite_table, multiindex_enumerate, pattern_pairs, phi_batch,
@@ -44,6 +44,7 @@ FAMILY_P3 = 0.0027  # two-sided 3-sigma exceedance rate
 FAMILY_RATE_CAP = 0.005
 Z_HARD_CAP = 6.0
 PSD_REL_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def sample_f_instances(
     """f on ``trials`` full instances from the model's batch samplers.
 
     The reference route for ``detect._sample_f``, which draws f from its
-    exact four-number law instead of building X and Y.
+    exact law in three chi-squares instead of building X and Y.
     """
     sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
     return draw_chunked(
@@ -401,17 +402,10 @@ def check_det_integral(seed: int = 0, draws: int = 100_000) -> CheckResult:
     )
 
 
-def orthonormality_gram(
-    seed: int,
-    n: int = 2,
-    d: int = 2,
-    m: int = 2,
-    max_degree: int = 4,
-    samples: int = 1_000_000,
-    chunk: int = 20_000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo Gram matrix of the basis under the null, with stderrs."""
-    patterns = pattern_pairs(n, d, m, max_degree)
+def orthonormality_gram(seed: int, samples: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo null Gram matrix, with stderrs, of the degree <= 4 basis at n=2, d=m=2."""
+    n, d, m, chunk = 2, 2, 2, 20_000
+    patterns = pattern_pairs(n, d, m, 4)
     K = len(patterns)
     rng = make_rng(seed, 0)
     G = np.zeros((K, K))

@@ -4,10 +4,13 @@ The matrix samplers draw a stack of ``size`` independent draws in one call;
 a single draw is the size-1 stack.  Gaussian matrices need no sampler of
 their own: they are ``rng.standard_normal(shape)``.  All samplers are pure
 functions of their arguments and the supplied generator: a fixed stream
-reproduces bit-identical output on the same build.  The Haar sampler uses
-QR of a square Gaussian with the R-diagonal signs normalized to positive,
-which corrects the raw QR factorization to the exact Haar law; where only its
-spectrum matters, ``haar_verblunsky_batch`` draws O(d) numbers in place of a QR.
+reproduces bit-identical output on the same build.  ``qr_sign_fixed`` of a
+Gaussian stack, QR with the R-diagonal signs normalized to positive, gives
+the exact Haar law: on O(d) for square (d, d) matrices
+(``haar_orthogonal_batch``), and on the Stiefel manifold for (d, m) ones,
+which is how ``model.sample_planted_batches`` draws Q.  Where only the
+spectrum of a Haar draw matters, ``haar_verblunsky_batch`` draws O(d) numbers
+in place of a QR.
 """
 
 from __future__ import annotations
@@ -53,17 +56,6 @@ def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
     half = (d - 1 - np.arange(d - 1)) / 2.0
     betas = 2.0 * rng.beta(half, half, size=(size, d - 1)) - 1.0
     return np.column_stack([betas, 2.0 * rng.integers(0, 2, size) - 1.0])
-
-
-def stiefel_batch(d: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size x d x m stack of matrices with orthonormal columns, Haar on the Stiefel manifold.
-
-    Each equals in law the first m columns of a Haar orthogonal draw.
-    """
-    _require_positive(d=d, m=m, size=size)
-    if m > d:
-        raise ValueError(f"need m <= d, got m={m} > d={d}")
-    return qr_sign_fixed(rng.standard_normal((size, d, m)))
 
 
 def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

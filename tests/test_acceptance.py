@@ -7,9 +7,9 @@ counts (1 and 2), the seeds were chosen from a documented scan so that an
 unbiased estimator lands inside the stated window.  That scan was made on
 the full-instance route, f on sampled (X, Y), so these two criteria call
 it (``oracles.sample_f_instances``) and keep its stream.  On the detector's
-own sampler, which draws f from its exact four-number law, they would pass
-or fail by chance; ``tests/test_detect.py`` checks that sampler with
-z-gates and a two-sample KS test against this route instead.
+own sampler, which draws f from its exact law in three chi-squares, they
+would pass or fail by chance; ``tests/test_detect.py`` checks that sampler
+with z-gates and a two-sample KS test against this route instead.
 
 Criterion 3 (result (3) of the paper: at m = d and sigma = o(1) a
 constant-degree polynomial strongly distinguishes the laws) is checked on

@@ -22,7 +22,6 @@ from shufflab.chisq import (
     chisq_m_eq_d_mc,
     det_integral_mc,
     evaluate,
-    likelihood_ratio_case1,
     likelihood_ratio_case1_mc_mean,
     log_wishart_constant,
     wishart_ratio_exact,
@@ -175,17 +174,7 @@ def test_case_overlap_at_k_eq_m():
 def test_likelihood_ratio_outside_support_is_zero():
     A = np.eye(1)
     Y = np.array([[2.0, 0.0]])  # Y^T A^{-1} Y has eigenvalue 4 > 1
-    assert likelihood_ratio_case1(A, Y, d=50) == 0.0
-
-
-def test_likelihood_ratio_validation():
-    Y = np.array([[0.1, 0.2]])
-    with pytest.raises(ValueError):
-        likelihood_ratio_case1(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)), d=50)
-    with pytest.raises(ValueError):
-        likelihood_ratio_case1(-np.eye(1), Y, d=50)
-    with pytest.raises(ValueError):
-        likelihood_ratio_case1(np.eye(2), Y.T, d=50)  # k > m
+    assert np.exp(_reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], 50)[0]) == 0.0
 
 
 def _eigh_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
@@ -257,7 +246,7 @@ def test_cholesky_kernel_outside_support_is_zero():
     A = np.array([[4.0, 1.0], [1.0, 2.0]])
     Y = np.array([[3.0, 0.0], [0.0, 0.1]])  # (A^{-1/2} Y)(A^{-1/2} Y)^T has eigenvalue > 1
     assert _eigh_log_likelihood(A, Y, 20) == -np.inf
-    assert likelihood_ratio_case1(A, Y, d=20) == 0.0
+    assert np.exp(_reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], 20)[0]) == 0.0
 
 
 @pytest.mark.parametrize("d, k, m", [(50, 1, 2), (50, 2, 2), (10, 3, 3)])
@@ -351,6 +340,18 @@ def test_case1_mc_stderr_shrinks_like_sqrt_samples():
     large = chisq_case1_mc(50, 2, 1, 100_000, make_rng(64))
     ratio = small.stderr / large.stderr
     assert 5.0 <= ratio <= 20.0  # ideal sqrt(100) = 10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="case-1 MC stderr under-covers near the domain edge and no row says so "
+    "(CHANGES.md FOUND entry on chisq_case1_mc; ROADMAP item 8, Monte Carlo health "
+    "diagnostics)",
+)
+def test_case1_mc_flags_heavy_tail_near_domain_edge():
+    # 1.57 +- 0.048 against the closed form 2.0 (z = -8.8): the L^2 draws are heavy-tailed
+    report = chisq_case1_mc(6, 2, 1, 20_000, make_rng(0))
+    assert report.warning
 
 
 def test_m_eq_d_mc_limits_and_validation():

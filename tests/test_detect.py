@@ -182,9 +182,9 @@ def test_trial_count_validation():
         separation_report(PARAMS, 1, make_rng(118))
 
 
-# --- the exact four-number law against the full-instance route
+# --- the exact three-chi-square law against the full-instance route
 
-# (3, 4, 1, 0) has B > 0 at sigma = 0; (1, 1, 1, 2) draws neither B nor C
+# (3, 4, 1, 0) has B > 0 at sigma = 0; (1, 1, 1, 2) draws no B
 KS_CASES = [(256, 16, 16, 0.05), (256, 16, 16, 1.0), (8, 5, 2, 0.7), (3, 4, 1, 0.0),
             (1, 1, 1, 2.0)]
 
@@ -192,7 +192,7 @@ KS_CASES = [(256, 16, 16, 0.05), (256, 16, 16, 1.0), (8, 5, 2, 0.7), (3, 4, 1, 0
 @pytest.mark.parametrize("hypothesis", ("null", "planted"))
 @pytest.mark.parametrize("case", KS_CASES, ids=lambda c: "n{}-d{}-m{}-s{}".format(*c))
 def test_exact_law_matches_instance_oracle(case, hypothesis):
-    # two-sample KS of f drawn from (A, B, N, C) against f on sampled (X, Y)
+    # two-sample KS of f drawn from (U1, U2, B) against f on sampled (X, Y)
     params = ModelParams(*case)
     stream = 2 * KS_CASES.index(case) + (hypothesis == "planted")
     exact = _sample_f(params, hypothesis, 3000, make_rng(120, stream))
@@ -236,20 +236,18 @@ def test_exact_law_zero_at_sigma0_square():
 
 
 def test_planted_draws_do_not_depend_on_sigma():
-    # every sigma reads the same A, B, N, C off the stream, in that order
+    # every sigma reads the same U1, U2, B off the stream, in that order
     n, d, m, trials = 8, 5, 2, 1000
     ref = make_rng(125)
-    A = ref.chisquare(n * m, trials)
+    U1 = ref.chisquare(n * m, trials)
+    U2 = ref.chisquare(n * m, trials)
     B = ref.chisquare(n * (d - m), trials)
-    N = ref.standard_normal(trials)
-    C = ref.chisquare(n * m - 1, trials)
     for sigma in (0.0, 0.05, 1.0, 20.0):
         rng = make_rng(125)
         f = _sample_f(ModelParams(n, d, m, sigma), "planted", trials, rng)
         assert rng.bit_generator.state == ref.bit_generator.state
-        # the norms themselves, differenced the naive way
-        y2 = ((np.sqrt(A) + sigma * N) ** 2 + sigma**2 * C) / (1 + sigma**2)
-        np.testing.assert_allclose(np.sqrt(f), np.abs(y2 - (A + B)), rtol=1e-9,
+        s = sigma**2 / (1 + sigma**2)
+        np.testing.assert_allclose(np.sqrt(f), np.abs(math.sqrt(s) * (U1 - U2) - B), rtol=1e-9,
                                    atol=1e-9 * n * d)
 
 

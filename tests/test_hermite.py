@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from shufflab import make_rng
 from shufflab.hermite import (
-    PatternPair,
     PatternStack,
     expand_inner_product,
     hermite_table,
@@ -54,12 +53,17 @@ def test_high_degree_stays_finite():
         assert math.isfinite(hermite_table(z, 200)[200])
 
 
+def _stack(A, B) -> PatternStack:
+    """One pattern with (n, d) X-degrees A and (n, m) Y-degrees B, as a stack of one."""
+    return PatternStack(np.array(A, dtype=int)[None], np.array(B, dtype=int)[None])
+
+
 def test_hermite_multi_basics():
-    pat = PatternPair(A=[(0, 0, 0)], B=[[0]])
-    assert phi_batch([pat], [[[1.0, -2.0, 0.5]]], [[[0.0]]])[0, 0] == 1.0
-    assert phi_batch([PatternPair(A=[(1, 0)], B=[[0]])], [[[3.0, 5.0]]], [[[0.0]]])[0, 0] == 3.0
+    pat = _stack([(0, 0, 0)], [[0]])
+    assert phi_batch(pat, [[[1.0, -2.0, 0.5]]], [[[0.0]]])[0, 0] == 1.0
+    assert phi_batch(_stack([(1, 0)], [[0]]), [[[3.0, 5.0]]], [[[0.0]]])[0, 0] == 3.0
     with pytest.raises(ValueError):
-        phi_batch([PatternPair(A=[(1, 0)], B=[[0]])], [[[3.0, 5.0, 7.0]]], [[[0.0]]])
+        phi_batch(_stack([(1, 0)], [[0]]), [[[3.0, 5.0, 7.0]]], [[[0.0]]])
 
 
 def test_hermite_multi_orthonormality_small():
@@ -67,7 +71,7 @@ def test_hermite_multi_orthonormality_small():
     rng = make_rng(40)
     x = rng.standard_normal((400_000, 2))
     idxs = [a for a in multiindex_enumerate(2, 2)]
-    pats = [PatternPair(A=[a], B=[[0]]) for a in idxs]
+    pats = PatternStack(np.array(idxs)[:, None, :], np.zeros((len(idxs), 1, 1), int))
     vals = phi_batch(pats, x[:, None], np.zeros((len(x), 1, 1)))
     for i, a in enumerate(idxs):
         for j, b in enumerate(idxs):
@@ -84,23 +88,25 @@ def test_hermite_multi_orthonormality_small():
 def test_phi_empty_pattern_is_one():
     params = ModelParams(n=3, d=2, m=2, sigma=0.0)
     inst = sample_null(params, make_rng(41))
-    pat = PatternPair(A=np.zeros((3, 2), int), B=np.zeros((3, 2), int))
-    assert phi_batch([pat], inst.X[None], inst.Y[None])[0, 0] == 1.0
+    pat = _stack(np.zeros((3, 2), int), np.zeros((3, 2), int))
+    assert phi_batch(pat, inst.X[None], inst.Y[None])[0, 0] == 1.0
 
 
 def test_phi_shape_mismatch_rejected():
     params = ModelParams(n=3, d=2, m=2, sigma=0.0)
     inst = sample_null(params, make_rng(42))
-    pat = PatternPair(A=np.zeros((2, 2), int), B=np.zeros((2, 2), int))
+    pat = _stack(np.zeros((2, 2), int), np.zeros((2, 2), int))
     with pytest.raises(ValueError):
-        phi_batch([pat], inst.X[None], inst.Y[None])
+        phi_batch(pat, inst.X[None], inst.Y[None])
 
 
 def test_phi_null_mean_zero_for_nonempty_patterns():
     rng = make_rng(43)
     X = rng.standard_normal((200_000, 2, 2))
     Y = rng.standard_normal((200_000, 2, 2))
-    pats = [p for p in pattern_pairs(2, 2, 2, 2) if not p.is_empty][:10]
+    all_pats = pattern_pairs(2, 2, 2, 2)
+    assert all_pats.degrees[0] == 0 and (all_pats.degrees[1:] > 0).all()
+    pats = PatternStack(all_pats.A[1:11], all_pats.B[1:11])
     vals = phi_batch(pats, X, Y)
     for j in range(vals.shape[1]):
         m, se = mean_and_stderr(vals[:, j])
@@ -122,7 +128,7 @@ def test_phi_batch_agrees_with_scalar_phi():
     for s in (0, 3, 6):
         slots = np.concatenate([X[s].ravel(), Y[s].ravel()])
         for j in (0, 5, len(pats) // 2, len(pats) - 1):
-            degs = np.concatenate([pats[j].A.ravel(), pats[j].B.ravel()])
+            degs = np.concatenate([pats.A[j].ravel(), pats.B[j].ravel()])
             expected = math.prod(hermite_e(x, a) for x, a in zip(slots, degs))
             assert math.isclose(vals[s, j], expected, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -130,13 +136,9 @@ def test_phi_batch_agrees_with_scalar_phi():
 def test_phi_rejects_shapes_with_matching_slot_count():
     # six slots on both sides, but A is (2, 1) against X's (2, 2): B[1, 1]
     # would land on Y[0, 1, 0], a slot B does not have
-    pat = PatternPair(A=[[0], [0]], B=[[0, 0], [0, 1]])
+    pat = _stack([[0], [0]], [[0, 0], [0, 1]])
     with pytest.raises(ValueError):
-        phi_batch([pat], np.ones((1, 2, 2)), np.full((1, 2, 1), 2.0))
-    # a list of patterns of two shapes has no stacked form
-    with pytest.raises(ValueError):
-        phi_batch([pat, PatternPair(A=[[0, 0], [0, 0]], B=[[0], [0]])], np.ones((1, 2, 2)),
-                  np.ones((1, 2, 1)))
+        phi_batch(pat, np.ones((1, 2, 2)), np.full((1, 2, 1), 2.0))
 
 
 def _prefix_phi(patterns, X, Y):
@@ -148,12 +150,13 @@ def _prefix_phi(patterns, X, Y):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     S = X.shape[0]
-    degs = np.stack([np.concatenate([p.A.ravel(), p.B.ravel()]) for p in patterns])
+    K = len(patterns)
+    degs = np.concatenate([patterns.A.reshape(K, -1), patterns.B.reshape(K, -1)], axis=1)
     nslots = degs.shape[1]
     slots = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
     table = hermite_table(slots, int(degs.max(initial=0)))  # (S, nslots, maxdeg+1)
     order = np.lexsort(degs[:, ::-1].T)
-    out = np.empty((S, len(patterns)))
+    out = np.empty((S, K))
     prefixes = [np.ones(S)] + [None] * nslots
     prev = None
     for idx in order:
@@ -182,30 +185,27 @@ def test_phi_batch_matches_prefix_trie_bitwise(n, d, m, D):
         got = phi_batch(pats, X, Y)
         assert got.flags.c_contiguous
         assert np.array_equal(got, _prefix_phi(pats, X, Y))
-        assert np.array_equal(phi_batch(list(pats), X, Y), got)
 
 
 def test_pattern_pairs_cache_is_read_only():
     pats = pattern_pairs(2, 2, 1, 3)
     assert pattern_pairs(2, 2, 1, 3) is pats
-    for array in (pats.A, pats.B, pats.slot_degrees, pats.degrees, pats[5].A):
+    for array in (pats.A, pats.B, pats.slot_degrees, pats.degrees):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
 
-def test_pattern_pairs_stack_indexes_as_pattern_pairs():
+def test_pattern_pairs_stack_layout():
     pats = pattern_pairs(2, 2, 2, 4)
     vecs = multiindex_enumerate(8, 4)
     assert isinstance(pats, PatternStack)
-    assert len(list(pats)) == len(vecs) == 495
+    assert len(pats) == len(vecs) == 495
     for i in (0, 1, 7, 200, 494, -1):
         vec = np.array(vecs[i])
-        p = pats[i]
-        assert isinstance(p, PatternPair)
-        assert np.array_equal(p.A, vec[:4].reshape(2, 2))
-        assert np.array_equal(p.B, vec[4:].reshape(2, 2))
+        assert np.array_equal(pats.A[i], vec[:4].reshape(2, 2))
+        assert np.array_equal(pats.B[i], vec[4:].reshape(2, 2))
         assert np.array_equal(pats.slot_degrees[i], vec)
-        assert pats.degrees[i] == p.degree == vec.sum()
+        assert pats.degrees[i] == vec.sum()
 
 
 def test_expand_inner_product_coordinate_vector():

@@ -76,9 +76,9 @@ def test_planted_row_exchangeability():
     rng = make_rng(31)
     X2 = rng.standard_normal((draws, 4, 3))[:, tau, :]
     perms = rng.permuted(np.tile(np.arange(4), (draws, 1)), axis=1)
-    from shufflab.randmat import stiefel_batch
+    from shufflab.randmat import qr_sign_fixed
 
-    Q = stiefel_batch(3, 2, draws, rng)
+    Q = qr_sign_fixed(rng.standard_normal((draws, 3, 2)))
     Z = rng.standard_normal((draws, 4, 2))
     Xp = np.take_along_axis(X2, perms[:, :, None], axis=1)
     Y2 = (Xp @ Q + params.sigma * Z) / np.sqrt(1 + params.sigma**2)

@@ -14,11 +14,16 @@ from shufflab.randmat import (
     haar_orthogonal_batch,
     haar_verblunsky_batch,
     permutation_batch,
-    stiefel_batch,
+    qr_sign_fixed,
     uniform_sphere,
 )
 
 ORTHOGONALITY_TOL = 1e-10
+
+
+def stiefel(d: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, d, m) Haar Stiefel draws, as the planted sampler draws Q."""
+    return qr_sign_fixed(rng.standard_normal((size, d, m)))
 
 
 def orthogonality_defect(q: np.ndarray) -> float:
@@ -111,14 +116,14 @@ def test_verblunsky_first_and_last_match_haar_entry_and_det():
 
 
 def test_stiefel_orthonormal_columns():
-    q = stiefel_batch(7, 3, 1, make_rng(8))[0]
+    q = stiefel(7, 3, 1, make_rng(8))[0]
     assert q.shape == (7, 3)
     assert orthogonality_defect(q) <= ORTHOGONALITY_TOL
 
 
 def test_stiefel_m_eq_d_matches_haar():
     d, draws = 4, 20_000
-    s = stiefel_batch(d, d, draws, make_rng(9))
+    s = stiefel(d, d, draws, make_rng(9))
     h = haar_orthogonal_batch(d, draws, make_rng(10))
     for stat in (lambda a: np.trace(a, axis1=1, axis2=2) ** 2, lambda a: a[:, 0, 0] ** 2):
         m1, se1 = mean_and_stderr(stat(s))
@@ -128,7 +133,7 @@ def test_stiefel_m_eq_d_matches_haar():
 
 def test_stiefel_first_column_sphere_moment():
     # coordinates of a sphere point satisfy E[q_1^2] = 1/d by symmetry
-    q = stiefel_batch(5, 1, 100_000, make_rng(11))[:, 0, 0]
+    q = stiefel(5, 1, 100_000, make_rng(11))[:, 0, 0]
     m, se = mean_and_stderr(q**2)
     assert_within_nse(m, se, 1 / 5, label="stiefel E[Q11^2]")
 
@@ -136,8 +141,8 @@ def test_stiefel_first_column_sphere_moment():
 def test_stiefel_prefix_columns_match_smaller_stiefel():
     # first m' columns of stiefel(d, m) have the stiefel(d, m') law
     d, m, mp, draws = 5, 3, 2, 20_000
-    big = stiefel_batch(d, m, draws, make_rng(12))[:, :, :mp]
-    small = stiefel_batch(d, mp, draws, make_rng(13))
+    big = stiefel(d, m, draws, make_rng(12))[:, :, :mp]
+    small = stiefel(d, mp, draws, make_rng(13))
     assert orthogonality_defect(big) <= ORTHOGONALITY_TOL
     for stat in (lambda a: a[:, 0, 0], lambda a: a[:, 0, 0] ** 2, lambda a: a[:, 0, 0] * a[:, 0, 1]):
         m1, se1 = mean_and_stderr(stat(big))
@@ -198,8 +203,6 @@ def test_degenerate_dimensions_rejected():
         haar_orthogonal_batch(0, 1, rng)
     with pytest.raises(ValueError):
         haar_verblunsky_batch(0, 1, rng)
-    with pytest.raises(ValueError):
-        stiefel_batch(3, 5, 1, rng)
     with pytest.raises(ValueError):
         permutation_batch(0, 1, rng)
     with pytest.raises(ValueError):
