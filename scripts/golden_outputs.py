@@ -73,6 +73,10 @@ RUNS: dict[str, list[str]] = {
     "advantage-sigma-grid": CLI + [
         "advantage", "--n", "2", "--d", "2", "--m", "1", "--sigma", "0", "1", "--D", "4",
         "--samples", "1000", "--seed", "12", "--output", "advantage_sigma_grid.csv"],
+    # D = 6: seven X-degree blocks in the advantage kernel's graded split
+    "advantage-D6": CLI + [
+        "advantage", "--n", "2", "--d", "2", "--m", "2", "--sigma", "0.5", "--D", "6",
+        "--samples", "500", "--seed", "16", "--output", "advantage_D6.csv"],
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],

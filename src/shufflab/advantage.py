@@ -10,9 +10,15 @@ planted mean with its standard error.
 
 An estimate draws its jackknife batches in stream order, as one sampler
 call per batch would, then shares one QR, response and slot-major Hermite
-table among them; each batch's (size, K) block is summed on its own.  Memory
-holds one such block plus one chunk of consecutive batches' draws and table,
-at most ``DRAW_CHUNK_BYTES`` unless one batch needs more: never (samples, K).
+table among a chunk of consecutive batches.  A basis function factors as
+phi_(A,B)(X, Y) = phi_A(X) phi_B(Y), so a batch's sums of phi and phi^2 over
+its samples are entries of U V^T and (U o U)(V o V)^T, with U the X-side
+products (one row per X-side multi-index) and V the Y-side ones
+(``hermite.SideSplit``).  The products are taken by X-degree w, against only
+the Y-side columns of degree <= D - w, so the D + 1 blocks hold exactly the
+K pattern sums.  Memory holds one chunk's draws, table, U and V (squared in
+place for the phi^2 sums), at most ``DRAW_CHUNK_BYTES`` unless one batch
+needs more: never a (samples, K) or (batch size, K) basis matrix.
 
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
@@ -25,13 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import chisq as chisq_mod
 from .common import CapacityError, UnsupportedRegimeError
-from .hermite import PatternStack, pattern_count, pattern_pairs, phi_block, slot_table
+from .hermite import SideSplit, pattern_count, pattern_pairs, side_split, slot_products, slot_table
 from .model import ModelParams, sample_planted_batches
 
 DEFAULT_PATTERN_CAP = 1_000_000
@@ -53,23 +58,60 @@ class AdvantageEstimate:
     samples: int
 
 
-def _planted_phi_blocks(
-    patterns: PatternStack, params: ModelParams, sizes: list[int], rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Each batch's (size, K) basis values under the planted law, in batch order.
+def _planted_moment_sums(
+    split: SideSplit, params: ModelParams, sizes: list[int], rng: np.random.Generator
+) -> np.ndarray:
+    """Each batch's sums of phi and of phi^2 under the planted law, (2, batches, K) in block order.
 
     Chunks of consecutive batches are drawn by one ``sample_planted_batches``
-    call and share one Hermite table.
+    call each, so that a chunk's draws, table, U and V fit the budget.
     """
-    n, max_degree = params.n, int(patterns.slot_degrees.max(initial=0))
-    sample_bytes = 8 * n * (params.d + params.m) * (max_degree + 2)  # X, Y and the table
+    table_rows = params.n * (params.d + params.m) * (len(split.blocks) + 1)
+    side_rows = len(split.x_degrees) + len(split.y_degrees)
+    # X and Y with the table, then U and V with the gather temporaries that build them
+    sample_bytes = 8 * (table_rows + 2 * side_rows)
     per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
+    sums = np.empty((2, len(sizes), len(split.position)))
     for first in range(0, len(sizes), per_chunk):
         chunk = sizes[first : first + per_chunk]
-        X, Y, *_ = sample_planted_batches(params, chunk, rng)
-        table = slot_table(X, Y, max_degree)
-        for lo, hi in itertools.pairwise(np.cumsum([0, *chunk]).tolist()):
-            yield phi_block(patterns, table[:, :, lo:hi])
+        _chunk_moment_sums(split, params, chunk, rng, sums[:, first : first + len(chunk)])
+    return sums
+
+
+def _chunk_moment_sums(
+    split: SideSplit,
+    params: ModelParams,
+    chunk: list[int],
+    rng: np.random.Generator,
+    out: np.ndarray,
+) -> None:
+    """Draw a chunk of batches and write their sums of phi and phi^2 to ``out`` (2, batches, K).
+
+    The batches share one Hermite table and one U, V pair, squared in place
+    for the phi^2 sums.  Each run of equal-size batches takes one stacked
+    product per block, which makes the same BLAS call per batch as a lone
+    batch would: the sums do not depend on the chunking.
+    """
+    n, d = params.n, params.d
+    X, Y, *_ = sample_planted_batches(params, chunk, rng)
+    table = slot_table(X, Y, len(split.blocks) - 1)
+    U = slot_products(split.x_degrees, table[: n * d])
+    V = slot_products(split.y_degrees, table[n * d :])
+    for power, sums in enumerate(out):
+        if power:
+            U *= U
+            V *= V
+        lo = b = 0
+        for size, run in itertools.groupby(chunk):
+            count = len(list(run))
+            hi = lo + count * size
+            # (count, rows, size) stacks of the run's batches
+            u = U[:, lo:hi].reshape(len(U), count, size).transpose(1, 0, 2)
+            v = V[:, lo:hi].reshape(len(V), count, size).transpose(1, 2, 0)
+            for r0, r1, cols, offset in split.blocks:
+                flat = sums[b : b + count, offset : offset + (r1 - r0) * cols]
+                np.matmul(u[:, r0:r1], v[:, :, :cols], out=flat.reshape(count, r1 - r0, cols))
+            lo, b = hi, b + count
 
 
 @dataclass(frozen=True)
@@ -115,15 +157,12 @@ def advantage_sq_with_patterns(
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     patterns = pattern_pairs(params.n, params.d, params.m, D)
+    split = side_split(params.n, params.d, params.m, D)
 
     n_batches = min(_JACKKNIFE_BATCHES, samples)
     sizes = [samples // n_batches + (1 if b < samples % n_batches else 0) for b in range(n_batches)]
     K = len(patterns)
-    sum1 = np.zeros((n_batches, K))
-    sum2 = np.zeros((n_batches, K))
-    for b, vals in enumerate(_planted_phi_blocks(patterns, params, sizes, rng)):
-        sum1[b] = vals.sum(axis=0)
-        sum2[b] = (vals * vals).sum(axis=0)
+    sum1, sum2 = _planted_moment_sums(split, params, sizes, rng)[:, :, split.position]
 
     def sum_of_squares(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
         mean = s1 / n

@@ -10,10 +10,13 @@ is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
 factorials overflow past degree ~85.  Multi-index products over matrix
 entries form the basis functions phi used by the advantage estimators.  A
 set of them is a ``PatternStack``: its stacked degree arrays are the only
-form a pattern takes, and ``phi_block`` evaluates a stack with one table
-gather and one multiply per matrix entry (slot) and sample block, whatever
-the number of patterns.  The closed-form joint coefficients for a single
-response column live here too.
+form a pattern takes.  One kernel, ``slot_products``, evaluates any stack of
+per-slot degrees on a slot-major Hermite table (``slot_table``) with one
+gather and one multiply per matrix entry (slot), whatever the number of
+rows: ``phi_batch`` runs it on every slot of a pattern stack, and the
+advantage estimator on the X-side and the Y-side of a ``SideSplit``, since
+phi_(A,B)(X, Y) = phi_A(X) phi_B(Y).  The closed-form joint coefficients for
+a single response column live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .model import planted_response
 
 EXACT_FACTORIAL_LIMIT = 20
 UNIT_NORM_TOL = 1e-10
-PHI_BLOCK_BYTES = 1 << 19  # phi_block's per-block product; larger blocks fall out of cache
+PHI_BLOCK_BYTES = 1 << 19  # phi_batch's per-block product; larger blocks fall out of cache
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +126,53 @@ def pattern_count(n: int, d: int, m: int, max_degree: int) -> int:
     return math.comb(n * (d + m) + max_degree, max_degree)
 
 
+class SideSplit(NamedTuple):
+    """The patterns of ``pattern_pairs(n, d, m, D)`` as X-side times Y-side products.
+
+    ``x_degrees`` (Ka, n*d) and ``y_degrees`` (Kb, n*m) hold every X-side and
+    every Y-side multi-index of degree <= D, each sorted by degree.  Block w,
+    ``blocks[w] = (r0, r1, cols, offset)``, pairs the X-side rows r0:r1, those
+    of degree w, with the first ``cols`` Y-side rows, those of degree <= D - w.
+    Flattened row-major from ``offset`` on, the D + 1 blocks hold every
+    pattern exactly once, pattern k at ``position[k]``, and nothing else: the
+    Ka x Kb product never forms.
+    """
+
+    x_degrees: np.ndarray
+    y_degrees: np.ndarray
+    blocks: tuple[tuple[int, int, int, int], ...]
+    position: np.ndarray
+
+
+def _by_degree(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows sorted by degree, and each input row's index among them."""
+    sides, inverse = np.unique(rows, axis=0, return_inverse=True)
+    order = np.argsort(sides.sum(axis=1), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return sides[order], rank[inverse.reshape(-1)]
+
+
+@functools.lru_cache(maxsize=8)
+def side_split(n: int, d: int, m: int, max_degree: int) -> SideSplit:
+    """The ``SideSplit`` of ``pattern_pairs(n, d, m, max_degree)``; cached, so read-only."""
+    patterns = pattern_pairs(n, d, m, max_degree)
+    K = len(patterns)
+    x_degrees, x_index = _by_degree(patterns.A.reshape(K, -1))
+    y_degrees, y_index = _by_degree(patterns.B.reshape(K, -1))
+    x_weight, y_weight = x_degrees.sum(axis=1), y_degrees.sum(axis=1)
+    row_bounds = np.searchsorted(x_weight, np.arange(max_degree + 2))
+    col_counts = np.searchsorted(y_weight, max_degree - np.arange(max_degree + 1), side="right")
+    offsets = np.concatenate([[0], np.cumsum(np.diff(row_bounds) * col_counts)])
+    w = x_weight[x_index]
+    position = offsets[w] + (x_index - row_bounds[w]) * col_counts[w] + y_index
+    for array in (x_degrees, y_degrees, position):
+        array.setflags(write=False)
+    bounds = row_bounds.tolist()
+    blocks = tuple(zip(bounds, bounds[1:], col_counts.tolist(), offsets.tolist()))
+    return SideSplit(x_degrees, y_degrees, blocks, position)
+
+
 def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:
     """Hermite table (slots, max_degree+1, S) of X (S, n, d) then Y (S, n, m), slots row-major."""
     S = X.shape[0]
@@ -131,39 +181,40 @@ def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(0, 2, 1))
 
 
-def phi_block(patterns: PatternStack, table: np.ndarray) -> np.ndarray:
-    """Basis values of the samples of a ``slot_table`` (or a sample slice of one), as (S, K).
+def slot_products(degrees: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(R, S) products over slots c of ``table[c][degrees[:, c]]``, for degrees (R, slots).
 
-    One gather and one multiply per slot serve every pattern, over sample
-    blocks whose (K, block) product stays in cache.  A column's slot factors
-    multiply left to right, and a zero-degree slot by h_0 = 1.0, which is
-    exact: the bits are those of the nonzero-slot product for any blocks.
+    One gather and one multiply per slot serve every row.  A row's slot
+    factors multiply left to right, and a zero-degree slot by h_0 = 1.0,
+    which is exact: the bits are those of the nonzero-slot product, for any
+    sample slice of the table.
     """
-    S, degs = table.shape[2], patterns.slot_degrees
-    out = np.empty((S, len(patterns)))  # C order: numpy sums a contiguous axis pairwise
-    step = max(1, PHI_BLOCK_BYTES // (8 * len(patterns)))
-    for lo in range(0, S, step):
-        block = table[:, :, lo : lo + step]
-        acc = block[0][degs[:, 0]]  # (K, step)
-        for c in range(1, degs.shape[1]):
-            acc *= block[c][degs[:, c]]
-        out[lo : lo + step] = acc.T
-    return out
+    acc = table[0][degrees[:, 0]]
+    for c in range(1, degrees.shape[1]):
+        acc *= table[c][degrees[:, c]]
+    return acc
 
 
 def phi_batch(patterns: PatternStack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Evaluate a stack of basis functions on a stack of instances.
 
     X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
-    array, one column per pattern in stack order.  This is ``phi_block`` on
-    the whole ``slot_table`` of (X, Y); a caller that evaluates many sample
-    ranges of one draw builds the table once and passes ``phi_block`` slices.
+    array, one column per pattern in stack order: ``slot_products`` of the
+    patterns' slot degrees on the ``slot_table`` of (X, Y), over sample
+    blocks whose (K, block) product stays in cache.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
         raise ValueError(f"pattern shapes do not match instance shapes {X.shape}/{Y.shape}")
-    return phi_block(patterns, slot_table(X, Y, int(patterns.slot_degrees.max(initial=0))))
+    degs = patterns.slot_degrees
+    table = slot_table(X, Y, int(degs.max(initial=0)))
+    S = table.shape[2]
+    out = np.empty((S, len(patterns)))  # C order: numpy sums a contiguous axis pairwise
+    step = max(1, PHI_BLOCK_BYTES // (8 * len(patterns)))
+    for lo in range(0, S, step):
+        out[lo : lo + step] = slot_products(degs, table[:, :, lo : lo + step]).T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ reproduces bit-identical output on the same build.  ``qr_sign_fixed`` of a
 Gaussian stack, QR with the R-diagonal signs normalized to positive, gives
 the exact Haar law: on O(d) for square (d, d) matrices
 (``haar_orthogonal_batch``), and on the Stiefel manifold for (d, m) ones,
-which is how ``model.sample_planted_batches`` draws Q.  Where only the
-spectrum of a Haar draw matters, ``haar_verblunsky_batch`` draws O(d) numbers
-in place of a QR.
+which is how ``model.sample_planted_batches`` draws Q.  A stack with
+m <= min(d, 2) columns skips LAPACK: the sign-fixed factor is Gram-Schmidt in
+closed form, q_1 = g_1 / |g_1| and q_2 the normalized residual of g_2 after
+two projections out of q_1, which rounds differently from Householder QR but
+draws the same law.  Where only the spectrum of a Haar draw matters,
+``haar_verblunsky_batch`` draws O(d) numbers in place of a QR.
 """
 
 from __future__ import annotations
@@ -29,8 +32,30 @@ def qr_sign_fixed(g: np.ndarray) -> np.ndarray:
 
     Sign fixing makes the factorization unique, which turns QR of a
     Gaussian matrix into an exact Haar sample on the orthogonal group /
-    Stiefel manifold.
+    Stiefel manifold.  Inputs with m <= min(d, 2) columns, square ones
+    included, take the closed-form Gram-Schmidt (module docstring); the rest
+    take LAPACK, as does any matrix with a zero residual column, so none
+    gives NaN.
     """
+    g = np.asarray(g, dtype=float)
+    d, m = g.shape[-2:]
+    if m > 2 or m > d:
+        return _lapack_sign_fixed(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = g[..., 0] / np.linalg.norm(g[..., 0], axis=-1, keepdims=True)
+        cols = [q1]
+        if m == 2:
+            v = g[..., 1] - q1 * (q1 * g[..., 1]).sum(axis=-1, keepdims=True)
+            v -= q1 * (q1 * v).sum(axis=-1, keepdims=True)  # re-orthogonalise once
+            cols.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
+        q = np.stack(cols, axis=-1)
+    degenerate = ~np.isfinite(q).all(axis=(-2, -1))
+    if degenerate.any():  # measure zero: LAPACK's answer, matrix by matrix
+        q[degenerate] = _lapack_sign_fixed(g[degenerate])
+    return q
+
+
+def _lapack_sign_fixed(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0.0] = 1.0  # measure-zero guard

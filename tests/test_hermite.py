@@ -17,6 +17,7 @@ from shufflab.hermite import (
     pattern_count,
     pattern_pairs,
     phi_batch,
+    side_split,
 )
 from shufflab.model import ModelParams, sample_null
 from shufflab.randmat import uniform_sphere
@@ -206,6 +207,42 @@ def test_pattern_pairs_stack_layout():
         assert np.array_equal(pats.B[i], vec[4:].reshape(2, 2))
         assert np.array_equal(pats.slot_degrees[i], vec)
         assert pats.degrees[i] == vec.sum()
+
+
+@pytest.mark.parametrize(
+    "n, d, m, D",
+    [(1, 1, 1, D) for D in range(7)]
+    + [(2, 2, 1, 4), (1, 2, 2, 5), (3, 2, 1, 3), (3, 1, 1, 6), (2, 2, 2, 6), (3, 2, 2, 4)],
+)
+def test_side_split_places_each_pattern_once(n, d, m, D):
+    pats, split = pattern_pairs(n, d, m, D), side_split(n, d, m, D)
+    K = len(pats)
+    assert len(split.x_degrees) == math.comb(n * d + D, D)
+    assert len(split.y_degrees) == math.comb(n * m + D, D)
+    # decode every flat block position into (X-degree, X-side row, Y-side row)
+    block_of, x_row, y_row = (np.full(K, -1) for _ in range(3))
+    end = 0
+    for w, (r0, r1, cols, offset) in enumerate(split.blocks):
+        assert offset == end and (split.y_degrees[:cols].sum(axis=1) <= D - w).all()
+        assert (split.x_degrees[r0:r1].sum(axis=1) == w).all()
+        end = offset + (r1 - r0) * cols
+        rows, col = np.divmod(np.arange(end - offset), cols)
+        block_of[offset:end], x_row[offset:end], y_row[offset:end] = w, r0 + rows, col
+    assert end == K and len(split.blocks) == D + 1
+    assert np.array_equal(np.sort(split.position), np.arange(K))  # each pattern exactly once
+    x = split.x_degrees[x_row[split.position]]
+    y = split.y_degrees[y_row[split.position]]
+    assert np.array_equal(x, pats.A.reshape(K, -1)) and np.array_equal(y, pats.B.reshape(K, -1))
+    assert np.array_equal(x.sum(axis=1) + y.sum(axis=1), pats.degrees)
+    assert np.array_equal(block_of[split.position], x.sum(axis=1))
+
+
+def test_side_split_cache_is_read_only():
+    split = side_split(2, 2, 1, 3)
+    assert side_split(2, 2, 1, 3) is split
+    for array in (split.x_degrees, split.y_degrees, split.position):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_expand_inner_product_coordinate_vector():

@@ -150,6 +150,43 @@ def test_stiefel_prefix_columns_match_smaller_stiefel():
         assert abs(two_sample_z(m1, se1, m2, se2)) <= 3.0
 
 
+def _lapack_sign_fixed_qr(g: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 1), (2, 2), (3, 2), (16, 2), (1, 2)])
+def test_stiefel_closed_form_matches_lapack(d, m):
+    g = make_rng(30, 20 * d + m).standard_normal((5000, d, m))
+    q = qr_sign_fixed(g)
+    assert np.abs(q - _lapack_sign_fixed_qr(g)).max() <= 1e-13
+    assert orthogonality_defect(q) <= 1e-14
+    assert np.array_equal(qr_sign_fixed(g[7]), q[7])  # each matrix on its own
+
+
+def test_stiefel_nearly_parallel_columns_stay_orthonormal():
+    # one Gram-Schmidt pass leaves a defect near 1e-7 here; the second removes it
+    rng = make_rng(32)
+    g = rng.standard_normal((2000, 16, 2))
+    g[..., 1] = g[..., 0] + 1e-9 * rng.standard_normal((2000, 16))
+    assert orthogonality_defect(qr_sign_fixed(g)) <= 1e-14
+
+
+def test_stiefel_zero_column_gives_no_nan():
+    g = make_rng(31).standard_normal((4, 3, 2))
+    g[1] = 0.0
+    g[2, :, 0] = 0.0
+    g[3, :, 1] = 0.0
+    q = qr_sign_fixed(g)
+    assert np.isfinite(q).all() and orthogonality_defect(q) <= 1e-14
+    assert np.array_equal(q[0], qr_sign_fixed(g[0]))
+    square = np.array([[1.0, 2.0], [3.0, 4.0]])
+    square[:, 1] = 0.0
+    for single in (np.zeros((3, 1)), np.zeros((3, 2)), g[2], g[3], np.zeros((1, 1)),
+                   np.zeros((2, 2)), square, square[:, ::-1]):
+        assert orthogonality_defect(qr_sign_fixed(single)) <= 1e-14
+
+
 def test_permutation_identity_at_n1():
     assert permutation_batch(1, 1, make_rng(14))[0].tolist() == [0]
 
