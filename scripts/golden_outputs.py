@@ -94,6 +94,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc-small": CLI + [
         "chisq", "--d", "2", "--m", "2", "--k", "1", "3", "--sigma", "0.5", "2",
         "--mode", "mc", "--samples", "4000", "--seed", "13", "--output", "chisq_mc_small.csv"],
+    # d = 1: each Haar draw is a sign, alpha_0 alone
+    "chisq-mc-d1": CLI + [
+        "chisq", "--d", "1", "--m", "1", "--k", "1", "2", "--sigma", "0.5", "2",
+        "--mode", "mc", "--samples", "4000", "--seed", "17", "--output", "chisq_mc_d1.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

@@ -10,8 +10,10 @@ density, Haar determinant moments) live in ``oracles``.
 
 The determinant integral forms no d x d matrix: the spectral measure of e_1
 under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
-(Killip and Nenciu, "Matrix models for circular ensembles", IMRN 2004; laws in
-``randmat.haar_verblunsky_batch``), and Szego's recursion Phi_{j+1} = z Phi_j -
+(Killip and Nenciu, "Matrix models for circular ensembles", IMRN 2004).
+``randmat.haar_verblunsky_batch`` states their laws and draws them by Gaussian
+stick-breaking, each draw one contiguous stretch of the stream, so the chunk
+size moves no bit of the estimate.  Szego's recursion Phi_{j+1} = z Phi_j -
 alpha_j Phi*_j, Phi*_{j+1} = Phi*_j - alpha_j z Phi_j gives det(I - z Q) = Phi*_d(z).
 At z = -eps, with r_j = Phi_j / Phi*_j and r_0 = 1, log det(I + eps Q) is
 sum_{j<d} log1p(-alpha_j z r_j) with r_{j+1} = (z r_j - alpha_j) / (1 - alpha_j z r_j):

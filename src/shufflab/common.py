@@ -41,8 +41,11 @@ def draw_chunked(
 ) -> np.ndarray:
     """Concatenate draw(b) over consecutive batches of at most ``chunk`` draws.
 
-    The chunk size fixes how the draws of one batch interleave on the random
-    stream, so a caller that changes it changes its output bits.
+    Where ``draw`` takes several arrays from the stream per batch (the case-1
+    likelihood ratio's Bartlett factors then Y, the detector's chi-squares),
+    the chunk size fixes how they interleave, so changing it changes the
+    output bits.  A ``draw`` that takes each sample as one contiguous stretch
+    (the m = d Verblunsky coefficients) gives the same bits at any chunk size.
     """
     if total < 1:
         raise ValueError(f"samples must be >= 1, got {total}")

@@ -13,7 +13,10 @@ m <= min(d, 2) columns skips LAPACK: the sign-fixed factor is Gram-Schmidt in
 closed form, q_1 = g_1 / |g_1| and q_2 the normalized residual of g_2 after
 two projections out of q_1, which rounds differently from Householder QR but
 draws the same law.  Where only the spectrum of a Haar draw matters,
-``haar_verblunsky_batch`` draws O(d) numbers in place of a QR.
+``haar_verblunsky_batch`` draws O(d) numbers in place of a QR: Verblunsky
+coefficients by Gaussian stick-breaking from one row-major block of normals,
+so each draw is one contiguous stretch of the stream and a stack of a + b
+draws is a stack of a draws on top of one of b.
 """
 
 from __future__ import annotations
@@ -75,12 +78,26 @@ def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
     Haar Q on O(d).  They are independent: alpha_j = 2 Beta((d-j-1)/2, (d-j-1)/2) - 1
     for j <= d - 2, the first coordinate of a uniform point on the sphere in
     R^{d-j}, and alpha_{d-1} is a fair sign, det Q = (-1)^{d-1} alpha_{d-1}.
-    Stream order: the (size, d-1) Beta block, then the size signs.
+
+    Drawn by Gaussian stick-breaking from one row-major (size, d) block g of
+    standard normals: alpha_j = g_j / sqrt(g_j^2 + ... + g_{d-1}^2) for
+    j <= d - 2 and alpha_{d-1} = copysign(1, g_{d-1}).  A Gaussian vector's
+    direction is uniform and independent of its norm, so each normalised
+    tail (g_j..g_{d-1}) / |.| is uniform on the sphere in R^{d-j} and
+    independent of alpha_0..alpha_{j-1}; its first coordinate has the law
+    above.  The tail sums run from the right, T_j = g_j^2 + T_{j+1}, so
+    T_j >= g_j^2 and sqrt(g^2) = |g| in round-to-nearest keep |alpha_j| <= 1
+    without a clip.  Row s is the stream's normals s*d..s*d + d - 1, so a
+    draw of a + b rows equals a draw of a rows stacked on one of b.
     """
     _require_positive(d=d, size=size)
-    half = (d - 1 - np.arange(d - 1)) / 2.0
-    betas = 2.0 * rng.beta(half, half, size=(size, d - 1)) - 1.0
-    return np.column_stack([betas, 2.0 * rng.integers(0, 2, size) - 1.0])
+    g = rng.standard_normal((size, d))
+    tails = np.square(g)
+    np.cumsum(tails[:, ::-1], axis=1, out=tails[:, ::-1])
+    np.sqrt(tails, out=tails)
+    tails[:, -1] = 1.0  # alpha_{d-1} = sign / 1, even where g_{d-1} = 0
+    np.copysign(1.0, g[:, -1], out=g[:, -1])
+    return np.divide(g, tails, out=g)
 
 
 def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_within_nse, mean_and_stderr
 from scipy.stats import ks_2samp
 
-from shufflab import make_rng
+from shufflab import chisq, make_rng
 from shufflab.chisq import (
     _MC_CHUNK,
     _bartlett_factor,
@@ -540,6 +540,14 @@ def test_det_integral_log_det_law_matches_qr_route(d):
     fast = _verblunsky_log_det(haar_verblunsky_batch(d, n, make_rng(91, d)), eps)
     slow = _slogdet_log_det(d, eps, n, make_rng(92, d))
     assert ks_2samp(fast, slow).pvalue >= 0.001
+
+
+def test_det_integral_mc_bits_do_not_depend_on_chunk(monkeypatch):
+    # each draw is one contiguous stretch of the stream, so the chunk size moves no bit
+    d, eps, k, samples = 7, -0.4, -2, _MC_CHUNK + 905
+    want = det_integral_mc(d, eps, k, samples, make_rng(96))
+    monkeypatch.setattr(chisq, "_MC_CHUNK", 1000)
+    assert det_integral_mc(d, eps, k, samples, make_rng(96)) == want
 
 
 def test_det_integral_d1_draws_are_one_plus_or_minus_eps():

@@ -6,7 +6,7 @@ from conftest import assert_within_nse, mean_and_stderr, two_sample_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import beta, ks_2samp, kstest
 
 from shufflab import ModelParams, make_rng
 from shufflab.model import sample_null_batch
@@ -95,13 +95,49 @@ def test_verblunsky_shape_and_range():
 
 
 def test_verblunsky_stream_order():
-    # the (size, d-1) Beta block first, then the size signs
+    # one row-major (size, d) normal block; alpha_j = g_j over the norm of g_j..g_{d-1},
+    # the tail sums taken from the right, and the last column the sign of g_{d-1}
     d, size = 6, 7
     alpha = haar_verblunsky_batch(d, size, make_rng(20))
-    rng = make_rng(20)
-    half = (d - 1 - np.arange(d - 1)) / 2.0
-    assert np.array_equal(alpha[:, :-1], 2.0 * rng.beta(half, half, size=(size, d - 1)) - 1.0)
-    assert np.array_equal(alpha[:, -1], 2.0 * rng.integers(0, 2, size) - 1.0)
+    g = make_rng(20).standard_normal((size, d))
+    want = np.empty_like(g)
+    tail = np.zeros(size)
+    for j in range(d - 1, -1, -1):
+        tail = g[:, j] * g[:, j] + tail
+        want[:, j] = g[:, j] / np.sqrt(tail)
+    want[:, -1] = np.copysign(1.0, g[:, -1])
+    assert np.array_equal(alpha, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 40])
+def test_verblunsky_split_invariance(d):
+    # each row is one contiguous stretch of the stream, so batch edges do not move bits
+    rng = make_rng(23, d)
+    parts = [haar_verblunsky_batch(d, b, rng) for b in (5, 8)]
+    assert np.array_equal(np.concatenate(parts), haar_verblunsky_batch(d, 13, make_rng(23, d)))
+
+
+@pytest.mark.parametrize("d", [3, 7, 40])
+def test_verblunsky_exact_law(d):
+    # (alpha_j + 1)/2 ~ Beta(h_j, h_j), h_j = (d-j-1)/2, for j <= d-2; the last column a
+    # fair sign; all columns independent.  Gates fixed up front: 20,000 draws, each KS
+    # p >= 1e-4 (Bonferroni over at most 39 coefficients); correlation z = r sqrt(n)
+    # between every pair of alpha_0^2..alpha_{d-2}^2, alpha_{d-1}: each |z| <= 4.5 and
+    # their sum over sqrt(#pairs) within 4 (the pairs' z are uncorrelated under
+    # independence, so a small common correlation shows there); the sign's |z| <= 4.
+    n = 20_000
+    alpha = haar_verblunsky_batch(d, n, make_rng(24, d))
+    pvals = [
+        kstest((alpha[:, j] + 1.0) / 2.0, beta((d - j - 1) / 2, (d - j - 1) / 2).cdf).pvalue
+        for j in range(d - 1)
+    ]
+    assert min(pvals) >= 1e-4, pvals
+    cols = np.column_stack([alpha[:, :-1] ** 2, alpha[:, -1]])
+    z = np.corrcoef(cols, rowvar=False)[np.triu_indices(d, 1)] * math.sqrt(n)
+    assert np.abs(z).max() <= 4.5, z
+    assert abs(z.sum()) / math.sqrt(z.size) <= 4.0, z.sum()
+    plus = (alpha[:, -1] == 1.0).sum()
+    assert abs(plus - n / 2) / math.sqrt(n / 4) <= 4.0
 
 
 def test_verblunsky_first_and_last_match_haar_entry_and_det():
