@@ -1,24 +1,44 @@
 """Estimators and enumerators for the degree-D advantage.
 
-The squared advantage equals the sum over basis patterns of squared
-planted-law means of the basis functions.  The Monte Carlo estimator here
-is unbiased for that sum of squares: naive squaring of a Monte Carlo mean
-inflates each term by its variance over the sample count, so the standard
-(mean^2 - var/samples) correction is applied per pattern.  Standard errors
-come from a batch jackknife.  The per-pattern breakdown returns each
-planted mean with its standard error.
+The squared degree-D advantage is the sum, over the K = C(n(d+m)+D, D) basis
+patterns (A, B) of degree <= D, of the squared planted-law means
+E phi_A(X) phi_B(Y).  The Monte Carlo estimator here is unbiased for it.
 
-An estimate draws its jackknife batches in stream order, as one sampler
-call per batch would, then shares one QR, response and slot-major Hermite
-table among a chunk of consecutive batches.  A basis function factors as
-phi_(A,B)(X, Y) = phi_A(X) phi_B(Y), so a batch's sums of phi and phi^2 over
-its samples are entries of U V^T and (U o U)(V o V)^T, with U the X-side
-products (one row per X-side multi-index) and V the Y-side ones
-(``hermite.SideSplit``).  The products are taken by X-degree w, against only
-the Y-side columns of degree <= D - w, so the D + 1 blocks hold exactly the
-K pattern sums.  Memory holds one chunk's draws, table, U and V (squared in
-place for the phi^2 sums), at most ``DRAW_CHUNK_BYTES`` unless one batch
-needs more: never a (samples, K) or (batch size, K) basis matrix.
+Each sample contributes, per pattern, not phi_A(X) phi_B(Y) but its exact
+conditional mean given (X, Q).  Write rho^2 = 1 / (1 + sigma^2) and
+Y0 = X Q, so that Y = rho P Y0 + sqrt(1 - rho^2) Z.  Mehler's formula,
+E_z h_b(rho u + sqrt(1 - rho^2) z) = rho^b h_b(u), integrates out the noise
+Z, and the uniform row permutation P averages phi_B over the row orbit of B:
+
+    E[phi_A(X) phi_B(Y) | X, Q] = phi_A(X) rho^|B| mean_{B' ~ B} phi_B'(Y0),
+
+the mean taken over the distinct row permutations B' of B.  The summand has
+the pattern's planted mean as its mean, so a sample mean of it is unbiased,
+and by Rao-Blackwell (Casella and Robert, Biometrika 1996) its variance is at
+most that of phi_A(X) phi_B(Y).  Squaring a sample mean inflates each term
+by its variance over the sample count, so each pattern's term is
+mean^2 - var/samples, which is unbiased for the squared mean.  The stderr is
+the leave-one-batch-out jackknife over 20 batches of the samples, of that
+unbiased sum.  The per-pattern breakdown gives each pattern's mean with its
+stderr.
+
+Stream layout: sample s reads the standard normals s*(nd + dm) through
+(s + 1)*(nd + dm) - 1 of the generator, X (n x d, row-major) from the first
+nd and the Gaussian behind Q (d x m, row-major, ``randmat.qr_sign_fixed``)
+from the last dm.  The batches are consecutive runs of samples, and a chunk
+of consecutive batches draws its samples as one block, so the draws, and the
+estimate's bits, do not depend on the chunking.
+
+A basis function factors as phi_(A,B) = phi_A(X) times the Y-side summand,
+so a batch's sums of the summands and of their squares are entries of U V^T
+and (U o U)(V o V)^T, with U the X-side products (one row per X-side
+multi-index) and V the Y-side orbit means (``hermite.SideSplit``), each Y-side
+row carrying rho^|B| times the mean of its orbit.  The products are taken by
+X-degree w, against only the Y-side columns of degree <= D - w, so the D + 1
+blocks hold exactly the K pattern sums.  Memory holds one chunk's draws,
+table, U and V (squared in place for the second-moment sums), at most
+``DRAW_CHUNK_BYTES`` unless one batch needs more: never a (samples, K) or
+(batch size, K) basis matrix.
 
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
@@ -37,7 +57,8 @@ import numpy as np
 from . import chisq as chisq_mod
 from .common import CapacityError, UnsupportedRegimeError
 from .hermite import SideSplit, pattern_count, pattern_pairs, side_split, slot_products, slot_table
-from .model import ModelParams, sample_planted_batches
+from .model import ModelParams
+from .randmat import qr_sign_fixed
 
 DEFAULT_PATTERN_CAP = 1_000_000
 BOUND_M1_MAX_D = 6
@@ -49,7 +70,14 @@ DRAW_CHUNK_BYTES = 1 << 21
 
 @dataclass(frozen=True)
 class AdvantageEstimate:
-    """Unbiased estimate of the squared degree-D advantage."""
+    """Unbiased estimate of the squared degree-D advantage (module docstring).
+
+    ``value_sq`` sums, over the ``pattern_count`` patterns, the unbiased
+    squares mean^2 - var/samples of the patterns' conditional-mean summands;
+    it is unbiased because each summand's mean is exactly the pattern's
+    planted mean.  ``stderr`` is the 20-batch leave-one-out jackknife stderr
+    of ``value_sq`` over those summands.
+    """
 
     degree: int
     value_sq: float
@@ -61,15 +89,16 @@ class AdvantageEstimate:
 def _planted_moment_sums(
     split: SideSplit, params: ModelParams, sizes: list[int], rng: np.random.Generator
 ) -> np.ndarray:
-    """Each batch's sums of phi and of phi^2 under the planted law, (2, batches, K) in block order.
+    """Each batch's sums of the summands and of their squares, (2, batches, K) in block order.
 
-    Chunks of consecutive batches are drawn by one ``sample_planted_batches``
-    call each, so that a chunk's draws, table, U and V fit the budget.
+    Chunks of consecutive batches are drawn and evaluated together, so that a
+    chunk's draws, table, U and V fit the budget.
     """
-    table_rows = params.n * (params.d + params.m) * (len(split.blocks) + 1)
+    n, d, m = params.n, params.d, params.m
+    table_rows = n * (d + m) * (len(split.blocks) + 1)
     side_rows = len(split.x_degrees) + len(split.y_degrees)
-    # X and Y with the table, then U and V with the gather temporaries that build them
-    sample_bytes = 8 * (table_rows + 2 * side_rows)
+    # the normals, Q and Y0 with the table, then U and V with the gather temporaries
+    sample_bytes = 8 * (n * d + 2 * d * m + n * m + table_rows + 2 * side_rows)
     per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
     sums = np.empty((2, len(sizes), len(split.position)))
     for first in range(0, len(sizes), per_chunk):
@@ -85,18 +114,35 @@ def _chunk_moment_sums(
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> None:
-    """Draw a chunk of batches and write their sums of phi and phi^2 to ``out`` (2, batches, K).
+    """Draw a chunk of batches and write their sums of the summands and their squares to ``out``.
 
-    The batches share one Hermite table and one U, V pair, squared in place
-    for the phi^2 sums.  Each run of equal-size batches takes one stacked
-    product per block, which makes the same BLAS call per batch as a lone
-    batch would: the sums do not depend on the chunking.
+    ``out`` is (2, batches, K).  The batches share one Hermite table and one
+    U, V pair, squared in place for the second-moment sums.  Each run of
+    equal-size batches takes one stacked product per block, which makes the
+    same BLAS call per batch as a lone batch would: the sums do not depend on
+    the chunking.
     """
-    n, d = params.n, params.d
-    X, Y, *_ = sample_planted_batches(params, chunk, rng)
-    table = slot_table(X, Y, len(split.blocks) - 1)
+    n, d, m = params.n, params.d, params.m
+    S = sum(chunk)
+    draws = rng.standard_normal((S, n * d + d * m))
+    X = draws[:, : n * d].reshape(S, n, d)
+    Y0 = X @ qr_sign_fixed(draws[:, n * d :].reshape(S, d, m))
+    table = slot_table(X, Y0, len(split.blocks) - 1)
+    del draws, X, Y0  # freed before U and V are made, to keep the peak down
     U = slot_products(split.x_degrees, table[: n * d])
     V = slot_products(split.y_degrees, table[n * d :])
+    del table
+    # each Y-side row takes rho^|B| times the mean over its row orbit
+    sizes = split.orbit_sizes
+    starts = np.cumsum(sizes) - sizes
+    rho_b = (1.0 + params.sigma**2) ** (-0.5 * split.y_degrees[starts].sum(axis=1))
+    orbit_means = V[starts]
+    for j in range(1, sizes.max()):  # add each orbit's j-th member, a row gather per j
+        longer = np.flatnonzero(sizes > j)
+        orbit_means[longer] += V[starts[longer] + j]
+    orbit_means *= (rho_b / sizes)[:, None]
+    V = np.repeat(orbit_means, sizes, axis=0)
+    del orbit_means
     for power, sums in enumerate(out):
         if power:
             U *= U
@@ -118,8 +164,11 @@ def _chunk_moment_sums(
 class PatternBreakdown:
     """Per-pattern terms of the advantage sum, as arrays indexed by pattern id.
 
-    ``mean`` is each pattern's planted-mean estimate and ``mean_var`` its
-    squared standard error, var/samples.
+    ``mean`` is each pattern's planted-mean estimate, the sample mean of its
+    conditional-mean summand (module docstring), unbiased; ``mean_var`` is
+    its squared standard error, the summand's sample variance over the
+    sample count.  Patterns whose B lie in one row orbit share their
+    summand, so with equal A they share mean and stderr.
     """
 
     degree: np.ndarray
@@ -136,6 +185,44 @@ class PatternBreakdown:
         return self.mean**2 - self.mean_var
 
 
+def batch_sizes(samples: int) -> list[int]:
+    """Sizes of the jackknife batches: 20 (or ``samples``, if fewer), the first ones one larger."""
+    n_batches = min(_JACKKNIFE_BATCHES, samples)
+    return [samples // n_batches + (b < samples % n_batches) for b in range(n_batches)]
+
+
+def jackknife_estimate(
+    D: int, degrees: np.ndarray, sums: np.ndarray, sizes: list[int]
+) -> tuple[AdvantageEstimate, PatternBreakdown]:
+    """The unbiased sum of squared means and its jackknife stderr, from per-batch sums.
+
+    ``sums`` is (2, batches, K): each batch's per-pattern sums of a summand
+    and of its square, over ``sizes`` samples per batch; ``degrees`` holds
+    the patterns' total degrees.
+    """
+
+    def sum_of_squares(
+        s1: np.ndarray, s2: np.ndarray, n: int | np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        # over a leading batch axis where the arguments have one
+        mean = s1 / n
+        var = (s2 - n * mean**2) / (n - 1)
+        return mean, var, (mean**2 - var / n).sum(axis=-1)
+
+    samples = sum(sizes)
+    total1, total2 = sums.sum(axis=1)
+    mean, var, value = sum_of_squares(total1, total2, samples)
+    # leave-one-batch-out values, one row per batch
+    kept = (samples - np.array(sizes))[:, None]
+    _, _, loo = sum_of_squares(total1 - sums[0], total2 - sums[1], kept)
+    B = len(sizes)
+    stderr = math.sqrt((B - 1) / B * float(((loo - loo.mean()) ** 2).sum()))
+    est = AdvantageEstimate(
+        degree=D, value_sq=float(value), stderr=stderr, pattern_count=len(degrees), samples=samples
+    )
+    return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=var / samples)
+
+
 def advantage_sq_with_patterns(
     params: ModelParams,
     D: int,
@@ -143,7 +230,7 @@ def advantage_sq_with_patterns(
     rng: np.random.Generator,
     pattern_cap: int = DEFAULT_PATTERN_CAP,
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
-    """Estimate the squared advantage and return the per-pattern breakdown."""
+    """Estimate the squared advantage and return the per-pattern breakdown (module docstring)."""
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
     count = pattern_count(params.n, params.d, params.m, D)
@@ -158,31 +245,9 @@ def advantage_sq_with_patterns(
         raise ValueError(f"samples must be >= 2, got {samples}")
     patterns = pattern_pairs(params.n, params.d, params.m, D)
     split = side_split(params.n, params.d, params.m, D)
-
-    n_batches = min(_JACKKNIFE_BATCHES, samples)
-    sizes = [samples // n_batches + (1 if b < samples % n_batches else 0) for b in range(n_batches)]
-    K = len(patterns)
-    sum1, sum2 = _planted_moment_sums(split, params, sizes, rng)[:, :, split.position]
-
-    def sum_of_squares(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        mean = s1 / n
-        var = (s2 - n * mean**2) / (n - 1)
-        contrib = mean**2 - var / n
-        return mean, var, float(contrib.sum())
-
-    total1, total2 = sum1.sum(axis=0), sum2.sum(axis=0)
-    mean, var, value = sum_of_squares(total1, total2, samples)
-
-    # leave-one-batch-out jackknife for the standard error of the total
-    loo = np.empty(n_batches)
-    for b in range(n_batches):
-        _, _, loo[b] = sum_of_squares(total1 - sum1[b], total2 - sum2[b], samples - sizes[b])
-    stderr = math.sqrt((n_batches - 1) / n_batches * float(((loo - loo.mean()) ** 2).sum()))
-
-    est = AdvantageEstimate(
-        degree=D, value_sq=value, stderr=stderr, pattern_count=K, samples=samples
-    )
-    return est, PatternBreakdown(degree=patterns.degrees, mean=mean, mean_var=var / samples)
+    sizes = batch_sizes(samples)
+    sums = _planted_moment_sums(split, params, sizes, rng)[:, :, split.position]
+    return jackknife_estimate(D, patterns.degrees, sums, sizes)
 
 
 def estimate_advantage_sq(

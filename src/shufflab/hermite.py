@@ -136,21 +136,36 @@ class SideSplit(NamedTuple):
     Flattened row-major from ``offset`` on, the D + 1 blocks hold every
     pattern exactly once, pattern k at ``position[k]``, and nothing else: the
     Ka x Kb product never forms.
+
+    Within a degree, the Y-side rows are grouped by row orbit: the multi-indices
+    that differ by a permutation of the n rows are contiguous, orbit j holding
+    the next ``orbit_sizes[j]`` rows.  On the X side the same order holds, but
+    nothing reads its orbits.
     """
 
     x_degrees: np.ndarray
     y_degrees: np.ndarray
     blocks: tuple[tuple[int, int, int, int], ...]
     position: np.ndarray
+    orbit_sizes: np.ndarray
 
 
-def _by_degree(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows sorted by degree, and each input row's index among them."""
+def _by_degree(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows by degree, then row orbit; each input row's index among them; orbit sizes.
+
+    A row is a flattened (n, c) multi-index.  Its orbit key is the sorted
+    tuple of its n row codes, a row code being the rank of that row among
+    the distinct ones, so equal keys mean equal up to a row permutation.
+    """
     sides, inverse = np.unique(rows, axis=0, return_inverse=True)
-    order = np.argsort(sides.sum(axis=1), kind="stable")
+    _, codes = np.unique(sides.reshape(len(sides) * n, -1), axis=0, return_inverse=True)
+    keys = np.sort(codes.reshape(len(sides), n), axis=1)
+    orbit = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort((orbit, sides.sum(axis=1)))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return sides[order], rank[inverse.reshape(-1)]
+    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
+    return sides[order], rank[inverse.reshape(-1)], np.diff(starts, append=len(order))
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,19 +173,19 @@ def side_split(n: int, d: int, m: int, max_degree: int) -> SideSplit:
     """The ``SideSplit`` of ``pattern_pairs(n, d, m, max_degree)``; cached, so read-only."""
     patterns = pattern_pairs(n, d, m, max_degree)
     K = len(patterns)
-    x_degrees, x_index = _by_degree(patterns.A.reshape(K, -1))
-    y_degrees, y_index = _by_degree(patterns.B.reshape(K, -1))
+    x_degrees, x_index, _ = _by_degree(patterns.A.reshape(K, -1), n)
+    y_degrees, y_index, orbit_sizes = _by_degree(patterns.B.reshape(K, -1), n)
     x_weight, y_weight = x_degrees.sum(axis=1), y_degrees.sum(axis=1)
     row_bounds = np.searchsorted(x_weight, np.arange(max_degree + 2))
     col_counts = np.searchsorted(y_weight, max_degree - np.arange(max_degree + 1), side="right")
     offsets = np.concatenate([[0], np.cumsum(np.diff(row_bounds) * col_counts)])
     w = x_weight[x_index]
     position = offsets[w] + (x_index - row_bounds[w]) * col_counts[w] + y_index
-    for array in (x_degrees, y_degrees, position):
+    for array in (x_degrees, y_degrees, position, orbit_sizes):
         array.setflags(write=False)
     bounds = row_bounds.tolist()
     blocks = tuple(zip(bounds, bounds[1:], col_counts.tolist(), offsets.tolist()))
-    return SideSplit(x_degrees, y_degrees, blocks, position)
+    return SideSplit(x_degrees, y_degrees, blocks, position, orbit_sizes)
 
 
 def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:

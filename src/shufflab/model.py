@@ -7,9 +7,8 @@ sign-fixed QR of a d x m Gaussian, ``randmat.qr_sign_fixed``), and Z
 Gaussian noise, all independent.  The permutation is applied by an index
 gather; the n x n matrix is never materialized.  The batch samplers draw
 stacks of independent instances; ``sample_null`` and ``sample_planted``
-are their size-1 draws.  The one planted sampler, ``sample_planted_batches``,
-draws consecutive batches in stream order and plants them in one pass; the
-other planted samplers are its one-batch case.
+are their size-1 draws.  The advantage estimator draws no instances: it
+integrates the permutation and the noise out given (X, Q) (``advantage``).
 """
 
 from __future__ import annotations
@@ -82,35 +81,21 @@ def sample_null_batch(
     return X, Y
 
 
-def sample_planted_batches(
-    params: ModelParams, sizes: list[int], rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
-    """Planted draws of consecutive batches, concatenated as stacks (X, Y, perm, Q, Z).
-
-    Each batch draws X, perm, Q's Gaussian and Z in turn, as one
-    ``sample_planted_batch`` call would; one sign-fixed QR, gather and
-    response then serve all batches.
-    """
-    n, d, m = params.n, params.d, params.m
-    parts = []
-    for size in sizes:
-        X = rng.standard_normal((size, n, d))
-        perm = randmat.permutation_batch(n, size, rng)
-        G = rng.standard_normal((size, d, m))
-        parts.append((X, perm, G, rng.standard_normal((size, n, m))))
-    # one batch is used as drawn: a copy would add its size to the peak
-    X, perm, G, Z = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
-    Q = randmat.qr_sign_fixed(G)
-    XP = np.take_along_axis(X, perm[:, :, None], axis=1)
-    return X, planted_response(XP, Q, Z, params.sigma), perm, Q, Z
-
-
 def sample_planted_batch(
     params: ModelParams, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """size independent planted draws, stacked as (size, n, d) and (size, n, m)."""
-    X, Y, *_ = sample_planted_batches(params, [size], rng)
-    return X, Y
+) -> tuple[np.ndarray, ...]:
+    """size independent planted draws, stacked as (X, Y, perm, Q, Z).
+
+    X is (size, n, d), Y and Z (size, n, m), perm (size, n) and Q (size, d, m).
+    The stream gives X, the permutations, Q's Gaussian and Z in turn.
+    """
+    n, d, m = params.n, params.d, params.m
+    X = rng.standard_normal((size, n, d))
+    perm = randmat.permutation_batch(n, size, rng)
+    Q = randmat.qr_sign_fixed(rng.standard_normal((size, d, m)))
+    Z = rng.standard_normal((size, n, m))
+    XP = np.take_along_axis(X, perm[:, :, None], axis=1)
+    return X, planted_response(XP, Q, Z, params.sigma), perm, Q, Z
 
 
 def sample_null(params: ModelParams, rng: np.random.Generator) -> Instance:
@@ -123,6 +108,6 @@ def sample_planted(
     params: ModelParams, rng: np.random.Generator, keep_latent: bool = False
 ) -> Instance:
     """One planted draw: the size-1 stack of ``sample_planted_batch``, latents kept on request."""
-    X, Y, perm, Q, Z = sample_planted_batches(params, [1], rng)
+    X, Y, perm, Q, Z = sample_planted_batch(params, 1, rng)
     latent = Latent(perm=perm[0], Q=Q[0], Z=Z[0]) if keep_latent else None
     return Instance(X=X[0], Y=Y[0], hypothesis="planted", latent=latent)

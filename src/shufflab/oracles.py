@@ -5,9 +5,11 @@ floating point and as exact rationals, Gaussian exponential and
 quadratic-form moments, Haar determinant moments, and the density of a
 block of a Haar orthogonal matrix.  The detector statistic f on full
 sampled instances lives here too, as the reference for the detector's
-exact law.  No production route calls them; tests and the checks below do.  SciPy is
-imported inside the functions that use it, so importing this module (as
-the CLI does to list the checks) loads none of it.
+exact law, and the advantage estimate from full planted draws is the
+reference for the Rao-Blackwellized estimator.  No production route calls
+them; tests and the checks below do.  SciPy is imported inside the
+functions that use it, so importing this module (as the CLI does to list
+the checks) loads none of it.
 
 Each check compares an implemented closed form against an independent
 numerical route (Monte Carlo sampling, quadrature, or a pointwise
@@ -30,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import chisq as chisq_mod
+from .advantage import AdvantageEstimate, PatternBreakdown, batch_sizes, jackknife_estimate
 from .chisq import ZETA_SLACK, log_wishart_constant
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .hermite import (
@@ -246,8 +249,38 @@ def sample_f_instances(
     """
     sampler = sample_null_batch if hypothesis == "null" else sample_planted_batch
     return draw_chunked(
-        lambda b: statistic_f(*sampler(params, b, rng)), trials, _INSTANCE_CHUNK
+        lambda b: statistic_f(*sampler(params, b, rng)[:2]), trials, _INSTANCE_CHUNK
     )
+
+
+# ---------------------------------------------------------------------------
+# the advantage on full planted draws
+
+
+def advantage_sq_planted_mc(
+    params: ModelParams, D: int, samples: int, rng: np.random.Generator
+) -> tuple[AdvantageEstimate, PatternBreakdown]:
+    """The squared degree-D advantage averaged over full planted draws.
+
+    The reference route for ``advantage.advantage_sq_with_patterns``: each
+    jackknife batch draws X, the permutation, Q and the noise by
+    ``model.sample_planted_batch`` and evaluates every pattern on (X, Y) by
+    ``hermite.phi_batch``, with no conditional mean taken.  The per-pattern
+    means estimate the same planted means, so the two routes agree in
+    expectation; this one has the larger variance.  Memory holds one batch's
+    (batch size, K) basis matrix.
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    patterns = pattern_pairs(params.n, params.d, params.m, D)
+    sizes = batch_sizes(samples)
+    sums = np.empty((2, len(sizes), len(patterns)))
+    for b, size in enumerate(sizes):
+        X, Y, *_ = sample_planted_batch(params, size, rng)
+        vals = phi_batch(patterns, X, Y)
+        sums[0, b] = vals.sum(axis=0)
+        sums[1, b] = (vals * vals).sum(axis=0)
+    return jackknife_estimate(D, patterns.degrees, sums, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ reproduces bit-identical output on the same build.  ``qr_sign_fixed`` of a
 Gaussian stack, QR with the R-diagonal signs normalized to positive, gives
 the exact Haar law: on O(d) for square (d, d) matrices
 (``haar_orthogonal_batch``), and on the Stiefel manifold for (d, m) ones,
-which is how ``model.sample_planted_batches`` draws Q.  A stack with
-m <= min(d, 2) columns skips LAPACK: the sign-fixed factor is Gram-Schmidt in
-closed form, q_1 = g_1 / |g_1| and q_2 the normalized residual of g_2 after
-two projections out of q_1, which rounds differently from Householder QR but
-draws the same law.  Where only the spectrum of a Haar draw matters,
+which is how ``model.sample_planted_batch`` and the advantage estimator draw
+Q.  A stack with m <= min(d, 2) columns skips LAPACK: the sign-fixed factor
+is Gram-Schmidt in closed form, q_1 = g_1 / |g_1| and q_2 the normalized
+residual of g_2 after two projections out of q_1, which rounds differently
+from Householder QR but draws the same law.  Where only the spectrum of a Haar draw matters,
 ``haar_verblunsky_batch`` draws O(d) numbers in place of a QR: Verblunsky
 coefficients by Gaussian stick-breaking from one row-major block of normals,
 so each draw is one contiguous stretch of the stream and a stack of a + b

@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from shufflab.hermite import (
     phi_batch,
     side_split,
 )
-from shufflab.model import ModelParams, sample_planted_batch
-from shufflab.oracles import sphere_moment_exact
+from shufflab.model import ModelParams
+from shufflab.oracles import advantage_sq_planted_mc, sphere_moment_exact
+from shufflab.randmat import qr_sign_fixed
 
 
 def _planted_mean(params, D, a_rows, b_rows, samples, seed):
@@ -158,38 +160,49 @@ def test_argument_checks_run_before_patterns_are_built(monkeypatch):
 
 
 def test_estimate_bits_pinned():
-    # values of the graded X-side x Y-side kernel with closed-form 2x2 Q draws;
-    # == also catches a change of summation order, such as a different block
-    # split or an F-ordered table.  The sums come from OpenBLAS dgemm/gemv,
-    # whose kernel OpenBLAS picks by CPU type: on another CPU these pins may
-    # move in the last bits with no regression (the tolerance tests below
-    # still hold); on one machine they repeat exactly.
+    # values of the Rao-Blackwellized graded kernel with closed-form 2x2 Q
+    # draws; == also catches a change of summation order, such as a different
+    # block split or an F-ordered table.  The sums come from OpenBLAS
+    # dgemm/gemv, whose kernel OpenBLAS picks by CPU type: on another CPU these
+    # pins may move in the last bits with no regression (the tolerance tests
+    # below still hold); on one machine they repeat exactly.
     est, rows = advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 2000, make_rng(5))
-    assert est.value_sq == 2.2058570449024817
-    assert est.stderr == 0.141579757425445
-    assert rows.mean[123] == -0.05203391665058099
-    assert rows.stderr[123] == 0.03334152861916319
-    # the array square; a scalar float64 ** rounds this one up in the last bit
-    assert rows.squared_contribution[250] == -0.00015965145268858716
+    assert est.value_sq == 2.363256753986543
+    assert est.stderr == 0.12073072157414912
+    assert rows.mean[123] == -0.010067617162173725
+    assert rows.stderr[123] == 0.020210679386025904
+    assert rows.squared_contribution[250] == -4.3036652509839386e-05
 
 
-def _per_batch_reference(params, D, samples, rng):
-    """The estimator with one sampler call, QR and Hermite table per jackknife batch.
+def _conditional_mean_reference(params, D, samples, rng):
+    """The estimator as a per-sample loop over the same normals.
 
-    Returns (value_sq, stderr, mean, mean_var).
+    Sample s takes X from the stream's normals s*(nd + dm) .. and Q's Gaussian
+    from the dm after them.  Its summand for pattern (A, B) is
+    phi_A(X) rho^|B| times the mean over all n! row orders pi of
+    phi_B(Y0[pi]), Y0 = X Q: every distinct row permutation of B is hit
+    equally often.  Returns (value_sq, stderr, mean, mean_var).
     """
-    patterns = pattern_pairs(params.n, params.d, params.m, D)
+    n, d, m = params.n, params.d, params.m
+    patterns = pattern_pairs(n, d, m, D)
+    rho_b = (1.0 + params.sigma**2) ** (-0.5 * patterns.B.sum(axis=(1, 2)))
+    orders = np.array(list(itertools.permutations(range(n))))
 
     n_batches = min(20, samples)
     sizes = [samples // n_batches + (1 if b < samples % n_batches else 0) for b in range(n_batches)]
     K = len(patterns)
     sum1 = np.zeros((n_batches, K))
     sum2 = np.zeros((n_batches, K))
+    draws = iter(rng.standard_normal((samples, n * d + d * m)))
     for b, size in enumerate(sizes):
-        X, Y = sample_planted_batch(params, size, rng)
-        vals = phi_batch(patterns, X, Y)
-        sum1[b] = vals.sum(axis=0)
-        sum2[b] = (vals * vals).sum(axis=0)
+        for _ in range(size):
+            row = next(draws)
+            X = row[: n * d].reshape(n, d)
+            Y0 = X @ qr_sign_fixed(row[n * d :].reshape(d, m))
+            Xs = np.broadcast_to(X, (len(orders), n, d))
+            summand = phi_batch(patterns, Xs, Y0[orders]).mean(axis=0) * rho_b
+            sum1[b] += summand
+            sum2[b] += summand * summand
 
     def sum_of_squares(s1, s2, n):
         mean = s1 / n
@@ -208,8 +221,9 @@ def _per_batch_reference(params, D, samples, rng):
 
 
 def _assert_matches_reference(est, rows, reference):
-    # the kernel sums U V^T by BLAS where the reference sums an (S, K) block
-    # pairwise, so the last bits differ; the draws are the same
+    # the kernel sums U V^T by BLAS and averages an orbit before weighting it,
+    # where the reference sums sample by sample, so the last bits differ; the
+    # draws are the same
     value, stderr, mean, mean_var = reference
     assert est.value_sq == pytest.approx(value, rel=1e-12, abs=0)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
@@ -230,18 +244,19 @@ def _assert_matches_reference(est, rows, reference):
 )
 def test_shared_draw_matches_per_batch_draws(params, D, samples):
     est, rows = advantage_sq_with_patterns(params, D, samples, make_rng(21))
-    _assert_matches_reference(est, rows, _per_batch_reference(params, D, samples, make_rng(21)))
+    reference = _conditional_mean_reference(params, D, samples, make_rng(21))
+    _assert_matches_reference(est, rows, reference)
 
 
 def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     calls = []
 
-    def counted(params, sizes, rng):
-        calls.append(sum(sizes))
-        return sample_planted_batches(params, sizes, rng)
+    def counted(split, params, chunk, rng, out):
+        calls.append(sum(chunk))
+        return chunk_moment_sums(split, params, chunk, rng, out)
 
-    sample_planted_batches = advantage_mod.sample_planted_batches
-    monkeypatch.setattr(advantage_mod, "sample_planted_batches", counted)
+    chunk_moment_sums = advantage_mod._chunk_moment_sums
+    monkeypatch.setattr(advantage_mod, "_chunk_moment_sums", counted)
     params = ModelParams(2, 2, 2, 0.5)
     # one batch per chunk, chunks of 6, 6, 6 and 2 batches, one chunk; the
     # first three batches hold 1,001 samples and the other 17 hold 1,000
@@ -252,13 +267,46 @@ def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
         monkeypatch.setattr(advantage_mod, "DRAW_CHUNK_BYTES", chunk_bytes)
         runs.append(advantage_sq_with_patterns(params, 4, 20_003, make_rng(22)))
         assert sum(calls) == 20_003 and len(calls) == want_calls
-    # a batch's sums do not depend on which chunk it was drawn in
+    # each sample is one stretch of the stream, so the chunking moves no bit
     (est, rows), *others = runs
     for other_est, other_rows in others:
         assert other_est == est
         assert np.array_equal(other_rows.mean, rows.mean)
         assert np.array_equal(other_rows.mean_var, rows.mean_var)
-    _assert_matches_reference(est, rows, _per_batch_reference(params, 4, 20_003, make_rng(22)))
+
+
+# One (n, d, m, D) cell per row count: row orbits of size 1, up to 2 and up to 6.
+ORACLE_CELLS = {1: (2, 2, 4), 2: (2, 2, 4), 3: (2, 1, 4)}
+ORACLE_SAMPLES = 20_000
+# per-pattern means: family-wise false-alarm rate 1e-3 over the K patterns, Bonferroni
+ORACLE_FAMILY_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", sorted(ORACLE_CELLS))
+def test_estimate_matches_full_draw_oracle(n, sigma):
+    d, m, D = ORACLE_CELLS[n]
+    params = ModelParams(n, d, m, sigma)
+    seed = 100 + 10 * n + int(2 * sigma)
+    est, rows = advantage_sq_with_patterns(params, D, ORACLE_SAMPLES, make_rng(seed))
+    ref, ref_rows = advantage_sq_planted_mc(params, D, ORACLE_SAMPLES, make_rng(seed + 1000))
+    assert est.pattern_count == ref.pattern_count == len(ref_rows.mean)
+    assert abs(est.value_sq - ref.value_sq) <= 4 * math.hypot(est.stderr, ref.stderr)
+
+    se = np.hypot(rows.stderr, ref_rows.stderr)
+    exact = se == 0.0
+    assert np.array_equal(rows.mean[exact], ref_rows.mean[exact])
+    z = np.abs(rows.mean - ref_rows.mean)[~exact] / se[~exact]
+    limit = NormalDist().inv_cdf(1 - ORACLE_FAMILY_ALPHA / (2 * len(rows.mean)))
+    assert z.max() <= limit, (z.max(), limit)
+
+
+def test_conditional_mean_cuts_stderr_at_high_noise():
+    # at sigma = 3 most of a full draw's variance is the noise the estimator integrates out
+    params = ModelParams(2, 2, 2, 3.0)
+    est, _ = advantage_sq_with_patterns(params, 4, ORACLE_SAMPLES, make_rng(140))
+    ref, _ = advantage_sq_planted_mc(params, 4, ORACLE_SAMPLES, make_rng(141))
+    assert 2 * est.stderr <= ref.stderr, (est.stderr, ref.stderr)
 
 
 def test_estimate_memory_stays_per_batch():

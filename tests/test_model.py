@@ -51,7 +51,7 @@ def test_planted_norm_preserved_when_noiseless_square():
 
 def test_planted_marginal_variance_is_one():
     params = ModelParams(n=50, d=8, m=4, sigma=0.7)
-    _, Y = sample_planted_batch(params, 5000, make_rng(24))
+    _, Y, *_ = sample_planted_batch(params, 5000, make_rng(24))
     assert Y.size >= 1_000_000
     assert abs(Y.var() - 1.0) <= 0.01
 
@@ -72,7 +72,7 @@ def test_planted_row_exchangeability():
     def stat(X, Y):
         return (X.sum(axis=2) * Y.sum(axis=2)).sum(axis=1)
 
-    X1, Y1 = sample_planted_batch(params, draws, make_rng(30))
+    X1, Y1, *_ = sample_planted_batch(params, draws, make_rng(30))
     rng = make_rng(31)
     X2 = rng.standard_normal((draws, 4, 3))[:, tau, :]
     perms = rng.permuted(np.tile(np.arange(4), (draws, 1)), axis=1)
@@ -90,7 +90,7 @@ def test_planted_row_exchangeability():
 def test_large_sigma_limit_matches_null_statistic():
     # E[(|Y|^2 - |X|^2)^2] / (nd) tends to the null value 4 as sigma grows
     params = ModelParams(n=32, d=8, m=8, sigma=100.0)
-    X, Y = sample_planted_batch(params, 20_000, make_rng(32))
+    X, Y, *_ = sample_planted_batch(params, 20_000, make_rng(32))
     f = (np.einsum("sij,sij->s", Y, Y) - np.einsum("sij,sij->s", X, X)) ** 2
     nd = params.n * params.d
     assert abs(f.mean() / nd - 4.0) <= 0.05 * 4.0
