@@ -8,8 +8,8 @@ Library layout:
 - ``model``: null and planted batch samplers (a single instance is the
   size-1 draw).
 - ``hermite``: the orthonormal Hermite table, stacked basis-function
-  patterns over (X, Y) pairs, and the joint-coefficient closed form for one
-  response column.
+  patterns over (X, Y) pairs, and their split into X-side and Y-side
+  multi-indices with the sign-symmetry zeros left out.
 - ``advantage``: unbiased estimators and exact enumerations for the squared
   low-degree advantage, plus its chi-square upper bound.
 - ``chisq``: closed-form and Monte Carlo chi-square divergences between the
@@ -17,8 +17,10 @@ Library layout:
 - ``detect``: the constant-degree detection statistic, drawn from its exact
   law in three chi-squares, thresholded testing, and separation reporting.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
-  submatrix and determinant), the detection statistic on full sampled
-  instances, and the self-checks that compare closed forms with sampling.
+  submatrix and determinant), basis functions on full instances and the
+  joint coefficients for one response column, the detection statistic on
+  full sampled instances, and the self-checks that compare closed forms
+  with sampling.
 - ``cli``: the batch experiment harness (``shufflab`` console script).
 """
 

@@ -22,6 +22,23 @@ the leave-one-batch-out jackknife over 20 batches of the samples, of that
 unbiased sum.  The per-pattern breakdown gives each pattern's mean with its
 stderr.
 
+Sign symmetry makes most planted means exactly 0: unless every column sum
+of A and every column sum of B is even, flipping the signs of the odd
+columns (of X's columns and Q's rows, or of Q's columns and Z's) leaves the
+planted law unchanged and negates the mean (``hermite.SideSplit``).  Those
+patterns are not sampled.  They add exactly 0 to the sum, and the breakdown
+reports them as 0 with stderr 0, which is exact, not a Monte Carlo
+figure.  A pattern of odd total degree has an odd column sum on one side,
+so the estimate at D = 2j + 1 is the one at D = 2j.  Other patterns whose
+mean is 0 are still sampled: given (P, Q) the rows are independent and each
+h_b(Q^T x) lies in one Wiener chaos, so a mean is 0 unless the row weights
+of A and of B agree as multisets.  That test pairs an X-side multi-index
+with a Y-side one, where the parity test above keeps or drops each side on
+its own, so it does not fit the per-side blocks below.  Skipping them would
+also make some estimates exact, 1 with stderr 0 at (n, d, m) = (1, 2, 1)
+and D = 3, which the benchmark's z-check of that cell cannot yet take
+(ROADMAP item 1).
+
 Stream layout: sample s reads the standard normals s*(nd + dm) through
 (s + 1)*(nd + dm) - 1 of the generator, X (n x d, row-major) from the first
 nd and the Gaussian behind Q (d x m, row-major, ``randmat.qr_sign_fixed``)
@@ -31,14 +48,15 @@ estimate's bits, do not depend on the chunking.
 
 A basis function factors as phi_(A,B) = phi_A(X) times the Y-side summand,
 so a batch's sums of the summands and of their squares are entries of U V^T
-and (U o U)(V o V)^T, with U the X-side products (one row per X-side
-multi-index) and V the Y-side orbit means (``hermite.SideSplit``), each Y-side
-row carrying rho^|B| times the mean of its orbit.  The products are taken by
-X-degree w, against only the Y-side columns of degree <= D - w, so the D + 1
-blocks hold exactly the K pattern sums.  Memory holds one chunk's draws,
-table, U and V (squared in place for the second-moment sums), at most
-``DRAW_CHUNK_BYTES`` unless one batch needs more: never a (samples, K) or
-(batch size, K) basis matrix.
+and (U o U)(V o V)^T, with U the X-side products (one row per even-column-sum
+X-side multi-index) and V the Y-side orbit means (``hermite.SideSplit``),
+each Y-side row carrying rho^|B| times the mean of its orbit.  The products
+are taken by X-degree w, against only the Y-side columns of degree <= D - w,
+so the D + 1 blocks hold exactly the kept patterns' sums.  Memory holds one
+chunk's draws, table, U and V (squared in place for the second-moment sums),
+at most ``DRAW_CHUNK_BYTES`` unless one batch needs more, and the kept
+patterns' per-batch sums: never a (samples, K) or (batch size, K) basis
+matrix.
 
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
@@ -75,8 +93,12 @@ class AdvantageEstimate:
     ``value_sq`` sums, over the ``pattern_count`` patterns, the unbiased
     squares mean^2 - var/samples of the patterns' conditional-mean summands;
     it is unbiased because each summand's mean is exactly the pattern's
-    planted mean.  ``stderr`` is the 20-batch leave-one-out jackknife stderr
-    of ``value_sq`` over those summands.
+    planted mean.  The patterns with an odd column sum in A or in B have
+    planted mean exactly 0 by sign symmetry; they are not sampled and add
+    exactly 0.  ``stderr`` is the 20-batch leave-one-out jackknife stderr of
+    ``value_sq`` over the summands of the other patterns, which include the
+    cross-side zeros (module docstring) and so may be positive when the
+    advantage is exactly 1.  ``pattern_count`` is the basis size K.
     """
 
     degree: int
@@ -89,7 +111,7 @@ class AdvantageEstimate:
 def _planted_moment_sums(
     split: SideSplit, params: ModelParams, sizes: list[int], rng: np.random.Generator
 ) -> np.ndarray:
-    """Each batch's sums of the summands and of their squares, (2, batches, K) in block order.
+    """Each batch's sums of the summands and of their squares, (2, batches, kept) in block order.
 
     Chunks of consecutive batches are drawn and evaluated together, so that a
     chunk's draws, table, U and V fit the budget.
@@ -100,7 +122,7 @@ def _planted_moment_sums(
     # the normals, Q and Y0 with the table, then U and V with the gather temporaries
     sample_bytes = 8 * (n * d + 2 * d * m + n * m + table_rows + 2 * side_rows)
     per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
-    sums = np.empty((2, len(sizes), len(split.position)))
+    sums = np.empty((2, len(sizes), split.kept))
     for first in range(0, len(sizes), per_chunk):
         chunk = sizes[first : first + per_chunk]
         _chunk_moment_sums(split, params, chunk, rng, sums[:, first : first + len(chunk)])
@@ -116,7 +138,7 @@ def _chunk_moment_sums(
 ) -> None:
     """Draw a chunk of batches and write their sums of the summands and their squares to ``out``.
 
-    ``out`` is (2, batches, K).  The batches share one Hermite table and one
+    ``out`` is (2, batches, kept).  The batches share one Hermite table and one
     U, V pair, squared in place for the second-moment sums.  Each run of
     equal-size batches takes one stacked product per block, which makes the
     same BLAS call per batch as a lone batch would: the sums do not depend on
@@ -168,7 +190,10 @@ class PatternBreakdown:
     conditional-mean summand (module docstring), unbiased; ``mean_var`` is
     its squared standard error, the summand's sample variance over the
     sample count.  Patterns whose B lie in one row orbit share their
-    summand, so with equal A they share mean and stderr.
+    summand, so with equal A they share mean and stderr.  A pattern with an
+    odd column sum in A or in B has planted mean 0 by sign symmetry
+    (``hermite.SideSplit``) and is not sampled: its mean and stderr read 0,
+    exactly.  All K patterns keep their rows.
     """
 
     degree: np.ndarray
@@ -192,13 +217,15 @@ def batch_sizes(samples: int) -> list[int]:
 
 
 def jackknife_estimate(
-    D: int, degrees: np.ndarray, sums: np.ndarray, sizes: list[int]
+    D: int, degrees: np.ndarray, sums: np.ndarray, sizes: list[int], position: np.ndarray
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
     """The unbiased sum of squared means and its jackknife stderr, from per-batch sums.
 
-    ``sums`` is (2, batches, K): each batch's per-pattern sums of a summand
-    and of its square, over ``sizes`` samples per batch; ``degrees`` holds
-    the patterns' total degrees.
+    ``sums`` is (2, batches, columns): each batch's sums of a summand and of
+    its square, per column, over ``sizes`` samples per batch.  Pattern k,
+    of total degree ``degrees[k]``, reads column ``position[k]``; a position
+    of ``columns`` marks a pattern whose planted mean is exactly 0, reported
+    as 0 with variance 0.  The estimate sums over the columns.
     """
 
     def sum_of_squares(
@@ -220,7 +247,8 @@ def jackknife_estimate(
     est = AdvantageEstimate(
         degree=D, value_sq=float(value), stderr=stderr, pattern_count=len(degrees), samples=samples
     )
-    return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=var / samples)
+    mean, mean_var = (np.append(column, 0.0)[position] for column in (mean, var / samples))
+    return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=mean_var)
 
 
 def advantage_sq_with_patterns(
@@ -246,8 +274,8 @@ def advantage_sq_with_patterns(
     patterns = pattern_pairs(params.n, params.d, params.m, D)
     split = side_split(params.n, params.d, params.m, D)
     sizes = batch_sizes(samples)
-    sums = _planted_moment_sums(split, params, sizes, rng)[:, :, split.position]
-    return jackknife_estimate(D, patterns.degrees, sums, sizes)
+    sums = _planted_moment_sums(split, params, sizes, rng)
+    return jackknife_estimate(D, patterns.degrees, sums, sizes, split.position)
 
 
 def estimate_advantage_sq(

@@ -3,8 +3,11 @@
 The analytic moment references live here: sphere monomial moments, in
 floating point and as exact rationals, Gaussian exponential and
 quadratic-form moments, Haar determinant moments, and the density of a
-block of a Haar orthogonal matrix.  The detector statistic f on full
-sampled instances lives here too, as the reference for the detector's
+block of a Haar orthogonal matrix.  So do the Hermite references: the
+basis functions evaluated on full instances (``phi_batch``), the
+inner-product expansion and the joint coefficients for one response
+column, in closed form and by Monte Carlo.  The detector statistic f on
+full sampled instances lives here too, as the reference for the detector's
 exact law, and the advantage estimate from full planted draws is the
 reference for the Rao-Blackwellized estimator.  No production route calls
 them; tests and the checks below do.  SciPy is imported inside the
@@ -36,9 +39,9 @@ from .advantage import AdvantageEstimate, PatternBreakdown, batch_sizes, jackkni
 from .chisq import ZETA_SLACK, log_wishart_constant
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .hermite import (
-    expand_inner_product, hermite_table, multiindex_enumerate, pattern_pairs, phi_batch,
+    PatternStack, hermite_table, multiindex_enumerate, pattern_pairs, slot_products, slot_table,
 )
-from .model import ModelParams, sample_null_batch, sample_planted_batch
+from .model import ModelParams, planted_response, sample_null_batch, sample_planted_batch
 from .randmat import haar_orthogonal_batch, uniform_sphere
 from .rng import make_rng
 
@@ -48,6 +51,9 @@ FAMILY_RATE_CAP = 0.005
 Z_HARD_CAP = 6.0
 PSD_REL_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
+EXACT_FACTORIAL_LIMIT = 20
+UNIT_NORM_TOL = 1e-10
+PHI_BLOCK_BYTES = 1 << 19  # phi_batch's per-block product; larger blocks fall out of cache
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,143 @@ def haar_det_moment(d: int, eps: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# basis functions on full instances, and joint coefficients for one response column
+
+MultiIndex = Sequence[int]
+
+
+def multinomial_exact(total: int, alpha: MultiIndex) -> int:
+    """total! / prod(alpha_i!) as an exact integer; requires |alpha| = total."""
+    out = math.factorial(total)
+    for a in alpha:
+        out //= math.factorial(a)
+    return out
+
+
+def sqrt_multinomial(total: int, alpha: MultiIndex) -> float:
+    """sqrt(total!/prod(alpha_i!)), exact-integer path for small weights."""
+    if total <= EXACT_FACTORIAL_LIMIT:
+        return math.sqrt(multinomial_exact(total, alpha))
+    log_m = math.lgamma(total + 1) - sum(math.lgamma(a + 1) for a in alpha)
+    return math.exp(0.5 * log_m)
+
+
+def phi_batch(patterns: PatternStack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Evaluate a stack of basis functions on a stack of instances.
+
+    X has shape (S, n, d) and Y (S, n, m); the result is a C-contiguous (S, K)
+    array, one column per pattern in stack order: ``slot_products`` of the
+    patterns' slot degrees on the ``slot_table`` of (X, Y), over sample
+    blocks whose (K, block) product stays in cache.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if patterns.A.shape[1:] != X.shape[1:] or patterns.B.shape[1:] != Y.shape[1:]:
+        raise ValueError(f"pattern shapes do not match instance shapes {X.shape}/{Y.shape}")
+    degs = patterns.slot_degrees
+    table = slot_table(X, Y, int(degs.max(initial=0)))
+    S = table.shape[2]
+    out = np.empty((S, len(patterns)))  # C order: numpy sums a contiguous axis pairwise
+    step = max(1, PHI_BLOCK_BYTES // (8 * len(patterns)))
+    for lo in range(0, S, step):
+        out[lo : lo + step] = slot_products(degs, table[:, :, lo : lo + step]).T
+    return out
+
+
+@dataclass
+class CoeffTable:
+    """Sparse coefficient table keyed by multi-index."""
+
+    dimension: int
+    entries: dict[tuple[int, ...], float]
+
+    def l2_norm(self) -> float:
+        return math.sqrt(sum(c * c for c in self.entries.values()))
+
+    def evaluate(self, x: Sequence[float]) -> float:
+        """Sum of coeff(alpha) * h_alpha(x), h_alpha the product of h_{alpha_i}(x_i)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"x must have shape ({self.dimension},), got {x.shape}")
+        table = hermite_table(x, max(map(sum, self.entries), default=0))
+        cols = np.arange(self.dimension)
+        return float(sum(c * math.prod(table[cols, alpha]) for alpha, c in self.entries.items()))
+
+
+def expand_inner_product(y: Sequence[float], degree: int) -> CoeffTable:
+    """Hermite expansion of z -> h_degree(<x, y>) for a unit vector y.
+
+    Returns the table {alpha: sqrt(degree!/prod alpha_i!) * y^alpha} over
+    |alpha| = degree, so that h_degree(<x, y>) = sum coeff(alpha) h_alpha(x)
+    for every x.  The coefficient vector has unit l2 norm for every unit y.
+    """
+    y = np.asarray(y, dtype=float)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if abs(np.linalg.norm(y) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"y must be a unit vector, got norm {np.linalg.norm(y)!r}")
+    d = y.shape[0]
+    entries: dict[tuple[int, ...], float] = {}
+    for alpha in multiindex_enumerate(d, degree):
+        if sum(alpha) != degree:
+            continue
+        coeff = sqrt_multinomial(degree, alpha) * float(np.prod(y ** np.asarray(alpha)))
+        entries[tuple(alpha)] = coeff
+    return CoeffTable(dimension=d, entries=entries)
+
+
+def lambda_m1_closed(alpha: MultiIndex, beta: int, q: Sequence[float]) -> float:
+    """Closed-form joint coefficient for one response column, zero noise.
+
+    Equals 1{|alpha| = beta} * sqrt(multinomial(beta, alpha)) * q^alpha for a
+    unit vector q.
+    """
+    q = np.asarray(q, dtype=float)
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != q.shape[0]:
+        raise ValueError("dimension mismatch between alpha and q")
+    if abs(np.linalg.norm(q) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"q must be a unit vector, got norm {np.linalg.norm(q)!r}")
+    if sum(alpha) != beta:
+        return 0.0
+    return sqrt_multinomial(beta, alpha) * float(np.prod(q ** np.asarray(alpha)))
+
+
+def lambda_mc_pairs(
+    pairs: Sequence[tuple[MultiIndex, MultiIndex]],
+    Q: np.ndarray,
+    sigma: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> list[MomentEstimate]:
+    """Joint coefficients E[h_alpha(U) h_beta((UQ + sigma V)/sqrt(1+sigma^2))].
+
+    All pairs share one (U, V) sample batch (common random numbers), which
+    keeps cross-pair comparisons low-variance while each estimate stays
+    unbiased.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    Q = np.asarray(Q, dtype=float)
+    d, m = Q.shape
+    A = np.array([alpha for alpha, _ in pairs], dtype=int)
+    B = np.array([beta for _, beta in pairs], dtype=int)
+    if A.shape != (len(pairs), d) or B.shape != (len(pairs), m):
+        raise ValueError(f"pair dims do not match Q shape {(d, m)}")
+    patterns = PatternStack(A[:, None, :], B[:, None, :])
+    U = rng.standard_normal((samples, d))
+    V = rng.standard_normal((samples, m))
+    W = planted_response(U, Q, V, sigma)
+    vals = phi_batch(patterns, U[:, None, :], W[:, None, :])
+    return [
+        MomentEstimate(value=1.0, stderr=0.0, samples=0)
+        if degree == 0
+        else MomentEstimate.from_values(vals[:, j])
+        for j, degree in enumerate(patterns.degrees)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the detector statistic on full instances
 
 _INSTANCE_CHUNK = 512
@@ -265,7 +408,7 @@ def advantage_sq_planted_mc(
     The reference route for ``advantage.advantage_sq_with_patterns``: each
     jackknife batch draws X, the permutation, Q and the noise by
     ``model.sample_planted_batch`` and evaluates every pattern on (X, Y) by
-    ``hermite.phi_batch``, with no conditional mean taken.  The per-pattern
+    ``phi_batch``, with no conditional mean taken.  The per-pattern
     means estimate the same planted means, so the two routes agree in
     expectation; this one has the larger variance.  Memory holds one batch's
     (batch size, K) basis matrix.
@@ -280,7 +423,7 @@ def advantage_sq_planted_mc(
         vals = phi_batch(patterns, X, Y)
         sums[0, b] = vals.sum(axis=0)
         sums[1, b] = (vals * vals).sum(axis=0)
-    return jackknife_estimate(D, patterns.degrees, sums, sizes)
+    return jackknife_estimate(D, patterns.degrees, sums, sizes, np.arange(len(patterns)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,14 @@ from shufflab.chisq import (
     evaluate,
 )
 from shufflab.common import CapacityError, UnsupportedRegimeError
-from shufflab.hermite import (
-    multiindex_enumerate,
-    multinomial_exact,
-    pattern_pairs,
-    phi_batch,
-    side_split,
-)
+from shufflab.hermite import multiindex_enumerate, pattern_pairs, side_split
 from shufflab.model import ModelParams
-from shufflab.oracles import advantage_sq_planted_mc, sphere_moment_exact
+from shufflab.oracles import (
+    advantage_sq_planted_mc,
+    multinomial_exact,
+    phi_batch,
+    sphere_moment_exact,
+)
 from shufflab.randmat import qr_sign_fixed
 
 
@@ -165,13 +164,20 @@ def test_estimate_bits_pinned():
     # block split or an F-ordered table.  The sums come from OpenBLAS
     # dgemm/gemv, whose kernel OpenBLAS picks by CPU type: on another CPU these
     # pins may move in the last bits with no regression (the tolerance tests
-    # below still hold); on one machine they repeat exactly.
+    # below still hold); on one machine they repeat exactly.  Pattern 123 has
+    # an odd column sum, so it reads an exact 0 +- 0.
     est, rows = advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 2000, make_rng(5))
-    assert est.value_sq == 2.363256753986543
-    assert est.stderr == 0.12073072157414912
-    assert rows.mean[123] == -0.010067617162173725
-    assert rows.stderr[123] == 0.020210679386025904
-    assert rows.squared_contribution[250] == -4.3036652509839386e-05
+    assert est.value_sq == 2.367741280167711
+    assert est.stderr == 0.11746424343799969
+    assert rows.mean[170] == 0.0038225179983763097
+    assert rows.stderr[170] == 0.008623973819122978
+    assert rows.squared_contribution[229] == 0.05273774345503233
+    assert rows.mean[123] == 0.0 and rows.stderr[123] == 0.0
+
+
+def _parity_odd(patterns):
+    """Patterns with an odd column sum in A or in B, read off the stack: their planted mean is 0."""
+    return (patterns.A.sum(axis=1) % 2).any(axis=1) | (patterns.B.sum(axis=1) % 2).any(axis=1)
 
 
 def _conditional_mean_reference(params, D, samples, rng):
@@ -181,11 +187,13 @@ def _conditional_mean_reference(params, D, samples, rng):
     from the dm after them.  Its summand for pattern (A, B) is
     phi_A(X) rho^|B| times the mean over all n! row orders pi of
     phi_B(Y0[pi]), Y0 = X Q: every distinct row permutation of B is hit
-    equally often.  Returns (value_sq, stderr, mean, mean_var).
+    equally often.  A pattern with an odd column sum in A or in B has
+    planted mean 0, and its summand is set to 0.  Returns (value_sq, stderr,
+    mean, mean_var).
     """
     n, d, m = params.n, params.d, params.m
     patterns = pattern_pairs(n, d, m, D)
-    rho_b = (1.0 + params.sigma**2) ** (-0.5 * patterns.B.sum(axis=(1, 2)))
+    rho_b = ~_parity_odd(patterns) * (1.0 + params.sigma**2) ** (-0.5 * patterns.B.sum(axis=(1, 2)))
     orders = np.array(list(itertools.permutations(range(n))))
 
     n_batches = min(20, samples)
@@ -260,7 +268,7 @@ def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     params = ModelParams(2, 2, 2, 0.5)
     # one batch per chunk, chunks of 6, 6, 6 and 2 batches, one chunk; the
     # first three batches hold 1,001 samples and the other 17 hold 1,000
-    budgets = {1: 20, 1 << 24: 4, 1 << 40: 1}
+    budgets = {1: 20, 1 << 23: 4, 1 << 40: 1}
     runs = []
     for chunk_bytes, want_calls in budgets.items():
         calls.clear()
@@ -301,6 +309,45 @@ def test_estimate_matches_full_draw_oracle(n, sigma):
     assert z.max() <= limit, (z.max(), limit)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("n, d, m", [(2, 2, 2), (3, 2, 1)])
+def test_dropped_patterns_have_zero_mean_by_oracle(n, d, m, sigma):
+    # the full-draw oracle evaluates every pattern: each parity-odd one's mean
+    # is 0 within the Bonferroni limit above, and the estimator reports 0 +- 0
+    params = ModelParams(n, d, m, sigma)
+    seed = 200 + 10 * n + int(2 * sigma)
+    _, rows = advantage_sq_with_patterns(params, 4, 2000, make_rng(seed))
+    _, ref_rows = advantage_sq_planted_mc(params, 4, ORACLE_SAMPLES, make_rng(seed + 1000))
+    odd = _parity_odd(pattern_pairs(n, d, m, 4))
+    assert odd.any() and not rows.mean[odd].any() and not rows.stderr[odd].any()
+    z = np.abs(ref_rows.mean[odd]) / ref_rows.stderr[odd]
+    limit = NormalDist().inv_cdf(1 - ORACLE_FAMILY_ALPHA / (2 * len(rows.mean)))
+    assert z.max() <= limit, (z.max(), limit)
+
+
+@pytest.mark.parametrize(
+    "params, D",
+    [
+        (ModelParams(1, 2, 1, 0.0), 2),
+        (ModelParams(1, 2, 1, 0.0), 4),
+        (ModelParams(2, 2, 2, 0.5), 4),
+        (ModelParams(3, 2, 1, 0.4), 2),
+    ],
+)
+def test_odd_degree_adds_nothing(params, D):
+    # a pattern of odd total degree has an odd column sum on one side, so its
+    # mean is 0: the estimate at D + 1 is the one at D, bit for bit
+    est, rows = advantage_sq_with_patterns(params, D, 2003, make_rng(25))
+    odd_est, odd_rows = advantage_sq_with_patterns(params, D + 1, 2003, make_rng(25))
+    assert (odd_est.value_sq, odd_est.stderr) == (est.value_sq, est.stderr)
+    K = est.pattern_count
+    assert odd_est.pattern_count > K
+    # graded order: the first K patterns at D + 1 are those at D
+    assert np.array_equal(odd_rows.mean[:K], rows.mean)
+    assert np.array_equal(odd_rows.mean_var[:K], rows.mean_var)
+    assert not odd_rows.mean[K:].any() and not odd_rows.mean_var[K:].any()
+
+
 def test_conditional_mean_cuts_stderr_at_high_noise():
     # at sigma = 3 most of a full draw's variance is the noise the estimator integrates out
     params = ModelParams(2, 2, 2, 3.0)
@@ -312,13 +359,14 @@ def test_conditional_mean_cuts_stderr_at_high_noise():
 def test_estimate_memory_stays_per_batch():
     # 200,000 samples of 495 patterns: the (samples, K) matrix would be 792 MB
     # and one jackknife batch's (10,000, K) block 39.6 MB.  The kernel holds
-    # one batch's draws and table (8 slots x 6 doubles a sample) and its 70-row
-    # U and V with the gather temporaries (2 x 140): 26.2 MB as the chunk
-    # budget counts it, with nothing left over from the previous batch.
+    # one batch's draws and table (8 slots x 6 doubles a sample) and its
+    # 26-row U and V, the even-column-sum sides, with the gather temporaries
+    # (2 x 52): 12.2 MB as the chunk budget counts it, with nothing left over
+    # from the previous batch.
     params, samples = ModelParams(2, 2, 2, 0.5), 200_000
     split = side_split(2, 2, 2, 4)  # cached, like the pattern stack: not the estimate's memory
-    assert (len(split.x_degrees), len(split.y_degrees)) == (70, 70)
-    batch_bytes = samples // 20 * 8 * (8 * 6 + 2 * (70 + 70))
+    assert (len(split.x_degrees), len(split.y_degrees)) == (26, 26)
+    batch_bytes = samples // 20 * 8 * (8 * 6 + 2 * (26 + 26))
     tracemalloc.start()
     try:
         advantage_sq_with_patterns(params, 4, samples, make_rng(24))

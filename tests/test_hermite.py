@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from shufflab import make_rng
 from shufflab.hermite import (
     PatternStack,
-    expand_inner_product,
     hermite_table,
-    lambda_m1_closed,
-    lambda_mc_pairs,
     multiindex_enumerate,
     pattern_count,
     pattern_pairs,
-    phi_batch,
     side_split,
 )
 from shufflab.model import ModelParams, sample_null
+from shufflab.oracles import expand_inner_product, lambda_m1_closed, lambda_mc_pairs, phi_batch
 from shufflab.randmat import uniform_sphere
 
 
@@ -209,6 +206,11 @@ def test_pattern_pairs_stack_layout():
         assert pats.degrees[i] == vec.sum()
 
 
+def _even_columns(rows: np.ndarray) -> np.ndarray:
+    """For a stack of (n, c) multi-indices, whether every column sum is even."""
+    return (rows.sum(axis=1) % 2 == 0).all(axis=1)
+
+
 @pytest.mark.parametrize(
     "n, d, m, D",
     [(1, 1, 1, D) for D in range(7)]
@@ -216,11 +218,19 @@ def test_pattern_pairs_stack_layout():
 )
 def test_side_split_places_each_pattern_once(n, d, m, D):
     pats, split = pattern_pairs(n, d, m, D), side_split(n, d, m, D)
-    K = len(pats)
-    assert len(split.x_degrees) == math.comb(n * d + D, D)
-    assert len(split.y_degrees) == math.comb(n * m + D, D)
+    # the kept sides are exactly the even-column-sum multi-indices of degree <= D
+    for side, c in ((split.x_degrees, d), (split.y_degrees, m)):
+        every = np.array(multiindex_enumerate(n * c, D))
+        even = every[_even_columns(every.reshape(-1, n, c))]
+        assert len(side) == len(even)
+        assert np.array_equal(np.unique(side, axis=0), np.unique(even, axis=0))
+    # each Y-side orbit is whole: its rows are row permutations of its first
+    starts = np.cumsum(split.orbit_sizes) - split.orbit_sizes
+    rows = np.sort(split.y_degrees.reshape(-1, n, m), axis=1)
+    assert np.array_equal(rows, np.repeat(rows[starts], split.orbit_sizes, axis=0))
+    kept = _even_columns(pats.A) & _even_columns(pats.B)
     # decode every flat block position into (X-degree, X-side row, Y-side row)
-    block_of, x_row, y_row = (np.full(K, -1) for _ in range(3))
+    block_of, x_row, y_row = (np.full(split.kept, -1) for _ in range(3))
     end = 0
     for w, (r0, r1, cols, offset) in enumerate(split.blocks):
         assert offset == end and (split.y_degrees[:cols].sum(axis=1) <= D - w).all()
@@ -228,13 +238,17 @@ def test_side_split_places_each_pattern_once(n, d, m, D):
         end = offset + (r1 - r0) * cols
         rows, col = np.divmod(np.arange(end - offset), cols)
         block_of[offset:end], x_row[offset:end], y_row[offset:end] = w, r0 + rows, col
-    assert end == K and len(split.blocks) == D + 1
-    assert np.array_equal(np.sort(split.position), np.arange(K))  # each pattern exactly once
-    x = split.x_degrees[x_row[split.position]]
-    y = split.y_degrees[y_row[split.position]]
-    assert np.array_equal(x, pats.A.reshape(K, -1)) and np.array_equal(y, pats.B.reshape(K, -1))
-    assert np.array_equal(x.sum(axis=1) + y.sum(axis=1), pats.degrees)
-    assert np.array_equal(block_of[split.position], x.sum(axis=1))
+    assert end == split.kept == kept.sum() and len(split.blocks) == D + 1
+    # each kept pattern exactly once, every dropped one at the zero slot past the end
+    position = split.position[kept]
+    assert np.array_equal(np.sort(position), np.arange(split.kept))
+    assert (split.position[~kept] == split.kept).all()
+    x = split.x_degrees[x_row[position]]
+    y = split.y_degrees[y_row[position]]
+    assert np.array_equal(x, pats.A[kept].reshape(len(x), -1))
+    assert np.array_equal(y, pats.B[kept].reshape(len(y), -1))
+    assert np.array_equal(x.sum(axis=1) + y.sum(axis=1), pats.degrees[kept])
+    assert np.array_equal(block_of[position], x.sum(axis=1))
 
 
 def test_side_split_cache_is_read_only():
