@@ -17,3 +17,8 @@ def assert_within_nse(observed: float, stderr: float, target: float, n: float = 
 
 def two_sample_z(m1: float, se1: float, m2: float, se2: float) -> float:
     return (m1 - m2) / math.sqrt(se1**2 + se2**2)
+
+
+def even_column_sums(rows: np.ndarray) -> np.ndarray:
+    """For a stack of (n, c) multi-indices, whether every column sum is even."""
+    return (rows.sum(axis=1) % 2 == 0).all(axis=1)

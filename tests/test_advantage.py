@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from conftest import assert_within_nse
+from conftest import assert_within_nse, even_column_sums
 
 from shufflab import advantage as advantage_mod
 from shufflab import make_rng
@@ -177,7 +177,7 @@ def test_estimate_bits_pinned():
 
 def _parity_odd(patterns):
     """Patterns with an odd column sum in A or in B, read off the stack: their planted mean is 0."""
-    return (patterns.A.sum(axis=1) % 2).any(axis=1) | (patterns.B.sum(axis=1) % 2).any(axis=1)
+    return ~(even_column_sums(patterns.A) & even_column_sums(patterns.B))
 
 
 def _conditional_mean_reference(params, D, samples, rng):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_within_nse, mean_and_stderr
+from conftest import assert_within_nse, even_column_sums, mean_and_stderr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,11 +206,6 @@ def test_pattern_pairs_stack_layout():
         assert pats.degrees[i] == vec.sum()
 
 
-def _even_columns(rows: np.ndarray) -> np.ndarray:
-    """For a stack of (n, c) multi-indices, whether every column sum is even."""
-    return (rows.sum(axis=1) % 2 == 0).all(axis=1)
-
-
 @pytest.mark.parametrize(
     "n, d, m, D",
     [(1, 1, 1, D) for D in range(7)]
@@ -221,14 +216,14 @@ def test_side_split_places_each_pattern_once(n, d, m, D):
     # the kept sides are exactly the even-column-sum multi-indices of degree <= D
     for side, c in ((split.x_degrees, d), (split.y_degrees, m)):
         every = np.array(multiindex_enumerate(n * c, D))
-        even = every[_even_columns(every.reshape(-1, n, c))]
+        even = every[even_column_sums(every.reshape(-1, n, c))]
         assert len(side) == len(even)
         assert np.array_equal(np.unique(side, axis=0), np.unique(even, axis=0))
     # each Y-side orbit is whole: its rows are row permutations of its first
     starts = np.cumsum(split.orbit_sizes) - split.orbit_sizes
-    rows = np.sort(split.y_degrees.reshape(-1, n, m), axis=1)
-    assert np.array_equal(rows, np.repeat(rows[starts], split.orbit_sizes, axis=0))
-    kept = _even_columns(pats.A) & _even_columns(pats.B)
+    row_sets = np.sort(split.y_degrees.reshape(-1, n, m), axis=1)
+    assert np.array_equal(row_sets, np.repeat(row_sets[starts], split.orbit_sizes, axis=0))
+    kept = even_column_sums(pats.A) & even_column_sums(pats.B)
     # decode every flat block position into (X-degree, X-side row, Y-side row)
     block_of, x_row, y_row = (np.full(split.kept, -1) for _ in range(3))
     end = 0
