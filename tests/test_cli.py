@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import shufflab
-from shufflab.cli import main, parse_config, resolve_config
+from shufflab.cli import ORACLE_NAMES, main, parse_config, resolve_config
 from shufflab.matrixio import read_matrix, read_sidecar
+from shufflab.oracles import ORACLE_CHECKS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,16 +20,22 @@ def run_cli(*args) -> int:
 
 
 def test_cli_start_loads_no_scipy():
-    # SciPy is imported by the commands that use it, not when the CLI starts
+    # SciPy and the oracle module are imported by the commands that use them,
+    # not when the CLI starts
     code = (
         "import sys, shufflab.cli; shufflab.cli.build_parser(); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'shufflab.oracles'))"
     )
     src = str(Path(shufflab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_oracle_names_are_the_oracle_checks():
+    assert ORACLE_NAMES == tuple(ORACLE_CHECKS)
 
 
 def test_sample_writes_instance_and_reruns_identical(tmp_path):
