@@ -34,6 +34,10 @@ RUNS: dict[str, list[str]] = {
     "sample-planted": CLI + [
         "sample", "--n", "5", "--d", "3", "--m", "2", "--sigma", "0.5",
         "--hypothesis", "planted", "--keep-latent", "--seed", "8", "--prefix", "planted"],
+    # d >= 8 with m <= 2: the closed-form Stiefel draw sums more than 7 rows
+    "sample-planted-d9": CLI + [
+        "sample", "--n", "5", "--d", "9", "--m", "2", "--sigma", "0.5",
+        "--hypothesis", "planted", "--keep-latent", "--seed", "18", "--prefix", "planted_d9"],
     "sample-null-4096": CLI + [
         "sample", "--n", "4096", "--d", "16", "--m", "16", "--sigma", "0.1",
         "--hypothesis", "null", "--seed", "1", "--prefix", "null4096"],
@@ -77,6 +81,10 @@ RUNS: dict[str, list[str]] = {
     "advantage-D6": CLI + [
         "advantage", "--n", "2", "--d", "2", "--m", "2", "--sigma", "0.5", "--D", "6",
         "--samples", "500", "--seed", "16", "--output", "advantage_D6.csv"],
+    "advantage-d8": CLI + [
+        "advantage", "--n", "1", "--d", "8", "--m", "2", "--sigma", "0.5", "--D", "2",
+        "--samples", "2000", "--seed", "19", "--output", "advantage_d8.csv",
+        "--per-pattern", "advantage_d8_patterns.csv"],
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],

@@ -52,11 +52,15 @@ and (U o U)(V o V)^T, with U the X-side products (one row per even-column-sum
 X-side multi-index) and V the Y-side orbit means (``hermite.SideSplit``),
 each Y-side row carrying rho^|B| times the mean of its orbit.  The products
 are taken by X-degree w, against only the Y-side columns of degree <= D - w,
-so the D + 1 blocks hold exactly the kept patterns' sums.  Memory holds one
-chunk's draws, table, U and V (squared in place for the second-moment sums),
-at most ``DRAW_CHUNK_BYTES`` unless one batch needs more, and the kept
-patterns' per-batch sums: never a (samples, K) or (batch size, K) basis
-matrix.
+so the D + 1 blocks hold exactly the kept patterns' sums; the empty ones,
+those of odd w, are skipped.  Q is computed on component rows, one array
+over the samples per matrix entry (``randmat.qr_sign_fixed``), and the
+Hermite table is built one degree plane at a time, samples last, and read
+through a slot-major view (``hermite.slot_table``).  Memory holds one
+chunk's draws, its table (once, never copied into another layout), U and V
+(squared in place for the second-moment sums), at most ``DRAW_CHUNK_BYTES``
+unless one batch needs more, and the kept patterns' per-batch sums: never a
+(samples, K) or (batch size, K) basis matrix.
 
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
@@ -119,7 +123,8 @@ def _planted_moment_sums(
     n, d, m = params.n, params.d, params.m
     table_rows = n * (d + m) * (len(split.blocks) + 1)
     side_rows = len(split.x_degrees) + len(split.y_degrees)
-    # the normals, Q and Y0 with the table, then U and V with the gather temporaries
+    # the normals, Q and Y0 with the table (held once: slot_table is a view), then U and V
+    # with the gather temporaries
     sample_bytes = 8 * (n * d + 2 * d * m + n * m + table_rows + 2 * side_rows)
     per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
     sums = np.empty((2, len(sizes), split.kept))
@@ -177,6 +182,8 @@ def _chunk_moment_sums(
             u = U[:, lo:hi].reshape(len(U), count, size).transpose(1, 0, 2)
             v = V[:, lo:hi].reshape(len(V), count, size).transpose(1, 2, 0)
             for r0, r1, cols, offset in split.blocks:
+                if r0 == r1:  # no X-side row of this degree: an odd one, or none left
+                    continue
                 flat = sums[b : b + count, offset : offset + (r1 - r0) * cols]
                 np.matmul(u[:, r0:r1], v[:, :, :cols], out=flat.reshape(count, r1 - r0, cols))
             lo, b = hi, b + count

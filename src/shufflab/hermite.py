@@ -6,14 +6,17 @@ recurrence
 
     h_{k+1}(z) = (z * h_k(z) - sqrt(k) * h_{k-1}(z)) / sqrt(k+1)
 
-is ever evaluated, by ``hermite_table``; the raw polynomials with explicit
-factorials overflow past degree ~85.  Multi-index products over matrix
-entries form the basis functions phi used by the advantage estimator.  A
-set of them is a ``PatternStack``: its stacked degree arrays are the only
-form a pattern takes.  One kernel, ``slot_products``, evaluates any stack of
-per-slot degrees on a slot-major Hermite table (``slot_table``) with one
-gather and one multiply per matrix entry (slot), whatever the number of
-rows; the advantage estimator runs it on the X-side and the Y-side of a
+is ever evaluated, by ``hermite_table``, one contiguous plane per degree on
+a leading degree axis; the raw polynomials with explicit factorials overflow
+past degree ~85.  Multi-index products over matrix entries form the basis
+functions phi used by the advantage estimator.  A set of them is a
+``PatternStack``: its stacked degree arrays are the only form a pattern
+takes.  One kernel, ``slot_products``, evaluates any stack of per-slot
+degrees on a slot-major Hermite table with one gather and one multiply per
+matrix entry (slot), whatever the number of rows.  That table,
+``slot_table``, is a view of ``hermite_table`` over the (slots, samples)
+values with the slot and degree axes swapped, not a transposed copy.  The
+advantage estimator runs the kernel on the X-side and the Y-side of a
 ``SideSplit``, since phi_(A,B)(X, Y) = phi_A(X) phi_B(Y).
 """
 
@@ -32,14 +35,24 @@ import numpy as np
 
 
 def hermite_table(x: np.ndarray, max_degree: int) -> np.ndarray:
-    """Values h_0(x) .. h_max_degree(x), stacked along a trailing axis."""
+    """Values h_0(x) .. h_max_degree(x), stacked along a leading axis: (max_degree+1, *x.shape).
+
+    Each degree is one contiguous plane, computed in place from the two
+    below it with one scratch plane, by the recurrence's operations in its
+    order.  ``slot_table`` reads a table of (slots, samples) values through
+    a view with the degree axis second.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (max_degree + 1,))
-    out[..., 0] = 1.0
+    out = np.empty((max_degree + 1,) + x.shape)
+    out[0] = 1.0
     if max_degree >= 1:
-        out[..., 1] = x
+        out[1] = x
+    scaled = np.empty(x.shape)
     for k in range(1, max_degree):
-        out[..., k + 1] = (x * out[..., k] - math.sqrt(k) * out[..., k - 1]) / math.sqrt(k + 1)
+        h = out[k + 1, ...]  # a view, also where x is 0-d
+        np.multiply(x, out[k], out=h)
+        h -= np.multiply(math.sqrt(k), out[k - 1], out=scaled)
+        h /= math.sqrt(k + 1)
     return out
 
 
@@ -181,11 +194,14 @@ def side_split(n: int, d: int, m: int, max_degree: int) -> SideSplit:
 
 
 def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:
-    """Hermite table (slots, max_degree+1, S) of X (S, n, d) then Y (S, n, m), slots row-major."""
+    """Hermite table (slots, max_degree+1, S) of X (S, n, d) then Y (S, n, m), slots row-major.
+
+    A view of ``hermite_table`` on the (slots, S) values, with the slot and
+    degree axes swapped: each (slot, degree) row of S values is contiguous.
+    """
     S = X.shape[0]
-    values = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
-    table = hermite_table(values.T, max_degree)  # (slots, S, max_degree+1)
-    return np.ascontiguousarray(table.transpose(0, 2, 1))
+    values = np.concatenate([X.reshape(S, -1).T, Y.reshape(S, -1).T])
+    return hermite_table(values, max_degree).transpose(1, 0, 2)
 
 
 def slot_products(degrees: np.ndarray, table: np.ndarray) -> np.ndarray:

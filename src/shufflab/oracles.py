@@ -294,7 +294,7 @@ class CoeffTable:
             raise ValueError(f"x must have shape ({self.dimension},), got {x.shape}")
         table = hermite_table(x, max(map(sum, self.entries), default=0))
         cols = np.arange(self.dimension)
-        return float(sum(c * math.prod(table[cols, alpha]) for alpha, c in self.entries.items()))
+        return float(sum(c * math.prod(table[alpha, cols]) for alpha, c in self.entries.items()))
 
 
 def expand_inner_product(y: Sequence[float], degree: int) -> CoeffTable:

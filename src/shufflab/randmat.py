@@ -12,11 +12,13 @@ which is how ``model.sample_planted_batch`` and the advantage estimator draw
 Q.  A stack with m <= min(d, 2) columns skips LAPACK: the sign-fixed factor
 is Gram-Schmidt in closed form, q_1 = g_1 / |g_1| and q_2 the normalized
 residual of g_2 after two projections out of q_1, which rounds differently
-from Householder QR but draws the same law.  Where only the spectrum of a Haar draw matters,
-``haar_verblunsky_batch`` draws O(d) numbers in place of a QR: Verblunsky
-coefficients by Gaussian stick-breaking from one row-major block of normals,
-so each draw is one contiguous stretch of the stream and a stack of a + b
-draws is a stack of a draws on top of one of b.
+from Householder QR but draws the same law.  It works on component rows,
+one length-``size`` array per matrix entry, so every dot product and squared
+norm is a left-to-right sum over the d rows.  Where only the spectrum of a
+Haar draw matters, ``haar_verblunsky_batch`` draws O(d) numbers in place of
+a QR: Verblunsky coefficients by Gaussian stick-breaking from one row-major
+block of normals, so each draw is one contiguous stretch of the stream and a
+stack of a + b draws is a stack of a draws on top of one of b.
 """
 
 from __future__ import annotations
@@ -37,25 +39,46 @@ def qr_sign_fixed(g: np.ndarray) -> np.ndarray:
     Gaussian matrix into an exact Haar sample on the orthogonal group /
     Stiefel manifold.  Inputs with m <= min(d, 2) columns, square ones
     included, take the closed-form Gram-Schmidt (module docstring); the rest
-    take LAPACK, as does any matrix with a zero residual column, so none
-    gives NaN.
+    take LAPACK, as does any matrix whose first column or residual has a
+    squared norm that is 0 or not finite, so none gives NaN.  The closed
+    form sums over the d rows left to right; up to d = 7 that is the order
+    of numpy's ``add.reduce`` too, while from d = 8 on numpy sums pairwise,
+    so a Q drawn with d >= 8 differs from such a reduction in the last bit.
+    The result is C-contiguous, (..., d, m) like the input.
     """
     g = np.asarray(g, dtype=float)
     d, m = g.shape[-2:]
     if m > 2 or m > d:
         return _lapack_sign_fixed(g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q1 = g[..., 0] / np.linalg.norm(g[..., 0], axis=-1, keepdims=True)
-        cols = [q1]
+    to_rows = (g.ndim - 2, g.ndim - 1, *range(g.ndim - 2))
+    c = np.ascontiguousarray(g.transpose(to_rows))  # c[i, j]: entry (i, j) of every matrix
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm_sq = _row_dot(c[:, 0], c[:, 0])
+        ok = (norm_sq > 0.0) & (norm_sq < np.inf)
+        cols = [c[:, 0] / np.sqrt(norm_sq)]
         if m == 2:
-            v = g[..., 1] - q1 * (q1 * g[..., 1]).sum(axis=-1, keepdims=True)
-            v -= q1 * (q1 * v).sum(axis=-1, keepdims=True)  # re-orthogonalise once
-            cols.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
-        q = np.stack(cols, axis=-1)
-    degenerate = ~np.isfinite(q).all(axis=(-2, -1))
-    if degenerate.any():  # measure zero: LAPACK's answer, matrix by matrix
-        q[degenerate] = _lapack_sign_fixed(g[degenerate])
+            q1 = cols[0]
+            v = c[:, 1] - q1 * _row_dot(q1, c[:, 1])
+            v -= q1 * _row_dot(q1, v)  # re-orthogonalise once
+            norm_sq = _row_dot(v, v)
+            ok &= (norm_sq > 0.0) & (norm_sq < np.inf)
+            cols.append(v / np.sqrt(norm_sq))
+    q = np.empty(g.shape)
+    rows = q.transpose(to_rows)
+    for j, col in enumerate(cols):
+        for i in range(d):  # 1-D copies: one (d, ...) copy would loop over d innermost
+            rows[i, j] = col[i]
+    if not ok.all():  # a zero or overflowing norm: LAPACK's answer, matrix by matrix
+        q[~ok] = _lapack_sign_fixed(g[~ok])
     return q
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] * b[i] over the leading axis, left to right."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total += a[i] * b[i]
+    return total
 
 
 def _lapack_sign_fixed(g: np.ndarray) -> np.ndarray:

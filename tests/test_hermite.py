@@ -14,6 +14,7 @@ from shufflab.hermite import (
     pattern_count,
     pattern_pairs,
     side_split,
+    slot_table,
 )
 from shufflab.model import ModelParams, sample_null
 from shufflab.oracles import expand_inner_product, lambda_m1_closed, lambda_mc_pairs, phi_batch
@@ -49,6 +50,45 @@ def test_three_term_recurrence_consistency(m, z):
 def test_high_degree_stays_finite():
     for z in (-10.0, -1.0, 0.3, 10.0):
         assert math.isfinite(hermite_table(z, 200)[200])
+
+
+def test_hermite_table_has_a_leading_degree_axis():
+    x = make_rng(46).standard_normal((3, 5))
+    table = hermite_table(x, 4)
+    assert table.shape == (5, 3, 5) and table.flags.c_contiguous
+    assert (table[0] == 1.0).all() and np.array_equal(table[1], x)
+    for k in range(1, 4):
+        step = (x * table[k] - math.sqrt(k) * table[k - 1]) / math.sqrt(k + 1)
+        assert np.array_equal(table[k + 1], step)
+    assert hermite_table(x, 0).shape == (1, 3, 5)
+
+
+def _trailing_slot_table(X, Y, max_degree):
+    """The slot table as first built: a trailing degree axis, then a transposed copy."""
+    S = X.shape[0]
+    values = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1).T
+    table = np.empty(values.shape + (max_degree + 1,))
+    table[..., 0] = 1.0
+    if max_degree >= 1:
+        table[..., 1] = values
+    for k in range(1, max_degree):
+        table[..., k + 1] = (
+            values * table[..., k] - math.sqrt(k) * table[..., k - 1]
+        ) / math.sqrt(k + 1)
+    return np.ascontiguousarray(table.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 8])
+@pytest.mark.parametrize("S", [1, 37])
+def test_slot_table_matches_trailing_axis_copy_bitwise(max_degree, S):
+    rng = make_rng(47, S)
+    X = rng.standard_normal((S, 2, 3))
+    Y = 4.0 * rng.standard_normal((S, 2, 2))
+    got = slot_table(X, Y, max_degree)
+    want = _trailing_slot_table(X, Y, max_degree)
+    assert got.shape == want.shape == (10, max_degree + 1, S)
+    assert np.array_equal(got, want)
+    assert got.strides[-1] == 8  # each (slot, degree) row of samples is contiguous
 
 
 def _stack(A, B) -> PatternStack:
@@ -152,7 +192,7 @@ def _prefix_phi(patterns, X, Y):
     degs = np.concatenate([patterns.A.reshape(K, -1), patterns.B.reshape(K, -1)], axis=1)
     nslots = degs.shape[1]
     slots = np.concatenate([X.reshape(S, -1), Y.reshape(S, -1)], axis=1)
-    table = hermite_table(slots, int(degs.max(initial=0)))  # (S, nslots, maxdeg+1)
+    table = hermite_table(slots, int(degs.max(initial=0)))  # (maxdeg+1, S, nslots)
     order = np.lexsort(degs[:, ::-1].T)
     out = np.empty((S, K))
     prefixes = [np.ones(S)] + [None] * nslots
@@ -166,7 +206,7 @@ def _prefix_phi(patterns, X, Y):
             start = int(diff[0]) if diff.size else nslots
         for c in range(start, nslots):
             dg = int(row[c])
-            prefixes[c + 1] = prefixes[c] if dg == 0 else prefixes[c] * table[:, c, dg]
+            prefixes[c + 1] = prefixes[c] if dg == 0 else prefixes[c] * table[dg, :, c]
         out[:, idx] = prefixes[nslots]
         prev = row
     return out

@@ -11,6 +11,7 @@ from scipy.stats import beta, ks_2samp, kstest
 from shufflab import ModelParams, make_rng
 from shufflab.model import sample_null_batch
 from shufflab.randmat import (
+    _lapack_sign_fixed,
     haar_orthogonal_batch,
     haar_verblunsky_batch,
     permutation_batch,
@@ -221,6 +222,49 @@ def test_stiefel_zero_column_gives_no_nan():
     for single in (np.zeros((3, 1)), np.zeros((3, 2)), g[2], g[3], np.zeros((1, 1)),
                    np.zeros((2, 2)), square, square[:, ::-1]):
         assert orthogonality_defect(qr_sign_fixed(single)) <= 1e-14
+
+
+def _reduction_sign_fixed(g: np.ndarray) -> np.ndarray:
+    """The closed form as first written: norms and dot products by numpy reductions over d."""
+    q1 = g[..., 0] / np.linalg.norm(g[..., 0], axis=-1, keepdims=True)
+    if g.shape[-1] == 1:
+        return q1[..., None]
+    v = g[..., 1] - q1 * (q1 * g[..., 1]).sum(axis=-1, keepdims=True)
+    v -= q1 * (q1 * v).sum(axis=-1, keepdims=True)
+    return np.stack([q1, v / np.linalg.norm(v, axis=-1, keepdims=True)], axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stiefel_closed_form_bits_match_reductions_up_to_d7(m):
+    # numpy reduces fewer than 8 terms left to right, as the closed form does
+    for d in range(m, 8):
+        g = make_rng(33, 10 * d + m).standard_normal((300, d, m))
+        q = qr_sign_fixed(g)
+        assert q.flags.c_contiguous and q.shape == g.shape
+        assert np.array_equal(q, _reduction_sign_fixed(g))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stiefel_closed_form_orthonormal_up_to_d40(m):
+    for d in range(m, 41):
+        g = make_rng(34, 100 * d + m).standard_normal((200, d, m))
+        q = qr_sign_fixed(g)
+        assert orthogonality_defect(q) <= 1e-14
+        # from d = 8 on the sums round differently from numpy's pairwise ones, by ulps
+        assert np.abs(q - _reduction_sign_fixed(g)).max() <= 1e-15
+        assert np.array_equal(qr_sign_fixed(g[11]), q[11])  # one matrix is its row of the stack
+
+
+def test_stiefel_degenerate_matrices_take_lapack():
+    g = make_rng(35).standard_normal((5, 4, 2))
+    g[1, :, 0] = 0.0  # zero first column
+    g[2] = [[2.0, 4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # zero residual, exactly
+    g[3] *= 1e200  # the squared norm overflows
+    q = qr_sign_fixed(g)
+    for i in (1, 2, 3):
+        assert np.array_equal(q[i], _lapack_sign_fixed(g[i]))
+    assert np.array_equal(q[[0, 4]], _reduction_sign_fixed(g[[0, 4]]))
+    assert orthogonality_defect(q[3]) <= 1e-14
 
 
 def test_permutation_identity_at_n1():
