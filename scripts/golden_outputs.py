@@ -106,6 +106,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc-d1": CLI + [
         "chisq", "--d", "1", "--m", "1", "--k", "1", "2", "--sigma", "0.5", "2",
         "--mode", "mc", "--samples", "4000", "--seed", "17", "--output", "chisq_mc_d1.csv"],
+    # d = 3: the smallest square cell that still samples, alpha_0 alone
+    "chisq-mc-d3": CLI + [
+        "chisq", "--d", "3", "--m", "3", "--k", "1", "2", "3", "--sigma", "0.5", "2",
+        "--mode", "mc", "--samples", "4000", "--seed", "20", "--output", "chisq_mc_d3.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

@@ -15,9 +15,24 @@ under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
 stick-breaking, each draw one contiguous stretch of the stream, so the chunk
 size moves no bit of the estimate.  Szego's recursion Phi_{j+1} = z Phi_j -
 alpha_j Phi*_j, Phi*_{j+1} = Phi*_j - alpha_j z Phi_j gives det(I - z Q) = Phi*_d(z).
-At z = -eps, with r_j = Phi_j / Phi*_j and r_0 = 1, log det(I + eps Q) is
-sum_{j<d} log1p(-alpha_j z r_j) with r_{j+1} = (z r_j - alpha_j) / (1 - alpha_j z r_j):
-O(d) per draw, and each factor is >= 1 - |eps| > 0, so it is stable as |eps| -> 1.
+At z = -eps, with r_j = Phi_j / Phi*_j and r_0 = 1, det(I + eps Q) is the
+product over j < d of 1 - alpha_j z r_j, with r_{j+1} = (z r_j - alpha_j) /
+(1 - alpha_j z r_j): O(d) per draw, and |r_j| <= 1 keeps each factor in
+[1 - |eps|, 1 + |eps|], so the product is stable as |eps| -> 1.
+
+The last two coefficients are integrated out in closed form
+(Rao-Blackwellization; Casella and Robert, Biometrika 1996): alpha_{d-1} = s
+is a fair sign and alpha_{d-2} = cos(theta) with theta uniform on [0, pi],
+independent of each other and of alpha_0..alpha_{d-3}.  With D = Phi*_{d-2}(z)
+and r = r_{d-2}, the last two factors multiply to c0 - c1 cos(theta), where
+c0 = 1 - s z^2 r and c1 = z (r - s), and rho^2 = (c0 - c1)(c0 + c1) =
+(1 - z^2)(1 - z^2 r^2) for either sign.  Laplace's integrals for the Legendre
+polynomials give E_theta (c0 - c1 cos theta)^p = rho^p P_p(c0 / rho) for every
+integer p, with P_p = P_{-p-1} for p < 0.  So each draw of alpha_0..alpha_{d-3}
+contributes D^k times the mean over s = +-1 of that, which is
+E[det(I + eps Q)^k | alpha_0..alpha_{d-3}]: the estimate stays unbiased and
+its variance can only fall.  At d <= 2 nothing is left to draw, and the value
+is exact.
 
 The case-1 likelihood-ratio Monte Carlo forms no k x d design either: the
 null sees X only through A = X X^T ~ Wishart_k(d, I), and by Bartlett's
@@ -279,29 +294,74 @@ def likelihood_ratio_case1_mc_mean(
     return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 
-def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
-    """log det(I + eps Q) per row of (size, d) Verblunsky coefficients, |eps| < 1."""
-    z, r, logdet = -eps, 1.0, 0.0
-    for a in alpha.T:
-        t = a * z * r
-        logdet = logdet + np.log1p(-t)
-        r = (z * r - a) / (1.0 - t)
-    return logdet
+def _legendre_mean(c0: np.ndarray, rho2: np.ndarray, p: int) -> np.ndarray:
+    """E_theta (c0 - c1 cos theta)^p = rho^p P_p(c0 / rho), rho2 = c0^2 - c1^2 > 0.
+
+    Laplace's integrals (module docstring), by Bonnet's recurrence in
+    homogeneous form, Q_n = rho^n P_n(c0 / rho):
+    (n + 1) Q_{n+1} = (2n + 1) c0 Q_n - n rho^2 Q_{n-1}, Q_0 = 1, Q_1 = c0.
+    p >= 0 returns Q_p; p < 0 returns Q_n / rho^{2n+1} with n = -p - 1.
+    """
+    n = p if p >= 0 else -p - 1
+    prev, q = 1.0, (c0 if n else 1.0)
+    for j in range(1, n):
+        prev, q = q, ((2 * j + 1) * c0 * q - j * rho2 * prev) / (j + 1)
+    if p >= 0:
+        return q
+    return q / (rho2**n * np.sqrt(rho2))
+
+
+def _conditional_det_power(head: np.ndarray, eps: float, k: int) -> np.ndarray:
+    """E[det(I + eps Q)^k | alpha_0..alpha_{d-3}] per row of head = (size, d - 2) coefficients.
+
+    Szego's product over alpha_0..alpha_{d-3}, then the last two coefficients
+    integrated out in closed form (module docstring); |eps| < 1, integer k.
+    """
+    z = -eps
+    D = r = np.ones(len(head))
+    for a in head.T:
+        zr = z * r
+        t = 1.0 - a * zr
+        D = D * t
+        r = (zr - a) / t
+    zr = z * r
+    rho2 = (1.0 - z * z) * (1.0 - zr * zr)
+    tail = _legendre_mean(1.0 - z * zr, rho2, k) + _legendre_mean(1.0 + z * zr, rho2, k)
+    return 0.5 * tail * D**k
 
 
 def det_integral_mc(
     d: int, eps: float, k: int, samples: int, rng: np.random.Generator
 ) -> MomentEstimate:
-    """Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q, O(d) per draw (module docstring)."""
+    """Rao-Blackwellized Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q on O(d).
+
+    Needs |eps| < 1 and an integer k (ValueError before any draw otherwise).
+    Each of ``samples`` draws takes one row of d normals from the stream
+    (``randmat.haar_verblunsky_batch``) and contributes the exact conditional
+    mean of det(I + eps Q)^k given alpha_0..alpha_{d-3}, O(d) per draw with no
+    d x d matrix (module docstring).  Those conditional means are i.i.d. with
+    the target as their mean, so the estimate is unbiased, and ``stderr`` is
+    their sample standard deviation over sqrt(samples).  At eps = 0, k = 0
+    or d <= 2 the value is exact: stderr 0, samples 0, and nothing is drawn.
+    """
     if not abs(eps) < 1:
         raise ValueError(f"need |eps| < 1, got {eps}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if not float(k).is_integer():
+        raise ValueError(f"need an integer power k, got {k}")
+    k = int(k)
     if eps == 0.0 or k == 0:
         return MomentEstimate(value=1.0, stderr=0.0, samples=0)
+    if d <= 2:  # nothing left to draw
+        if d == 1:  # Q = alpha_0 = +-1
+            value = ((1 + eps) ** k + (1 - eps) ** k) / 2
+        else:
+            value = float(_conditional_det_power(np.empty((1, 0)), eps, k)[0])
+        return MomentEstimate(value=value, stderr=0.0, samples=0)
 
     def draw(b: int) -> np.ndarray:
-        return np.exp(k * _verblunsky_log_det(haar_verblunsky_batch(d, b, rng), eps))
+        return _conditional_det_power(haar_verblunsky_batch(d, b, rng)[:, :-2], eps, k)
 
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
@@ -311,10 +371,13 @@ def chisq_m_eq_d_mc(
 ) -> ChiSquareReport:
     """Monte Carlo chi-square for the square case via the Haar determinant integral.
 
-    Averages det(I - Q/(1+sigma^2))^{-k} over Haar orthogonal Q, which is
-    det_integral_mc at eps = -1/(1+sigma^2) and power -k.  Refuses
-    sigma = 0 (the integrand is unbounded as the contraction factor
-    approaches 1) and flags sigma < 1 as heavy-tailed.
+    Estimates E det(I - Q/(1+sigma^2))^{-k} over Haar orthogonal Q on O(d),
+    which is det_integral_mc at eps = -1/(1+sigma^2) and power -k: an
+    unbiased mean of i.i.d. conditional expectations, with ``stderr`` their
+    standard error and ``samples`` the draws taken.  At d <= 2 the value is
+    exact (stderr 0, samples 0, nothing drawn).  Refuses sigma = 0 (the
+    integrand is unbounded as the contraction factor approaches 1) and flags
+    a sampled estimate at sigma < 1 as heavy-tailed.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -331,7 +394,7 @@ def chisq_m_eq_d_mc(
         )
     est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
     warning = ""
-    if sigma < HEAVY_TAIL_SIGMA:
+    if sigma < HEAVY_TAIL_SIGMA and est.samples:
         warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
     return ChiSquareReport(
         regime=REGIME_M_EQ_D, value=est.value, method="monte_carlo",

@@ -2,8 +2,9 @@
 
 The analytic moment references live here: sphere monomial moments, in
 floating point and as exact rationals, Gaussian exponential and
-quadratic-form moments, Haar determinant moments, and the density of a
-block of a Haar orthogonal matrix.  So do the Hermite references: the
+quadratic-form moments, Haar determinant moments with the per-draw
+determinant from Verblunsky coefficients, and the density of a block of a
+Haar orthogonal matrix.  So do the Hermite references: the
 basis functions evaluated on full instances (``phi_batch``), the
 inner-product expansion and the joint coefficients for one response
 column, in closed form and by Monte Carlo.  The detector statistic f on
@@ -11,8 +12,8 @@ full sampled instances lives here too, as the reference for the detector's
 exact law, and the advantage estimate from full planted draws is the
 reference for the Rao-Blackwellized estimator.  No production route calls
 them; tests and the checks below do.  SciPy is imported inside the
-functions that use it, so importing this module (as the CLI does to list
-the checks) loads none of it.
+functions that use it, so importing this module (as the CLI's ``oracle``
+command does) loads none of it.
 
 Each check compares an implemented closed form against an independent
 numerical route (Monte Carlo sampling, quadrature, or a pointwise
@@ -231,6 +232,21 @@ def haar_det_moment(d: int, eps: float, k: int) -> float:
     if k in (1, 2):
         return float(sum(eps ** (2 * j) for j in range((k - 1) * d + 1)))
     raise ValueError(f"no exact Haar determinant moment for k={k} at d={d}")
+
+
+def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
+    """log det(I + eps Q) per row of (size, d) Verblunsky coefficients, |eps| < 1.
+
+    Szego's recursion over all d coefficients, one draw of Q per row: the
+    per-draw reference for ``chisq._conditional_det_power``, which integrates
+    the last two coefficients out (``chisq`` module docstring).
+    """
+    z, r, logdet = -eps, 1.0, 0.0
+    for a in alpha.T:
+        t = a * z * r
+        logdet = logdet + np.log1p(-t)
+        r = (z * r - a) / (1.0 - t)
+    return logdet
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from shufflab.chisq import (
     _MC_CHUNK,
     _bartlett_factor,
     _case1_lr_power,
+    _conditional_det_power,
     _reduced_log_likelihood,
-    _verblunsky_log_det,
     REGIME_CASE1,
     REGIME_CASE2,
     REGIME_M_EQ_D,
@@ -28,6 +28,7 @@ from shufflab.chisq import (
 )
 from shufflab.common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from shufflab.oracles import (
+    _verblunsky_log_det,
     gaussian_exp_moment,
     gaussian_quadform_moment,
     haar_det_moment,
@@ -520,16 +521,75 @@ def test_haar_det_moment_hand_cases():
                         (rotation + 1 / (1 - eps * eps)) / 2, rel_tol=1e-14)
 
 
+def _last_two_integrated(alpha: np.ndarray, eps: float, k: int, nodes: int) -> np.ndarray:
+    """Per row: the mean of exp(k log det) over alpha_{d-1} = +-1 and an N-node
+    Gauss-Chebyshev rule in alpha_{d-2} = cos(theta), alpha_0..alpha_{d-3} held fixed."""
+    cos = np.cos((2 * np.arange(nodes) + 1) * np.pi / (2 * nodes))
+    out = np.empty(len(alpha))
+    for i, row in enumerate(alpha):
+        grid = np.tile(row, (2 * nodes, 1))
+        grid[:, -2] = np.tile(cos, 2)
+        grid[:, -1] = np.repeat([1.0, -1.0], nodes)
+        out[i] = np.mean(np.exp(k * _verblunsky_log_det(grid, eps)))
+    return out
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 40])
 def test_det_integral_matches_exact_moments(d):
-    # z-tests against the exact moments at eps = -1/(1 + sigma^2), the chi-square sign
+    # eps = -1/(1 + sigma^2), the chi-square sign; z-tests from d = 3 on, where
+    # alpha_0..alpha_{d-3} are drawn; at d <= 2 the value is exact and draws nothing
     powers = [k for k in (-1, -2, -3) if -k <= d] + [2]
     zs = {}
     for i, (sigma, k) in enumerate((s, k) for s in (0.5, 1.0, 2.0) for k in powers):
         eps = -1.0 / (1.0 + sigma**2)
-        est = det_integral_mc(d, eps, k, 100_000, make_rng(90, 100 * d + i))
-        zs[(sigma, k)] = (est.value - haar_det_moment(d, eps, k)) / est.stderr
+        rng = make_rng(90, 100 * d + i)
+        before = rng.bit_generator.state
+        est = det_integral_mc(d, eps, k, 100_000, rng)
+        exact = haar_det_moment(d, eps, k)
+        if d <= 2:
+            assert math.isclose(est.value, exact, rel_tol=1e-14), (sigma, k, est, exact)
+            assert (est.stderr, est.samples) == (0.0, 0)
+            assert rng.bit_generator.state == before
+        else:
+            zs[(sigma, k)] = (est.value - exact) / est.stderr
+    if d <= 2:
+        for eps, k in ((-0.8, -3), (0.6, -3), (0.5, 3), (-0.9, 1)):
+            # no haar_det_moment here: average the per-draw determinant over the
+            # signs alpha_{d-1} = +-1, and at d = 2 over the rule in alpha_0 too
+            if d == 1:
+                want = np.mean(np.exp(k * _verblunsky_log_det(np.array([[1.0], [-1.0]]), eps)))
+            else:
+                want = _last_two_integrated(np.zeros((1, 2)), eps, k, nodes=1024)[0]
+            est = det_integral_mc(d, eps, k, 10, make_rng(90))
+            assert math.isclose(est.value, want, rel_tol=1e-12), (eps, k, est, want)
+            assert (est.stderr, est.samples) == (0.0, 0)
+        return
     assert max(abs(z) for z in zs.values()) <= 4.0, zs
+
+
+@pytest.mark.parametrize("d", [3, 7, 40])
+def test_conditional_det_power_integrates_last_two_coefficients(d):
+    # the rule is exact for k > 0 and converges geometrically for k < 0; at
+    # |eps| = 0.9 the pole of (c0 - c1 x)^k sits about 0.006 outside [-1, 1]
+    alpha = haar_verblunsky_batch(d, 12, make_rng(97, d))
+    alpha[0, d - 3] = 1.0  # r_{d-2} = -1: rho^2 = (1 - eps^2)^2, its least value
+    alpha[1, :-2] = 0.0  # D = 1 and r_{d-2} = (-eps)^{d-2}
+    for k in (-3, -2, -1, 1, 2):
+        for eps in (0.5, -0.5, 0.9, -0.9):
+            got = _conditional_det_power(alpha[:, :-2], eps, k)
+            want = _last_two_integrated(alpha, eps, k, nodes=1024)
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"k={k}, eps={eps}")
+
+
+@pytest.mark.parametrize("k", [1.5, -0.5, math.nan, math.inf])
+def test_det_integral_rejects_non_integer_power(k):
+    rng = make_rng(98)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="integer"):
+        det_integral_mc(5, -0.5, k, 100, rng)
+    assert rng.bit_generator.state == before
+    want = det_integral_mc(5, -0.5, -2, 100, make_rng(98))
+    assert det_integral_mc(5, -0.5, -2.0, 100, rng) == want  # an integral float is accepted
 
 
 @pytest.mark.parametrize("d", [3, 7, 40])
