@@ -2,9 +2,9 @@
 
 Library layout:
 
-- ``randmat``: seedable batch samplers for the Haar / permutation priors,
-  the sign-fixed QR behind Haar and Stiefel draws, Haar Verblunsky
-  coefficients, and a uniform-sphere sampler.
+- ``randmat``: the sign-fixed QR behind Haar and Stiefel draws, and
+  seedable batch samplers for Haar Verblunsky coefficients and
+  permutations.
 - ``model``: null and planted batch samplers (a single instance is the
   size-1 draw).
 - ``hermite``: the orthonormal Hermite table, stacked basis-function
@@ -17,10 +17,12 @@ Library layout:
 - ``detect``: the constant-degree detection statistic, drawn from its exact
   law in three chi-squares, thresholded testing, and separation reporting.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
-  submatrix and determinant), basis functions on full instances and the
-  joint coefficients for one response column, the detection statistic on
-  full sampled instances, and the self-checks that compare closed forms
-  with sampling.
+  submatrix and determinant), the chi-square references (the exact
+  Wishart constant ratio and the likelihood ratio's mean), basis functions
+  on full instances and the joint coefficients for one response column,
+  the detection statistic on full sampled instances, the advantage on full
+  planted draws, and the self-checks that compare closed forms with
+  sampling.
 - ``cli``: the batch experiment harness (``shufflab`` console script).
 """
 

@@ -37,7 +37,7 @@ with a Y-side one, where the parity test above keeps or drops each side on
 its own, so it does not fit the per-side blocks below.  Skipping them would
 also make some estimates exact, 1 with stderr 0 at (n, d, m) = (1, 2, 1)
 and D = 3, which the benchmark's z-check of that cell cannot yet take
-(ROADMAP item 1).
+(ROADMAP item 3).
 
 Stream layout: sample s reads the standard normals s*(nd + dm) through
 (s + 1)*(nd + dm) - 1 of the generator, X (n x d, row-major) from the first
@@ -258,6 +258,15 @@ def jackknife_estimate(
     return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=mean_var)
 
 
+def require_pattern_cap(n: int, d: int, m: int, D: int, pattern_cap: int) -> None:
+    """Raise CapacityError when the degree-D basis has more than ``pattern_cap`` patterns."""
+    count = pattern_count(n, d, m, D)
+    if count > pattern_cap:
+        raise CapacityError(
+            f"pattern enumeration needs {count} patterns, above the cap {pattern_cap}"
+        )
+
+
 def advantage_sq_with_patterns(
     params: ModelParams,
     D: int,
@@ -268,11 +277,7 @@ def advantage_sq_with_patterns(
     """Estimate the squared advantage and return the per-pattern breakdown (module docstring)."""
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
-    count = pattern_count(params.n, params.d, params.m, D)
-    if count > pattern_cap:
-        raise CapacityError(
-            f"pattern enumeration needs {count} patterns, above the cap {pattern_cap}"
-        )
+    require_pattern_cap(params.n, params.d, params.m, D, pattern_cap)
     if D == 0:
         est = AdvantageEstimate(degree=0, value_sq=1.0, stderr=0.0, pattern_count=1, samples=0)
         return est, PatternBreakdown(np.zeros(1, dtype=int), np.ones(1), np.zeros(1))

@@ -6,7 +6,9 @@ regimes where the divergence is tractable; ``evaluate`` picks the evaluator
 for a regime and method.  The Haar determinant integral behind the m = d
 Monte Carlo lives here too; the analytic moments that check the samplers
 (sphere monomials, Gaussian exponential moments, orthogonal submatrix
-density, Haar determinant moments) live in ``oracles``.
+density, Haar determinant moments) live in ``oracles``, as do the exact
+product form of the Wishart constant ratio and the Monte Carlo mean of the
+case-1 likelihood ratio.
 
 The determinant integral forms no d x d matrix: the spectral measure of e_1
 under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
@@ -99,27 +101,6 @@ def log_wishart_constant(s: int, t: int) -> float:
         + (s * t / 2.0) * math.log(2.0)
         + gammaln((s - js + 1) / 2.0).sum()
     )
-
-
-def wishart_ratio_exact(d: int, k: int) -> float:
-    """The 2k-step Wishart constant ratio as an exact telescoping product.
-
-    Returns 2^{k^2} * prod_{j=1..k} prod_{i=1..k} ((d - j + 1)/2 - i),
-    evaluated in log space.  Under this module's omega convention this is
-    omega(d - 2k, k) / omega(d, k); it grows like d^{k^2}.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if d <= 3 * k:
-        raise ValueError(f"need d > 3k for positive factors, got d={d}, k={k}")
-    log_val = k * k * math.log(2.0)
-    for j in range(1, k + 1):
-        for i in range(1, k + 1):
-            factor = (d - j + 1) / 2.0 - i
-            if factor <= 0:
-                raise ValueError(f"nonpositive factor at (i={i}, j={j}) for d={d}, k={k}")
-            log_val += math.log(factor)
-    return math.exp(log_val)
 
 
 def chisq_case1_closed(d: int, m: int, k: int) -> ChiSquareReport:
@@ -278,20 +259,6 @@ def chisq_case1_mc(
         regime=REGIME_CASE1, value=est.value, method="monte_carlo",
         d=d, m=m, k=k, sigma=0.0, stderr=est.stderr, samples=samples,
     )
-
-
-def likelihood_ratio_case1_mc_mean(
-    d: int, m: int, k: int, samples: int, rng: np.random.Generator
-) -> MomentEstimate:
-    """Monte Carlo E[L] under the null; a likelihood ratio integrates to one.
-
-    Refuses, before any draw, d - m < k, where the planted law has no density.
-    """
-    if d - m < k:
-        raise UnsupportedRegimeError(
-            f"case1 density needs d - m >= k, got d={d}, m={m}, k={k}"
-        )
-    return MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 1.0))
 
 
 def _legendre_mean(c0: np.ndarray, rho2: np.ndarray, p: int) -> np.ndarray:

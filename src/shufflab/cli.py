@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .advantage import advantage_sq_with_patterns
+from .advantage import advantage_sq_with_patterns, require_pattern_cap
 from .chisq import ChiSquareReport, evaluate
 from .common import CapacityError, UnsupportedRegimeError
 from .detect import run_test, separation_report
@@ -163,8 +163,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     for cell, combo in _iter_grid(args.grids):
         params = ModelParams(**combo)
         base = cell * STREAM_STRIDE
-        rates = run_test(params, args.threshold, args.trials, make_rng(args.master_seed, base))
+        # first, so that its stricter trials check refuses before run_test draws
         sep = separation_report(params, args.trials, make_rng(args.master_seed, base + 1))
+        rates = run_test(params, args.threshold, args.trials, make_rng(args.master_seed, base))
         rows.append(_row(
             params.n, params.d, params.m, params.sigma, args.trials,
             rates.threshold, rates.type1, rates.type2,
@@ -177,6 +178,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
     _check_m_le_d(args.grids)
+    # the pattern count grows in n, d, m and D, so the grid's largest cell is its corner
+    corner = {key: max(values) for key, values in args.grids.items()}
+    require_pattern_cap(corner["n"], corner["d"], corner["m"], corner["D"], args.pattern_cap)
     rows = [ADVANTAGE_COLUMNS]
     pattern_rows = [PATTERN_COLUMNS]
     for cell, combo in _iter_grid(args.grids):

@@ -106,17 +106,6 @@ def _sample_f(
     )
 
 
-def null_mean(params: ModelParams) -> float:
-    """Analytic null mean of f: 4 n d (exact for m = d)."""
-    return 4.0 * params.n * params.d
-
-
-def planted_mean(params: ModelParams) -> float:
-    """Analytic planted mean of f at m = d: 4 sigma^2 n d / (1 + sigma^2)."""
-    s2 = params.sigma**2
-    return 4.0 * s2 * params.n * params.d / (1.0 + s2)
-
-
 def default_threshold(params: ModelParams) -> float:
     """Likelihood-ratio cutoff on f between the null and planted laws at m = d.
 

@@ -1,10 +1,12 @@
 """Self-test oracles: analytic identities checked against Monte Carlo.
 
-The analytic moment references live here: sphere monomial moments, in
-floating point and as exact rationals, Gaussian exponential and
+The analytic moment references live here: sphere monomial moments, as
+exact rationals and rounded once to floating point, Gaussian exponential and
 quadratic-form moments, Haar determinant moments with the per-draw
 determinant from Verblunsky coefficients, and the density of a block of a
-Haar orthogonal matrix.  So do the Hermite references: the
+Haar orthogonal matrix.  So do two chi-square references: the Wishart
+constant ratio as an exact product, and the Monte Carlo mean of the case-1
+likelihood ratio, which must be 1.  So do the Hermite references: the
 basis functions evaluated on full instances (``phi_batch``), the
 inner-product expansion and the joint coefficients for one response
 column, in closed form and by Monte Carlo.  The detector statistic f on
@@ -43,7 +45,7 @@ from .hermite import (
     PatternStack, hermite_table, multiindex_enumerate, pattern_pairs, slot_products, slot_table,
 )
 from .model import ModelParams, planted_response, sample_null_batch, sample_planted_batch
-from .randmat import haar_orthogonal_batch, uniform_sphere
+from .randmat import qr_sign_fixed
 from .rng import make_rng
 
 FAMILY_STRICT_LIMIT = 100
@@ -52,7 +54,6 @@ FAMILY_RATE_CAP = 0.005
 Z_HARD_CAP = 6.0
 PSD_REL_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
-EXACT_FACTORIAL_LIMIT = 20
 UNIT_NORM_TOL = 1e-10
 PHI_BLOCK_BYTES = 1 << 19  # phi_batch's per-block product; larger blocks fall out of cache
 
@@ -105,41 +106,18 @@ def _zscore(mean: float, target: float, stderr: float) -> float:
 # analytic moment references
 
 
-def _log_double_factorial_odd(g: int) -> float:
-    """log((g-1)!!) for even g >= 0, via (2s-1)!! = (2s)!/(2^s s!)."""
-    from scipy.special import gammaln
-
-    s = g // 2
-    return float(gammaln(2 * s + 1) - s * math.log(2.0) - gammaln(s + 1))
-
-
 def sphere_moment(gamma: Sequence[int], d: int) -> float:
-    """E[q^gamma] for q uniform on the unit sphere in R^d.
-
-    Zero when any part is odd; otherwise
-    Gamma(d/2) * prod (gamma_i - 1)!! / (Gamma((d+|gamma|)/2) * 2^{|gamma|/2}).
-    """
+    """E[q^gamma] for q uniform on the unit sphere in R^d: ``sphere_moment_exact`` rounded once."""
     gamma = tuple(int(g) for g in gamma)
     if len(gamma) != d:
         raise ValueError(f"gamma has {len(gamma)} parts, expected d={d}")
     if any(g < 0 for g in gamma):
         raise ValueError("gamma parts must be nonnegative")
-    if any(g % 2 for g in gamma):
-        return 0.0
-    from scipy.special import gammaln
-
-    w = sum(gamma)
-    log_val = (
-        gammaln(d / 2.0)
-        - gammaln((d + w) / 2.0)
-        - (w / 2.0) * math.log(2.0)
-        + sum(_log_double_factorial_odd(g) for g in gamma)
-    )
-    return float(math.exp(log_val))
+    return float(sphere_moment_exact(gamma, d))
 
 
 def sphere_moment_exact(gamma: Sequence[int], d: int) -> Fraction:
-    """Exact rational value of sphere_moment: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j)."""
+    """E[q^gamma] exactly: prod (g_i-1)!! / prod_{j<|g|/2} (d+2j), or 0 if a part is odd."""
     gamma = tuple(int(g) for g in gamma)
     if any(g % 2 for g in gamma):
         return Fraction(0)
@@ -250,6 +228,45 @@ def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# chi-square references
+
+
+def wishart_ratio_exact(d: int, k: int) -> float:
+    """The 2k-step Wishart constant ratio as an exact telescoping product.
+
+    Returns 2^{k^2} * prod_{j=1..k} prod_{i=1..k} ((d - j + 1)/2 - i),
+    evaluated in log space.  Under ``chisq``'s omega convention this is
+    omega(d - 2k, k) / omega(d, k); it grows like d^{k^2}.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if d <= 3 * k:
+        raise ValueError(f"need d > 3k for positive factors, got d={d}, k={k}")
+    log_val = k * k * math.log(2.0)
+    for j in range(1, k + 1):
+        for i in range(1, k + 1):
+            factor = (d - j + 1) / 2.0 - i
+            if factor <= 0:
+                raise ValueError(f"nonpositive factor at (i={i}, j={j}) for d={d}, k={k}")
+            log_val += math.log(factor)
+    return math.exp(log_val)
+
+
+def likelihood_ratio_case1_mc_mean(
+    d: int, m: int, k: int, samples: int, rng: np.random.Generator
+) -> MomentEstimate:
+    """Monte Carlo E[L] under the null; a likelihood ratio integrates to one.
+
+    Refuses, before any draw, d - m < k, where the planted law has no density.
+    """
+    if d - m < k:
+        raise UnsupportedRegimeError(
+            f"case1 density needs d - m >= k, got d={d}, m={m}, k={k}"
+        )
+    return MomentEstimate.from_values(chisq_mod._case1_lr_power(d, m, k, samples, rng, 1.0))
+
+
+# ---------------------------------------------------------------------------
 # basis functions on full instances, and joint coefficients for one response column
 
 MultiIndex = Sequence[int]
@@ -264,11 +281,8 @@ def multinomial_exact(total: int, alpha: MultiIndex) -> int:
 
 
 def sqrt_multinomial(total: int, alpha: MultiIndex) -> float:
-    """sqrt(total!/prod(alpha_i!)), exact-integer path for small weights."""
-    if total <= EXACT_FACTORIAL_LIMIT:
-        return math.sqrt(multinomial_exact(total, alpha))
-    log_m = math.lgamma(total + 1) - sum(math.lgamma(a + 1) for a in alpha)
-    return math.exp(0.5 * log_m)
+    """sqrt(total!/prod(alpha_i!)), the exact integer rounded once by the square root."""
+    return math.sqrt(multinomial_exact(total, alpha))
 
 
 def phi_batch(patterns: PatternStack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -320,18 +334,14 @@ def expand_inner_product(y: Sequence[float], degree: int) -> CoeffTable:
     |alpha| = degree, so that h_degree(<x, y>) = sum coeff(alpha) h_alpha(x)
     for every x.  The coefficient vector has unit l2 norm for every unit y.
     """
-    y = np.asarray(y, dtype=float)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if abs(np.linalg.norm(y) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"y must be a unit vector, got norm {np.linalg.norm(y)!r}")
-    d = y.shape[0]
-    entries: dict[tuple[int, ...], float] = {}
-    for alpha in multiindex_enumerate(d, degree):
-        if sum(alpha) != degree:
-            continue
-        coeff = sqrt_multinomial(degree, alpha) * float(np.prod(y ** np.asarray(alpha)))
-        entries[tuple(alpha)] = coeff
+    d = len(y)
+    entries = {
+        tuple(alpha): lambda_m1_closed(alpha, degree, y)
+        for alpha in multiindex_enumerate(d, degree)
+        if sum(alpha) == degree
+    }
     return CoeffTable(dimension=d, entries=entries)
 
 
@@ -454,7 +464,8 @@ def check_inner_expansion(seed: int = 0) -> CheckResult:
     for d in (2, 3):
         for deg in range(1, 6):
             for _ in range(100):
-                y = uniform_sphere(d, rng)
+                g = rng.standard_normal(d)
+                y = g / np.linalg.norm(g)
                 x = rng.standard_normal(d)
                 lhs = float(hermite_table(x @ y, deg)[deg])
                 rhs = expand_inner_product(y, deg).evaluate(x)
@@ -518,7 +529,7 @@ def check_submatrix_density(seed: int = 0, draws: int = 5000) -> CheckResult:
         norm_err = max(norm_err, abs(integral - 1.0))
     # KS distance of sampled Q[0, 0] against the quadrature CDF
     rng = make_rng(seed, 0)
-    samples = np.sort(haar_orthogonal_batch(d, draws, rng)[:, 0, 0])
+    samples = np.sort(qr_sign_fixed(rng.standard_normal((draws, d, d)))[:, 0, 0])
     grid = np.linspace(-1.0, 1.0, 20001)
     pdf = np.array([_submatrix_density_1x1(d)(z) for z in grid])
     cdf = cumulative_trapezoid(pdf, grid, initial=0.0)

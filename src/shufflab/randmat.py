@@ -1,4 +1,4 @@
-"""Seedable samplers for the Haar, Stiefel, permutation and sphere priors.
+"""Seedable samplers for the Haar, Stiefel and permutation priors.
 
 The matrix samplers draw a stack of ``size`` independent draws in one call;
 a single draw is the size-1 stack.  Gaussian matrices need no sampler of
@@ -6,19 +6,19 @@ their own: they are ``rng.standard_normal(shape)``.  All samplers are pure
 functions of their arguments and the supplied generator: a fixed stream
 reproduces bit-identical output on the same build.  ``qr_sign_fixed`` of a
 Gaussian stack, QR with the R-diagonal signs normalized to positive, gives
-the exact Haar law: on O(d) for square (d, d) matrices
-(``haar_orthogonal_batch``), and on the Stiefel manifold for (d, m) ones,
-which is how ``model.sample_planted_batch`` and the advantage estimator draw
-Q.  A stack with m <= min(d, 2) columns skips LAPACK: the sign-fixed factor
-is Gram-Schmidt in closed form, q_1 = g_1 / |g_1| and q_2 the normalized
-residual of g_2 after two projections out of q_1, which rounds differently
-from Householder QR but draws the same law.  It works on component rows,
-one length-``size`` array per matrix entry, so every dot product and squared
-norm is a left-to-right sum over the d rows.  Where only the spectrum of a
-Haar draw matters, ``haar_verblunsky_batch`` draws O(d) numbers in place of
-a QR: Verblunsky coefficients by Gaussian stick-breaking from one row-major
-block of normals, so each draw is one contiguous stretch of the stream and a
-stack of a + b draws is a stack of a draws on top of one of b.
+the exact Haar law: on O(d) for square (d, d) matrices, and on the Stiefel
+manifold for (d, m) ones, which is how ``model.sample_planted_batch`` and the
+advantage estimator draw Q.  A stack with m <= min(d, 2) columns skips
+LAPACK: the sign-fixed factor is Gram-Schmidt in closed form, q_1 = g_1 /
+|g_1| and q_2 the normalized residual of g_2 after two projections out of
+q_1, which rounds differently from Householder QR but draws the same law.
+It works on component rows, one length-``size`` array per matrix entry, so
+every dot product and squared norm is a left-to-right sum over the d rows.
+Where only the spectrum of a Haar draw matters, ``haar_verblunsky_batch``
+draws O(d) numbers in place of a QR: Verblunsky coefficients by Gaussian
+stick-breaking from one row-major block of normals, so each draw is one
+contiguous stretch of the stream and a stack of a + b draws is a stack of a
+draws on top of one of b.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def _lapack_sign_fixed(g: np.ndarray) -> np.ndarray:
     return q * np.sign(diag)[..., None, :]
 
 
-def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size x d x d stack of independent Haar orthogonal draws."""
-    _require_positive(d=d, size=size)
-    return qr_sign_fixed(rng.standard_normal((size, d, d)))
-
-
 def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """size x d real Verblunsky coefficients of Haar orthogonal draws (Killip-Nenciu, IMRN 2004).
 
@@ -127,14 +121,4 @@ def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray
     """size x n stack of independent uniform permutations of [0, n) (Fisher-Yates per row)."""
     _require_positive(n=n, size=size)
     return rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-
-
-def uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the unit sphere in R^d, as a length-d vector."""
-    _require_positive(d=d)
-    while True:
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:  # astronomically unlikely to loop
-            return g / norm
 

@@ -1,4 +1,4 @@
-"""Seed-spec plumbing: deterministic derivation of per-task random streams.
+"""Seed plumbing: deterministic derivation of per-task random streams.
 
 Every sampler in this package takes an explicit ``numpy.random.Generator``.
 Batch drivers derive one generator per logical task from a
@@ -12,8 +12,6 @@ a non-goal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +28,15 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """A (master_seed, stream_index) pair naming one reproducible stream."""
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
-
-    def derived_seed(self) -> int:
-        """Stream seed: a pure function of (master_seed, stream_index)."""
-        return _splitmix64(self.master_seed + _GOLDEN_GAMMA * (self.stream_index + 1))
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.derived_seed()))
-
-
 def make_rng(master_seed: int, stream_index: int = 0) -> np.random.Generator:
-    """Convenience wrapper over ``SeedSpec(...).generator()``."""
-    return SeedSpec(master_seed, stream_index).generator()
+    """The generator of stream ``stream_index`` under ``master_seed`` (module docstring).
+
+    A pure function of the pair; ValueError unless 0 <= master_seed < 2**64
+    and stream_index >= 0.
+    """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+    if stream_index < 0:
+        raise ValueError("stream_index must be nonnegative")
+    seed = _splitmix64(master_seed + _GOLDEN_GAMMA * (stream_index + 1))
+    return np.random.Generator(np.random.PCG64(seed))

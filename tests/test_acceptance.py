@@ -35,12 +35,11 @@ from shufflab.chisq import (
     chisq_case1_mc,
     chisq_case2_closed,
     chisq_m_eq_d_mc,
-    wishart_ratio_exact,
 )
 from shufflab.cli import main
-from shufflab.detect import planted_mean, run_test
+from shufflab.detect import run_test
 from shufflab.model import ModelParams
-from shufflab.oracles import ORACLE_CHECKS, sample_f_instances
+from shufflab.oracles import ORACLE_CHECKS, sample_f_instances, wishart_ratio_exact
 
 N, D_DIM, M_DIM = 256, 16, 16
 ND = N * D_DIM
@@ -67,7 +66,7 @@ def test_criterion_02_planted_detector_mean():
     for j, sigma in enumerate((0.5, 1.0, 2.0)):
         params = ModelParams(N, D_DIM, M_DIM, sigma)
         f = sample_f_instances(params, "planted", 2000, make_rng(1, j))
-        target = planted_mean(params)
+        target = 4 * sigma**2 * ND / (1 + sigma**2)
         devs.append(abs(f.mean() - target) / target)
     f0 = sample_f_instances(ModelParams(N, D_DIM, M_DIM, 0.0), "planted", 200, make_rng(1, 9))
     zero_ok = float(f0.max()) <= 1e-9 * ND**2
@@ -88,7 +87,7 @@ def test_criterion_03_phase_transition():
     elapsed = time.monotonic() - start
     # chi-square(1) predictions of the likelihood-ratio rule at sigma = 0.05:
     # type I = F1(x*) ~ 0.097, type II = 1 - F1(x*/s) ~ 0.014, x* = sigma^2 log1p(sigma^-2)
-    s = planted_mean(easy_params) / (4 * ND)
+    s = sigma**2 / (1 + sigma**2)
     x_star = sigma**2 * math.log1p(sigma**-2)
     pred1, pred2 = chi2_dist.cdf(x_star, df=1), chi2_dist.sf(x_star / s, df=1)
     dev1 = abs(easy.type1 - pred1) / math.sqrt(pred1 * (1 - pred1) / 2000)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import shufflab
+from shufflab.advantage import advantage_sq_with_patterns
 from shufflab.cli import ORACLE_NAMES, main, parse_config, resolve_config
+from shufflab.detect import _sample_f
 from shufflab.matrixio import read_matrix, read_sidecar
 from shufflab.oracles import ORACLE_CHECKS
 
@@ -99,6 +101,22 @@ def test_detect_usage_errors(tmp_path):
     assert not out.exists()
 
 
+def test_detect_one_trial_refused_before_any_draw(tmp_path, monkeypatch):
+    # the separation report needs two trials; run_test must not draw first
+    calls = []
+
+    def spy(params, hypothesis, trials, rng):
+        calls.append(hypothesis)
+        return _sample_f(params, hypothesis, trials, rng)
+
+    monkeypatch.setattr("shufflab.detect._sample_f", spy)
+    out = tmp_path / "x.csv"
+    assert run_cli("detect", "--n", 8, "--d", 4, "--m", 4, "--sigma", 1.0, "--trials", 1,
+                   "--seed", 1, "--output", out) == 2
+    assert calls == []
+    assert not out.exists()
+
+
 def test_advantage_csv(tmp_path):
     out = tmp_path / "adv.csv"
     assert run_cli("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.0,
@@ -118,6 +136,23 @@ def test_advantage_capacity_exit_code(tmp_path, capsys):
                    "--seed", 1, "--output", tmp_path / "x.csv")
     assert code == 3
     assert "500" in capsys.readouterr().err
+
+
+def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
+    # D = 2 fits the cap and D = 8 does not: no cell may run
+    calls = []
+
+    def spy(params, D, *args, **kwargs):
+        calls.append(D)
+        return advantage_sq_with_patterns(params, D, *args, **kwargs)
+
+    monkeypatch.setattr("shufflab.cli.advantage_sq_with_patterns", spy)
+    out = tmp_path / "x.csv"
+    code = run_cli("advantage", "--n", 2, "--d", 2, "--m", 2, "--sigma", 0.5, "--D", 2, 8,
+                   "--samples", 2000, "--pattern-cap", 500, "--seed", 1, "--output", out)
+    assert code == 3
+    assert calls == []
+    assert not out.exists()
 
 
 def test_advantage_per_pattern_csv(tmp_path):

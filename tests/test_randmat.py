@@ -12,18 +12,16 @@ from shufflab import ModelParams, make_rng
 from shufflab.model import sample_null_batch
 from shufflab.randmat import (
     _lapack_sign_fixed,
-    haar_orthogonal_batch,
     haar_verblunsky_batch,
     permutation_batch,
     qr_sign_fixed,
-    uniform_sphere,
 )
 
 ORTHOGONALITY_TOL = 1e-10
 
 
 def stiefel(d: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, d, m) Haar Stiefel draws, as the planted sampler draws Q."""
+    """(size, d, m) Haar Stiefel draws, as the planted sampler draws Q; m = d is Haar on O(d)."""
     return qr_sign_fixed(rng.standard_normal((size, d, m)))
 
 
@@ -48,14 +46,14 @@ def test_gaussian_moments():
 
 
 def test_haar_d1_is_signs():
-    vals = np.array([haar_orthogonal_batch(1, 1, make_rng(2, i))[0, 0, 0] for i in range(10_000)])
+    vals = np.array([stiefel(1, 1, 1, make_rng(2, i))[0, 0, 0] for i in range(10_000)])
     assert set(np.unique(vals)) == {-1.0, 1.0}
     assert abs((vals == 1.0).mean() - 0.5) <= 0.02
 
 
 def test_haar_orthogonality():
     for d in (1, 3, 10, 50):
-        q = haar_orthogonal_batch(d, 1, make_rng(3, d))[0]
+        q = stiefel(d, d, 1, make_rng(3, d))[0]
         assert orthogonality_defect(q) <= ORTHOGONALITY_TOL
         assert orthogonality_defect(q.T) <= ORTHOGONALITY_TOL  # rows too
 
@@ -63,7 +61,7 @@ def test_haar_orthogonality():
 def test_haar_entry_distribution_ks():
     # entry law of a d x d Haar matrix: density proportional to (1-z^2)^{(d-3)/2}
     d, draws = 10, 5000
-    samples = np.sort(haar_orthogonal_batch(d, draws, make_rng(4))[:, 0, 0])
+    samples = np.sort(stiefel(d, d, draws, make_rng(4))[:, 0, 0])
     norm, _ = quad(lambda z: (1 - z * z) ** ((d - 3) / 2), -1, 1)
     grid = np.linspace(-1, 1, 20001)
     pdf = (1 - grid**2) ** ((d - 3) / 2) / norm
@@ -78,9 +76,9 @@ def test_haar_entry_distribution_ks():
 def test_haar_left_invariance():
     # UQ and Q agree in law: compare moments of tr(Q) and Q[0,0]
     d, draws = 6, 10_000
-    u = haar_orthogonal_batch(d, 1, make_rng(5))[0]
-    q = haar_orthogonal_batch(d, draws, make_rng(6))
-    uq = u @ haar_orthogonal_batch(d, draws, make_rng(7))
+    u = stiefel(d, d, 1, make_rng(5))[0]
+    q = stiefel(d, d, draws, make_rng(6))
+    uq = u @ stiefel(d, d, draws, make_rng(7))
     for stat in (lambda a: np.trace(a, axis1=1, axis2=2), lambda a: a[:, 0, 0]):
         m1, se1 = mean_and_stderr(stat(q))
         m2, se2 = mean_and_stderr(stat(uq))
@@ -145,7 +143,7 @@ def test_verblunsky_first_and_last_match_haar_entry_and_det():
     # alpha_0 has the law of Q[0, 0]; alpha_{d-1} = (-1)^{d-1} det Q is a fair sign
     d, draws = 7, 20_000
     alpha = haar_verblunsky_batch(d, draws, make_rng(21))
-    q = haar_orthogonal_batch(d, draws, make_rng(22))
+    q = stiefel(d, d, draws, make_rng(22))
     assert ks_2samp(alpha[:, 0], q[:, 0, 0]).pvalue >= 0.001
     m1, se1 = mean_and_stderr(alpha[:, -1])
     m2, se2 = mean_and_stderr((-1) ** (d - 1) * np.sign(np.linalg.det(q)))
@@ -159,13 +157,13 @@ def test_stiefel_orthonormal_columns():
 
 
 def test_stiefel_m_eq_d_matches_haar():
+    # Haar moments on O(d): E[tr(Q)^2] = 1 and E[Q11^2] = 1/d
     d, draws = 4, 20_000
     s = stiefel(d, d, draws, make_rng(9))
-    h = haar_orthogonal_batch(d, draws, make_rng(10))
-    for stat in (lambda a: np.trace(a, axis1=1, axis2=2) ** 2, lambda a: a[:, 0, 0] ** 2):
-        m1, se1 = mean_and_stderr(stat(s))
-        m2, se2 = mean_and_stderr(stat(h))
-        assert abs(two_sample_z(m1, se1, m2, se2)) <= 3.0
+    for stat, target in ((lambda a: np.trace(a, axis1=1, axis2=2) ** 2, 1.0),
+                         (lambda a: a[:, 0, 0] ** 2, 1 / d)):
+        m, se = mean_and_stderr(stat(s))
+        assert_within_nse(m, se, target, label="square Stiefel moment")
 
 
 def test_stiefel_first_column_sphere_moment():
@@ -290,21 +288,6 @@ def test_permutation_is_bijection(n, seed):
     assert sorted(p.tolist()) == list(range(n))
 
 
-def test_sphere_unit_norm():
-    for d in (1, 2, 3, 8):
-        q = uniform_sphere(d, make_rng(16, d))
-        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
-
-
-def test_sphere_fourth_moment():
-    # E[q_1^4] on the 2-sphere = 3!! / (d (d+2)) = 0.2 at d = 3
-    q = np.array([uniform_sphere(3, make_rng(17, i))[0] for i in range(100_000)])
-    m, se = mean_and_stderr(q**4)
-    assert_within_nse(m, se, 0.2, label="sphere E[q1^4]")
-    m3, se3 = mean_and_stderr(q**3)
-    assert_within_nse(m3, se3, 0.0, label="sphere odd moment")
-
-
 def test_sphere_moment_family_matches_closed_form():
     from shufflab.oracles import check_sphere
 
@@ -317,10 +300,6 @@ def test_degenerate_dimensions_rejected():
     with pytest.raises(ValueError):
         sample_null_batch(ModelParams(n=0, d=3, m=1, sigma=0.0), 1, rng)
     with pytest.raises(ValueError):
-        haar_orthogonal_batch(0, 1, rng)
-    with pytest.raises(ValueError):
         haar_verblunsky_batch(0, 1, rng)
     with pytest.raises(ValueError):
         permutation_batch(0, 1, rng)
-    with pytest.raises(ValueError):
-        uniform_sphere(0, rng)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shufflab.rng import SeedSpec, make_rng
+from shufflab.rng import make_rng
 
 
 def test_same_spec_reproduces_bit_identical():
@@ -20,12 +20,29 @@ def test_distinct_streams_differ():
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**20))
 def test_derived_seed_is_pure_function(master, index):
-    assert SeedSpec(master, index).derived_seed() == SeedSpec(master, index).derived_seed()
-    assert 0 <= SeedSpec(master, index).derived_seed() < 2**64
+    first, second = make_rng(master, index), make_rng(master, index)
+    assert first.bit_generator.state == second.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "master, index, normals, integer",
+    [
+        (0, 0, (1.6681368549438127, 0.7288397468307554), 8657376750829206273),
+        (1, 5, (0.057446564609936454, -0.3460104327460594), 5159517652154321932),
+        (123, 1023, (-1.0022946386980995, 0.5475174265953446), 5290648026570771457),
+        (2**64 - 1, 0, (0.9444103345051849, -1.1302750250475293), 8238720479413262576),
+        (2**64 - 1, 7, (-1.4511724955397227, 0.3579733865052977), 1977116044338613281),
+        (2**63, 2**20, (-0.6807176591922482, -0.048570655674085805), 6770223492578842116),
+    ],
+)
+def test_stream_first_draws_are_pinned(master, index, normals, integer):
+    # SplitMix64 of master + golden gamma * (index + 1) seeds PCG64; any slip moves every stream
+    rng = make_rng(master, index)
+    assert tuple(rng.standard_normal(2).tolist()) == normals
+    assert rng.integers(0, 2**63) == integer
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
-        SeedSpec(-1, 0)
-    with pytest.raises(ValueError):
-        SeedSpec(0, -1)
+    for master, index in ((-1, 0), (2**64, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            make_rng(master, index)
