@@ -15,7 +15,8 @@ Library layout:
 - ``chisq``: closed-form and Monte Carlo chi-square divergences between the
   reduced laws, and the Haar determinant integral behind the m = d route.
 - ``detect``: the constant-degree detection statistic, drawn from its exact
-  law in three chi-squares, thresholded testing, and separation reporting.
+  law in three chi-squares, and one report per cell of the thresholded
+  test's error rates and f's separation, from the same draws.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
   submatrix and determinant), the chi-square references (the exact
   Wishart constant ratio and the likelihood ratio's mean), basis functions

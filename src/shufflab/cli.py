@@ -35,7 +35,7 @@ from . import __version__
 from .advantage import advantage_sq_with_patterns, require_pattern_cap
 from .chisq import ChiSquareReport, evaluate
 from .common import CapacityError, UnsupportedRegimeError
-from .detect import run_test, separation_report
+from .detect import run_test
 from .matrixio import format_float, write_matrix, write_sidecar
 from .model import ModelParams, sample_null, sample_planted
 from .rng import MIXER_NAME, make_rng
@@ -162,15 +162,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     rows = [DETECT_COLUMNS]
     for cell, combo in _iter_grid(args.grids):
         params = ModelParams(**combo)
-        base = cell * STREAM_STRIDE
-        # first, so that its stricter trials check refuses before run_test draws
-        sep = separation_report(params, args.trials, make_rng(args.master_seed, base + 1))
-        rates = run_test(params, args.threshold, args.trials, make_rng(args.master_seed, base))
+        rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
+        report = run_test(params, args.threshold, args.trials, rng)
         rows.append(_row(
             params.n, params.d, params.m, params.sigma, args.trials,
-            rates.threshold, rates.type1, rates.type2,
-            sep.mean_null, sep.mean_planted, sep.var_null, sep.var_planted,
-            sep.separation_ratio, args.master_seed,
+            report.threshold, report.type1, report.type2,
+            report.mean_null, report.mean_planted, report.var_null, report.var_planted,
+            report.separation_ratio, args.master_seed,
         ))
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
@@ -178,6 +176,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
     _check_m_le_d(args.grids)
+    if min(args.grids["D"]) < 0:
+        raise ValueError(f"need D >= 0, got D={min(args.grids['D'])}")
+    if args.samples < 2:
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
     # the pattern count grows in n, d, m and D, so the grid's largest cell is its corner
     corner = {key: max(values) for key, values in args.grids.items()}
     require_pattern_cap(corner["n"], corner["d"], corner["m"], corner["D"], args.pattern_cap)
@@ -217,6 +219,10 @@ def _report_row(report: ChiSquareReport, delta: float | None) -> str:
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
     _check_m_le_d(args.grids)
+    if min(args.grids["k"]) < 1:
+        raise ValueError(f"need k >= 1, got k={min(args.grids['k'])}")
+    if args.mode != "closed" and args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     rows = [CHISQ_COLUMNS]
     for cell, combo in _iter_grid(args.grids):
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)

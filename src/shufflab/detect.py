@@ -1,4 +1,4 @@
-"""Constant-degree detection statistic and threshold testing.
+"""Constant-degree detection statistic: one pass reports its test and its moments.
 
 The statistic is f(X, Y) = (||Y||_F^2 - ||X||_F^2)^2 = T^2.  In the square
 case m = d its null mean is exactly 4nd and its planted mean is 4 s nd with
@@ -37,6 +37,10 @@ so runs that differ only in sigma share their random numbers.  The
 full-instance route, f on sampled (X, Y), is the reference
 ``oracles.sample_f_instances``.
 
+``run_test`` is one detector pass: it draws f under the null, then under
+the planted law, and reports from those two arrays both the error rates of
+the thresholded test and the means, variances and separation ratio of f.
+
 The law is exact for every m <= d.  For m < d the statistic is still
 computable, but the mean formulas and the test calibration only apply at
 m = d; a warning is issued.
@@ -59,29 +63,23 @@ _TRIAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class SeparationReport:
-    """Empirical mean/variance of f under both laws and the separation ratio.
+class DetectionReport:
+    """Error rates of the rule f < threshold and moments of f, from ``trials`` draws per law.
 
-    separation_ratio = sqrt(max variance) / |mean gap|; values well below 1
-    indicate that thresholding f separates the two laws.
+    The variances are n-1 sample variances.  separation_ratio =
+    sqrt(max variance) / |mean gap|; values well below 1 indicate that
+    thresholding f separates the two laws.
     """
 
+    threshold: float
+    type1: float
+    type2: float
     mean_null: float
     var_null: float
     mean_planted: float
     var_planted: float
     separation_ratio: float
     trials: int
-
-
-@dataclass(frozen=True)
-class ErrorRates:
-    """Empirical type-I/II rates of the thresholded test."""
-
-    type1: float
-    type2: float
-    threshold: float
-    trials_per_hypothesis: int
 
 
 def _norm_gap(
@@ -134,40 +132,26 @@ def default_threshold(params: ModelParams) -> float:
     return max(4.0 * nd * x_star, delta**2)
 
 
-def _warn_if_rectangular(params: ModelParams) -> None:
-    if params.m != params.d:
-        warnings.warn(
-            "the detection statistic's mean formulas hold at m = d; "
-            f"got m={params.m}, d={params.d}",
-            stacklevel=3,
-        )
-
-
 def run_test(
     params: ModelParams,
     threshold: float | None,
     trials: int,
     rng: np.random.Generator,
-) -> ErrorRates:
-    """Empirical error rates of the rule: declare planted when f < threshold."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _warn_if_rectangular(params)
-    tau = default_threshold(params) if threshold is None else float(threshold)
-    f_null = _sample_f(params, "null", trials, rng)
-    f_planted = _sample_f(params, "planted", trials, rng)
-    type1 = float((f_null < tau).mean())
-    type2 = float((f_planted >= tau).mean())
-    return ErrorRates(type1=type1, type2=type2, threshold=tau, trials_per_hypothesis=trials)
+) -> DetectionReport:
+    """Draw f under the null, then under the planted law, and report the rule f < threshold.
 
-
-def separation_report(
-    params: ModelParams, trials: int, rng: np.random.Generator
-) -> SeparationReport:
-    """Empirical moments of f under both hypotheses and the separation ratio."""
+    ``threshold`` None takes ``default_threshold``.  Fewer than two trials
+    leave no sample variance and are refused before any draw.
+    """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
-    _warn_if_rectangular(params)
+    if params.m != params.d:
+        warnings.warn(
+            "the detection statistic's mean formulas hold at m = d; "
+            f"got m={params.m}, d={params.d}",
+            stacklevel=2,
+        )
+    tau = default_threshold(params) if threshold is None else float(threshold)
     f_null = _sample_f(params, "null", trials, rng)
     f_planted = _sample_f(params, "planted", trials, rng)
     mean_null = float(f_null.mean())
@@ -176,12 +160,14 @@ def separation_report(
     var_planted = float(f_planted.var(ddof=1))
     gap = abs(mean_null - mean_planted)
     spread = math.sqrt(max(var_null, var_planted))
-    ratio = float("inf") if gap == 0.0 else spread / gap
-    return SeparationReport(
+    return DetectionReport(
+        threshold=tau,
+        type1=float((f_null < tau).mean()),
+        type2=float((f_planted >= tau).mean()),
         mean_null=mean_null,
         var_null=var_null,
         mean_planted=mean_planted,
         var_planted=var_planted,
-        separation_ratio=ratio,
+        separation_ratio=float("inf") if gap == 0.0 else spread / gap,
         trials=trials,
     )

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import shufflab
+from shufflab import make_rng
 from shufflab.advantage import advantage_sq_with_patterns
-from shufflab.cli import ORACLE_NAMES, main, parse_config, resolve_config
-from shufflab.detect import _sample_f
-from shufflab.matrixio import read_matrix, read_sidecar
+from shufflab.cli import ORACLE_NAMES, STREAM_STRIDE, main, parse_config, resolve_config
+from shufflab.detect import _sample_f, run_test
+from shufflab.matrixio import format_float, read_matrix, read_sidecar
+from shufflab.model import ModelParams
 from shufflab.oracles import ORACLE_CHECKS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -102,7 +104,7 @@ def test_detect_usage_errors(tmp_path):
 
 
 def test_detect_one_trial_refused_before_any_draw(tmp_path, monkeypatch):
-    # the separation report needs two trials; run_test must not draw first
+    # run_test needs two trials for the sample variances and refuses one before it draws
     calls = []
 
     def spy(params, hypothesis, trials, rng):
@@ -115,6 +117,29 @@ def test_detect_one_trial_refused_before_any_draw(tmp_path, monkeypatch):
                    "--seed", 1, "--output", out) == 2
     assert calls == []
     assert not out.exists()
+
+
+def test_detect_one_pass_per_cell(tmp_path, monkeypatch):
+    # each cell draws f once per law, null then planted, on its base stream
+    calls = []
+
+    def spy(params, hypothesis, trials, rng):
+        calls.append(hypothesis)
+        return _sample_f(params, hypothesis, trials, rng)
+
+    monkeypatch.setattr("shufflab.detect._sample_f", spy)
+    out = tmp_path / "x.csv"
+    assert run_cli("detect", "--n", 8, "--d", 4, "--m", 4, "--sigma", 0.5, 2.0,
+                   "--trials", 50, "--seed", 6, "--output", out) == 0
+    assert calls == ["null", "planted"] * 2
+    header, *rows = out.read_text().splitlines()
+    columns = header.split(",")
+    for cell, (sigma, row) in enumerate(zip((0.5, 2.0), rows)):
+        report = run_test(ModelParams(8, 4, 4, sigma), None, 50, make_rng(6, cell * STREAM_STRIDE))
+        fields = dict(zip(columns, row.split(",")))
+        for name in ("threshold", "type1", "type2", "mean_null", "mean_planted",
+                     "var_null", "var_planted", "separation_ratio"):
+            assert fields[name] == format_float(getattr(report, name)), name
 
 
 def test_advantage_csv(tmp_path):
@@ -155,6 +180,27 @@ def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [
+    ("--D", 0, "--samples", 0),
+    ("--D", 4, -1, "--samples", 2000),
+    ("--D", 2, "--samples", 1),
+], ids=("D0-samples0", "negative-D-after-a-cell", "samples1"))
+def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monkeypatch, grid):
+    calls = []
+
+    def spy(params, D, *args, **kwargs):
+        calls.append(D)
+        return advantage_sq_with_patterns(params, D, *args, **kwargs)
+
+    monkeypatch.setattr("shufflab.cli.advantage_sq_with_patterns", spy)
+    out = tmp_path / "x.csv"
+    code = run_cli("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.5, *grid,
+                   "--seed", 1, "--output", out)
+    assert code == 2
+    assert calls == []
+    assert not out.exists()
+
+
 def test_advantage_per_pattern_csv(tmp_path):
     out, pp = tmp_path / "adv.csv", tmp_path / "patterns.csv"
     assert run_cli("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.0,
@@ -177,6 +223,24 @@ def test_chisq_both_mode(tmp_path):
     assert closed["method"] == "closed_form"
     assert math.isclose(float(closed["value"]), 24 / 23, rel_tol=1e-12)
     assert float(mc["delta_vs_closed"]) <= 3 * float(mc["stderr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", 5, "--m", 2, "--k", 1, 0, "--sigma", 0.0, "--mode", "closed"),
+    ("--d", 5, "--m", 2, "--k", 0, "--sigma", 0.0, "--mode", "mc"),
+    ("--d", 3, "--m", 3, "--k", 0, "--sigma", 1.0, "--mode", "mc"),
+    ("--d", 2, "--m", 2, "--k", 1, "--sigma", 1.0, "--mode", "mc", "--samples", 0),
+    ("--d", 2, "--m", 2, "--k", 1, "--sigma", 1.0, "--mode", "mc", "--samples", -5),
+    ("--d", 5, "--m", 5, "--k", 1, "--sigma", 1.0, "--mode", "mc", "--samples", 0),
+    ("--d", 50, "--m", 2, "--k", 1, "--sigma", 0.0, "--mode", "both", "--samples", 0),
+], ids=("k0-closed", "k0-mc-sigma0", "k0-mc-square", "samples0-d2", "samples-5-d2",
+        "samples0-d5", "samples0-both"))
+def test_chisq_bad_k_or_samples_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "chi.csv"
+    assert run_cli("chisq", *argv, "--seed", 1, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert "need k >= 1" in err or "samples must be >= 1" in err
+    assert not out.exists()
 
 
 def test_chisq_unsupported_regime_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import ks_2samp
 
 from shufflab import make_rng
-from shufflab.detect import (
-    _TRIAL_CHUNK,
-    _sample_f,
-    default_threshold,
-    run_test,
-    separation_report,
-)
+from shufflab.detect import _TRIAL_CHUNK, DetectionReport, _sample_f, default_threshold, run_test
 from shufflab.model import ModelParams, sample_planted
 from shufflab.oracles import sample_f_instances, statistic_f
 
@@ -43,7 +38,7 @@ def test_statistic_invariances():
 
 
 def test_null_mean_is_4nd():
-    report = separation_report(ModelParams(n=64, d=8, m=8, sigma=1.0), 4000, make_rng(103))
+    report = run_test(ModelParams(n=64, d=8, m=8, sigma=1.0), None, 4000, make_rng(103))
     nd = 64 * 8
     # mean of f over trials: sd(f) ~ sqrt(2) * 4nd
     stderr = math.sqrt(report.var_null / report.trials)
@@ -75,7 +70,7 @@ def test_planted_mean_law():
     # E_P[f] = 4 sigma^2 nd / (1 + sigma^2) at m = d
     for sigma, seed in ((0.5, 106), (1.0, 107), (2.0, 108)):
         params = ModelParams(n=64, d=8, m=8, sigma=sigma)
-        report = separation_report(params, 4000, make_rng(seed))
+        report = run_test(params, None, 4000, make_rng(seed))
         stderr = math.sqrt(report.var_planted / report.trials)
         target = 4 * sigma**2 * params.n * params.d / (1 + sigma**2)
         assert_within_nse(report.mean_planted, stderr, target, label=f"planted mean sigma={sigma}")
@@ -83,7 +78,7 @@ def test_planted_mean_law():
 
 def test_planted_variance_zero_at_sigma0():
     params = ModelParams(n=64, d=8, m=8, sigma=0.0)
-    report = separation_report(params, 100, make_rng(109))
+    report = run_test(params, None, 100, make_rng(109))
     assert report.var_planted <= 1e-12
     assert report.mean_planted <= 1e-12
 
@@ -133,8 +128,8 @@ def test_run_test_error_rates_match_chi2_oracle():
     x = rates.threshold / (4 * nd)
     predicted_type1 = chi2_dist.cdf(x, df=1)
     predicted_type2 = chi2_dist.sf(x / s, df=1)
-    se1 = math.sqrt(predicted_type1 * (1 - predicted_type1) / rates.trials_per_hypothesis)
-    se2 = math.sqrt(predicted_type2 * (1 - predicted_type2) / rates.trials_per_hypothesis)
+    se1 = math.sqrt(predicted_type1 * (1 - predicted_type1) / rates.trials)
+    se2 = math.sqrt(predicted_type2 * (1 - predicted_type2) / rates.trials)
     assert_within_nse(rates.type1, se1, predicted_type1, n=4, label="type I")
     assert_within_nse(rates.type2, se2, predicted_type2, n=4, label="type II")
     assert math.isclose(predicted_type1 + predicted_type2, 0.1117, abs_tol=5e-4)
@@ -161,23 +156,58 @@ def test_error_sum_degrades_with_sigma():
 
 def test_separation_ratio_matches_chi2_spread():
     # var_null(f) ~ 2 (4nd)^2, gap ~ 4nd: the ratio concentrates near sqrt(2)
-    report = separation_report(PARAMS, 2000, make_rng(114))
+    report = run_test(PARAMS, None, 2000, make_rng(114))
     assert 1.2 <= report.separation_ratio <= 1.65
 
 
 def test_rectangular_shape_warns():
     params = ModelParams(n=16, d=8, m=4, sigma=1.0)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         run_test(params, None, 10, make_rng(115))
-    with pytest.warns(UserWarning):
-        separation_report(params, 10, make_rng(116))
+    assert [w.category for w in caught] == [UserWarning]
+    assert caught[0].filename == __file__  # points at the caller
 
 
 def test_trial_count_validation():
-    with pytest.raises(ValueError):
-        run_test(PARAMS, None, 0, make_rng(117))
-    with pytest.raises(ValueError):
-        separation_report(PARAMS, 1, make_rng(118))
+    # the sample variances need two trials; fewer are refused before any draw
+    for trials, seed in ((0, 117), (1, 118)):
+        rng = make_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            run_test(PARAMS, None, trials, rng)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("case", [
+    (ModelParams(n=64, d=8, m=8, sigma=0.5), None, 130),
+    (ModelParams(n=16, d=4, m=2, sigma=0.5), 100.0, 131),
+    (ModelParams(n=64, d=8, m=8, sigma=0.0), None, 132),
+], ids=("square", "rectangular-threshold", "sigma0"))
+@pytest.mark.filterwarnings("ignore:the detection statistic")
+def test_report_is_one_pass_over_null_then_planted(case):
+    # every field comes from one null draw of f and then one planted draw,
+    # taken from the generator in that order
+    params, threshold, seed = case
+    trials = 500
+    report = run_test(params, threshold, trials, make_rng(seed))
+    rng = make_rng(seed)
+    f_null = _sample_f(params, "null", trials, rng)
+    f_planted = _sample_f(params, "planted", trials, rng)
+    tau = default_threshold(params) if threshold is None else threshold
+    var_null, var_planted = float(f_null.var(ddof=1)), float(f_planted.var(ddof=1))
+    gap = abs(float(f_null.mean()) - float(f_planted.mean()))
+    assert report == DetectionReport(
+        threshold=tau,
+        type1=float((f_null < tau).mean()),
+        type2=float((f_planted >= tau).mean()),
+        mean_null=float(f_null.mean()),
+        var_null=var_null,
+        mean_planted=float(f_planted.mean()),
+        var_planted=var_planted,
+        separation_ratio=math.sqrt(max(var_null, var_planted)) / gap,
+        trials=trials,
+    )
 
 
 # --- the exact three-chi-square law against the full-instance route
