@@ -110,6 +110,17 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc-d3": CLI + [
         "chisq", "--d", "3", "--m", "3", "--k", "1", "2", "3", "--sigma", "0.5", "2",
         "--mode", "mc", "--samples", "4000", "--seed", "20", "--output", "chisq_mc_d3.csv"],
+    # refusals outside the regime table (exit 4, no file): noise with m < d,
+    # Monte Carlo for case 2, and a closed form for m = d with noise
+    "chisq-refuse-mc-m-lt-d": CLI + [
+        "chisq", "--d", "16", "--m", "8", "--k", "1", "--sigma", "1", "--mode", "mc",
+        "--seed", "1", "--output", "chisq_refuse_mc_m_lt_d.csv"],
+    "chisq-refuse-mc-case2": CLI + [
+        "chisq", "--d", "40", "--m", "1", "--k", "2", "--sigma", "0", "--mode", "mc",
+        "--seed", "1", "--output", "chisq_refuse_mc_case2.csv"],
+    "chisq-refuse-closed-m-eq-d": CLI + [
+        "chisq", "--d", "16", "--m", "16", "--k", "1", "--sigma", "1",
+        "--seed", "1", "--output", "chisq_refuse_closed_m_eq_d.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

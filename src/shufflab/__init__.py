@@ -12,8 +12,10 @@ Library layout:
   multi-indices with the sign-symmetry zeros left out.
 - ``advantage``: unbiased estimators and exact enumerations for the squared
   low-degree advantage, plus its chi-square upper bound.
-- ``chisq``: closed-form and Monte Carlo chi-square divergences between the
-  reduced laws, and the Haar determinant integral behind the m = d route.
+- ``chisq``: one entry point, ``evaluate``, for the chi-square divergence
+  between the reduced laws: it owns every regime's domain and dispatches to
+  the private closed-form and Monte Carlo kernels, among them the Haar
+  determinant integral behind the m = d route.
 - ``detect``: the constant-degree detection statistic, drawn from its exact
   law in three chi-squares, and one report per cell of the thresholded
   test's error rates and f's separation, from the same draws.

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chisq as chisq_mod
-from .common import CapacityError, UnsupportedRegimeError
+from .common import CapacityError
 from .hermite import SideSplit, pattern_count, pattern_pairs, side_split, slot_products, slot_table
 from .model import ModelParams
 from .randmat import qr_sign_fixed
@@ -368,20 +368,16 @@ def advantage_bound_via_chisq(
 ) -> float:
     """Upper bound 1 + sum_{k<=D} (chi^2(reduced_k) - 1).
 
-    Uses the noiseless closed forms when sigma = 0 and the Monte Carlo
-    determinant integral when m = d with noise (the returned value then
-    carries that estimate's Monte Carlo error).
+    Sums ``chisq.evaluate`` over k = 1..D, by method "closed" when sigma = 0
+    and "mc" (the m = d determinant integral, all k on one ``rng``) with
+    noise; the returned value then carries that estimate's Monte Carlo
+    error.  ``evaluate``'s refusals pass through unchanged: a cell outside
+    every regime raises its UnsupportedRegimeError, naming d, m, k and sigma.
     """
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
     total = 1.0
     method = "closed" if sigma == 0 else "mc"
     for k in range(1, D + 1):
-        try:
-            report = chisq_mod.evaluate(d, m, k, sigma, method, samples, rng)
-        except UnsupportedRegimeError as exc:
-            raise UnsupportedRegimeError(
-                f"no chi-square oracle applies at d={d}, m={m}, sigma={sigma} (k={k}): {exc}"
-            ) from exc
-        total += report.value - 1.0
+        total += chisq_mod.evaluate(d, m, k, sigma, method, samples, rng).value - 1.0
     return total

@@ -1,10 +1,11 @@
 """Chi-square divergence between the reduced k-row planted and null laws.
 
-Two noiseless closed forms (products of Wishart normalizing constants) and
-one Monte Carlo evaluator for the square case m = d with noise cover the
-regimes where the divergence is tractable; ``evaluate`` picks the evaluator
-for a regime and method.  The Haar determinant integral behind the m = d
-Monte Carlo lives here too; the analytic moments that check the samplers
+``evaluate`` is the one entry point: it checks its inputs, owns every
+regime's domain, picks the evaluator for a regime and method, and builds the
+report.  Its private kernels are two noiseless closed forms (products of
+Wishart normalizing constants) and the case-1 likelihood-ratio Monte Carlo;
+the Haar determinant integral behind the m = d Monte Carlo with noise lives
+here too.  The analytic moments that check the samplers
 (sphere monomials, Gaussian exponential moments, orthogonal submatrix
 density, Haar determinant moments) live in ``oracles``, as do the exact
 product form of the Wishart constant ratio and the Monte Carlo mean of the
@@ -103,7 +104,7 @@ def log_wishart_constant(s: int, t: int) -> float:
     )
 
 
-def chisq_case1_closed(d: int, m: int, k: int) -> ChiSquareReport:
+def _case1_closed(d: int, m: int, k: int) -> float:
     """Noiseless closed form for k <= m (wide-response case).
 
     value = [omega(d-m, k)/omega(d, k)] * [omega(d-k-1, k)/omega(d-m-k-1, k)].
@@ -117,25 +118,15 @@ def chisq_case1_closed(d: int, m: int, k: int) -> ChiSquareReport:
     exponent down.  At k = 1 the formula coincides with the regrouped
     product [omega(d-m, 1)/omega(d-m-2, 1)] * [omega(d-2, 1)/omega(d, 1)].
     """
-    if not 1 <= k <= m <= d:
-        raise UnsupportedRegimeError(f"case1 needs 1 <= k <= m <= d, got d={d}, m={m}, k={k}")
-    if d - m - 2 * k < k:
-        raise UnsupportedRegimeError(
-            f"case1 needs d - m - 2k >= k, got d={d}, m={m}, k={k}"
-        )
-    log_val = (
+    return math.exp(
         log_wishart_constant(d - m, k)
         - log_wishart_constant(d, k)
         + log_wishart_constant(d - k - 1, k)
         - log_wishart_constant(d - m - k - 1, k)
     )
-    return ChiSquareReport(
-        regime=REGIME_CASE1, value=math.exp(log_val), method="closed_form",
-        d=d, m=m, k=k, sigma=0.0,
-    )
 
 
-def chisq_case2_closed(d: int, m: int, k: int) -> ChiSquareReport:
+def _case2_closed(d: int, m: int, k: int) -> float:
     """Noiseless closed form for m <= k (tall-pattern case).
 
     value = [omega(d-k, m)^2/omega(d, m)^2] * [omega(d, k)/omega(d-m, k)]
@@ -146,20 +137,12 @@ def chisq_case2_closed(d: int, m: int, k: int) -> ChiSquareReport:
     two cases agree at their overlap k = m, and at m = 1 the value equals
     the exact sphere-overlap quadrature E[(1 - <q, q'>)^{-k}].
     """
-    if not 1 <= m <= k:
-        raise UnsupportedRegimeError(f"case2 needs 1 <= m <= k, got m={m}, k={k}")
-    if d - 3 * k < m:
-        raise UnsupportedRegimeError(f"case2 needs d - 3k >= m, got d={d}, m={m}, k={k}")
-    log_val = (
+    return math.exp(
         2.0 * (log_wishart_constant(d - k, m) - log_wishart_constant(d, m))
         + log_wishart_constant(d, k)
         - log_wishart_constant(d - m, k)
         + log_wishart_constant(d - k - 1, m)
         - log_wishart_constant(d - 2 * k - 1, m)
-    )
-    return ChiSquareReport(
-        regime=REGIME_CASE2, value=math.exp(log_val), method="closed_form",
-        d=d, m=m, k=k, sigma=0.0,
     )
 
 
@@ -239,28 +222,6 @@ def _case1_lr_power(
     return draw_chunked(draw, samples, _MC_CHUNK)
 
 
-def chisq_case1_mc(
-    d: int, m: int, k: int, samples: int, rng: np.random.Generator
-) -> ChiSquareReport:
-    """Monte Carlo E[L^2] under the null, cross-checking the case-1 closed form.
-
-    Refuses, before any draw, the cells the closed form refuses
-    (d - m - 2k < k), where the second moment is not known to be finite; at
-    k = 1 it diverges for d < m + 2.
-    """
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if d - m - 2 * k < k:
-        raise UnsupportedRegimeError(
-            f"case1 needs d - m - 2k >= k, got d={d}, m={m}, k={k}"
-        )
-    est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
-    return ChiSquareReport(
-        regime=REGIME_CASE1, value=est.value, method="monte_carlo",
-        d=d, m=m, k=k, sigma=0.0, stderr=est.stderr, samples=samples,
-    )
-
-
 def _legendre_mean(c0: np.ndarray, rho2: np.ndarray, p: int) -> np.ndarray:
     """E_theta (c0 - c1 cos theta)^p = rho^p P_p(c0 / rho), rho2 = c0^2 - c1^2 > 0.
 
@@ -333,43 +294,6 @@ def det_integral_mc(
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
 
-def chisq_m_eq_d_mc(
-    d: int, k: int, sigma: float, samples: int, rng: np.random.Generator
-) -> ChiSquareReport:
-    """Monte Carlo chi-square for the square case via the Haar determinant integral.
-
-    Estimates E det(I - Q/(1+sigma^2))^{-k} over Haar orthogonal Q on O(d),
-    which is det_integral_mc at eps = -1/(1+sigma^2) and power -k: an
-    unbiased mean of i.i.d. conditional expectations, with ``stderr`` their
-    standard error and ``samples`` the draws taken.  At d <= 2 the value is
-    exact (stderr 0, samples 0, nothing drawn).  Refuses sigma = 0 (the
-    integrand is unbounded as the contraction factor approaches 1) and flags
-    a sampled estimate at sigma < 1 as heavy-tailed.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if sigma == 0:
-        raise UnsupportedRegimeError(
-            "m = d Monte Carlo needs sigma > 0: the determinant integrand is unbounded"
-        )
-    if k == 0:
-        return ChiSquareReport(
-            regime=REGIME_M_EQ_D, value=1.0, method="closed_form",
-            d=d, m=d, k=0, sigma=sigma,
-        )
-    est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
-    warning = ""
-    if sigma < HEAVY_TAIL_SIGMA and est.samples:
-        warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
-    return ChiSquareReport(
-        regime=REGIME_M_EQ_D, value=est.value, method="monte_carlo",
-        d=d, m=d, k=k, sigma=sigma, stderr=est.stderr, samples=est.samples,
-        warning=warning,
-    )
-
-
 def evaluate(
     d: int,
     m: int,
@@ -379,36 +303,57 @@ def evaluate(
     samples: int = 100_000,
     rng: np.random.Generator | None = None,
 ) -> ChiSquareReport:
-    """Chi-square of the reduced k-row model by the evaluator for its regime.
+    """Chi-square of the reduced k-row model, by the one evaluator for its regime.
 
-    method "closed": the noiseless closed forms, case 1 for k <= m and
-    case 2 otherwise.  method "mc": the case-1 likelihood-ratio Monte Carlo
-    at sigma = 0 with k <= m, and the Haar determinant integral at m = d
-    with noise; both need ``rng``.  Other regimes raise
-    UnsupportedRegimeError.
+    ValueError unless k >= 1, 1 <= m <= d, sigma is finite and >= 0 and
+    method is "closed" or "mc"; "mc" also needs ``rng`` and samples >= 1.
+    The regime table below writes each regime's domain once:
+
+    - case 1, sigma = 0 and k <= m: "closed" is the closed form, "mc" the
+      mean of L^2 over ``samples`` null draws, L the likelihood ratio.  Its
+      domain is where the second moment is known to be finite (at k = 1 it
+      diverges for d < m + 2).
+    - case 2, sigma = 0 and k > m: "closed" only.
+    - m = d with sigma > 0: "mc" only, E det(I - Q/(1+sigma^2))^{-k} over
+      Haar Q on O(d) by ``det_integral_mc`` (the integrand is unbounded at
+      sigma = 0).  The value is exact at d <= 2 (stderr 0, samples 0), and a
+      sampled estimate at sigma < 1 carries the heavy-tail warning.
+
+    A cell outside its regime's domain or methods raises
+    UnsupportedRegimeError naming d, m, k and sigma.  Every refusal comes
+    before any draw.
     """
+    if not (k >= 1 and 1 <= m <= d):
+        raise ValueError(f"need k >= 1 and 1 <= m <= d, got d={d}, m={m}, k={k}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"need finite sigma >= 0, got {sigma}")
-    if method == "closed":
-        if sigma != 0:
-            raise UnsupportedRegimeError(
-                f"no closed form for sigma={sigma} (closed forms need sigma = 0)"
-            )
-        if k <= m:
-            return chisq_case1_closed(d, m, k)
-        return chisq_case2_closed(d, m, k)
-    if method != "mc":
+    if method not in ("closed", "mc"):
         raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
-    if sigma == 0 and k > m:
-        raise UnsupportedRegimeError(
-            f"no Monte Carlo evaluator for sigma=0 with k={k} > m={m}"
-        )
-    if sigma != 0 and m != d:
-        raise UnsupportedRegimeError(
-            f"no Monte Carlo evaluator for sigma={sigma} with m={m} != d={d}"
-        )
+    if sigma == 0 and k <= m:
+        regime, methods, inside = REGIME_CASE1, ("closed", "mc"), d - m - 2 * k >= k
+    elif sigma == 0:
+        regime, methods, inside = REGIME_CASE2, ("closed",), d - 3 * k >= m
+    else:
+        regime, methods, inside = REGIME_M_EQ_D, ("mc",), m == d
+    if method not in methods or not inside:
+        why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
+        raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
+    if method == "closed":
+        value = (_case1_closed if regime == REGIME_CASE1 else _case2_closed)(d, m, k)
+        return ChiSquareReport(regime, value, "closed_form", d, m, k, 0.0)
     if rng is None:
         raise ValueError("rng is required for the Monte Carlo evaluators")
-    if sigma == 0:
-        return chisq_case1_mc(d, m, k, samples, rng)
-    return chisq_m_eq_d_mc(d, k, sigma, samples, rng)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if regime == REGIME_CASE1:
+        est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
+        return ChiSquareReport(
+            regime, est.value, "monte_carlo", d, m, k, 0.0, est.stderr, est.samples
+        )
+    est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
+    warning = ""
+    if sigma < HEAVY_TAIL_SIGMA and est.samples:
+        warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
+    return ChiSquareReport(
+        regime, est.value, "monte_carlo", d, m, k, sigma, est.stderr, est.samples, warning
+    )

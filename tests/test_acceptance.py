@@ -30,12 +30,7 @@ from scipy.stats import chi2 as chi2_dist
 
 from shufflab import make_rng
 from shufflab.advantage import advantage_bound_m1, estimate_advantage_sq
-from shufflab.chisq import (
-    chisq_case1_closed,
-    chisq_case1_mc,
-    chisq_case2_closed,
-    chisq_m_eq_d_mc,
-)
+from shufflab.chisq import _case2_closed, evaluate
 from shufflab.cli import main
 from shufflab.detect import run_test
 from shufflab.model import ModelParams
@@ -112,8 +107,8 @@ def test_criterion_03_phase_transition():
 
 def test_criterion_04_chisq_closed_vs_mc():
     start = time.monotonic()
-    closed = chisq_case1_closed(50, 2, 1).value
-    mc = chisq_case1_mc(50, 2, 1, 100_000, make_rng(40))
+    closed = evaluate(50, 2, 1, 0.0, "closed").value
+    mc = evaluate(50, 2, 1, 0.0, "mc", 100_000, make_rng(40))
     elapsed = time.monotonic() - start
     exact_ok = math.isclose(closed, 24 / 23, rel_tol=1e-12)
     z = abs(mc.value - closed) / mc.stderr
@@ -125,8 +120,8 @@ def test_criterion_04_chisq_closed_vs_mc():
 def test_criterion_05_case_overlap():
     worst = 0.0
     for d in (30, 50, 200):
-        v1 = chisq_case1_closed(d, 1, 1).value
-        v2 = chisq_case2_closed(d, 1, 1).value
+        v1 = evaluate(d, 1, 1, 0.0, "closed").value
+        v2 = _case2_closed(d, 1, 1)  # evaluate routes k = m to case 1
         worst = max(worst, abs(v1 - v2) / v1)
     ok = worst <= 1e-9
     _report(5, ok, f"case overlap at k=m=1: worst rel gap {worst:.2e}")
@@ -138,7 +133,7 @@ def test_criterion_06_omega_ratio_asymptotics():
     dev1 = abs(ratio / 2000**4 - 1.0)
     d, m, k = 5000, 1, 2
     target = (d * d / ((d - m) * (d - 3 * k))) ** (m * k / 2)
-    dev2 = abs(chisq_case2_closed(d, m, k).value / target - 1.0)
+    dev2 = abs(evaluate(d, m, k, 0.0, "closed").value / target - 1.0)
     ok = dev1 <= 0.02 and dev2 <= 0.005
     _report(6, ok, f"product vs d^(k^2): dev {dev1:.4%}; case-2 vs displayed form: dev {dev2:.4%}")
     assert dev1 <= 0.02
@@ -149,14 +144,15 @@ def test_criterion_07_m_eq_d_chisq():
     start = time.monotonic()
     values = []
     for sigma in (1.0, 2.0, 4.0, 8.0, 16.0):
-        rep = chisq_m_eq_d_mc(40, 2, sigma, 100_000, make_rng(70))  # common random numbers
+        # common random numbers
+        rep = evaluate(40, 40, 2, sigma, "mc", 100_000, make_rng(70))
         assert rep.value >= 1.0 - 3 * rep.stderr
         values.append((sigma, rep.value, rep.stderr))
     monotone = all(
         v2 <= v1 + 3 * math.hypot(s1, s2)
         for (_, v1, s1), (_, v2, s2) in zip(values, values[1:])
     )
-    at100 = chisq_m_eq_d_mc(40, 2, 100.0, 100_000, make_rng(70))
+    at100 = evaluate(40, 40, 2, 100.0, "mc", 100_000, make_rng(70))
     limit_ok = abs(at100.value - 1.0) <= 1e-3
     elapsed = time.monotonic() - start
     ok = monotone and limit_ok and elapsed < 180.0

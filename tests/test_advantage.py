@@ -17,11 +17,7 @@ from shufflab.advantage import (
     advantage_sq_with_patterns,
     estimate_advantage_sq,
 )
-from shufflab.chisq import (
-    chisq_case1_closed,
-    chisq_case2_closed,
-    evaluate,
-)
+from shufflab.chisq import evaluate
 from shufflab.common import CapacityError, UnsupportedRegimeError
 from shufflab.hermite import multiindex_enumerate, pattern_pairs, side_split
 from shufflab.model import ModelParams
@@ -486,15 +482,15 @@ def test_bound_m1_caps():
 
 def test_bound_via_chisq_closed_route():
     got = advantage_bound_via_chisq(50, 2, 0.0, 2)
-    want = 1.0 + (chisq_case1_closed(50, 2, 1).value - 1.0) + (
-        chisq_case1_closed(50, 2, 2).value - 1.0
+    want = 1.0 + (evaluate(50, 2, 1, 0.0, "closed").value - 1.0) + (
+        evaluate(50, 2, 2, 0.0, "closed").value - 1.0
     )
     assert math.isclose(got, want, rel_tol=1e-12)
-    assert math.isclose(chisq_case1_closed(50, 2, 1).value, 24 / 23, rel_tol=1e-12)
+    assert math.isclose(evaluate(50, 2, 1, 0.0, "closed").value, 24 / 23, rel_tol=1e-12)
 
     mixed = advantage_bound_via_chisq(40, 1, 0.0, 2)  # k=1 case1, k=2 case2
-    want = 1.0 + (chisq_case1_closed(40, 1, 1).value - 1.0) + (
-        chisq_case2_closed(40, 1, 2).value - 1.0
+    want = 1.0 + (evaluate(40, 1, 1, 0.0, "closed").value - 1.0) + (
+        evaluate(40, 1, 2, 0.0, "closed").value - 1.0
     )
     assert math.isclose(mixed, want, rel_tol=1e-12)
 

@@ -11,15 +11,12 @@ from shufflab.chisq import (
     _MC_CHUNK,
     _bartlett_factor,
     _case1_lr_power,
+    _case2_closed,
     _conditional_det_power,
     _reduced_log_likelihood,
     REGIME_CASE1,
     REGIME_CASE2,
     REGIME_M_EQ_D,
-    chisq_case1_closed,
-    chisq_case1_mc,
-    chisq_case2_closed,
-    chisq_m_eq_d_mc,
     det_integral_mc,
     evaluate,
     log_wishart_constant,
@@ -81,7 +78,7 @@ def test_wishart_ratio_validation():
 
 
 def test_case1_exact_value():
-    report = chisq_case1_closed(50, 2, 1)
+    report = evaluate(50, 2, 1, 0.0, "closed")
     assert math.isclose(report.value, 24 / 23, rel_tol=1e-12)
     assert report.regime == "case1_sigma0" and report.method == "closed_form"
 
@@ -89,36 +86,35 @@ def test_case1_exact_value():
 def test_case1_asymptotic_form():
     d, m, k = 5000, 2, 1
     target = (d / (d - m)) ** (k * k)
-    assert abs(chisq_case1_closed(d, m, k).value / target - 1.0) <= 1e-3
+    assert abs(evaluate(d, m, k, 0.0, "closed").value / target - 1.0) <= 1e-3
 
 
 def test_case1_monotone_to_one_in_d():
-    values = [chisq_case1_closed(d, 2, 1).value for d in (50, 100, 1000, 10_000)]
+    values = [evaluate(d, 2, 1, 0.0, "closed").value for d in (50, 100, 1000, 10_000)]
     assert all(v > 1.0 for v in values)
     assert values == sorted(values, reverse=True)
     assert values[-1] - 1.0 < 1e-3
 
 
 def test_case1_regime_validation():
-    with pytest.raises(UnsupportedRegimeError):
-        chisq_case1_closed(50, 1, 2)  # k > m
-    with pytest.raises(UnsupportedRegimeError):
-        chisq_case1_closed(6, 4, 1)  # d - m - 2k < k
+    assert evaluate(50, 1, 2, 0.0, "closed").regime == REGIME_CASE2  # k > m is case 2
+    for method in ("closed", "mc"):
+        with pytest.raises(UnsupportedRegimeError):
+            evaluate(6, 4, 1, 0.0, method, 100, make_rng(0))  # d - m - 2k < k
 
 
 def test_case2_asymptotic_form():
     d, m, k = 5000, 1, 2
     target = (d * d / ((d - m) * (d - 3 * k))) ** (m * k / 2)
-    report = chisq_case2_closed(d, m, k)
+    report = evaluate(d, m, k, 0.0, "closed")
     assert report.value >= 1.0
     assert abs(report.value / target - 1.0) <= 5e-3
 
 
 def test_case2_regime_validation():
+    assert evaluate(50, 3, 2, 0.0, "closed").regime == REGIME_CASE1  # m > k is case 1
     with pytest.raises(UnsupportedRegimeError):
-        chisq_case2_closed(50, 3, 2)  # m > k
-    with pytest.raises(UnsupportedRegimeError):
-        chisq_case2_closed(6, 1, 2)  # d - 3k < m
+        evaluate(6, 1, 2, 0.0, "closed")  # d - 3k < m
 
 
 def test_case2_matches_sphere_overlap_quadrature():
@@ -134,7 +130,7 @@ def test_case2_matches_sphere_overlap_quadrature():
             lambda t: (1 - t) ** (-k) * (1 - t * t) ** ((d - 3) / 2) / norm,
             -1, 1, limit=400,
         )
-        got = chisq_case2_closed(d, 1, k).value
+        got = evaluate(d, 1, k, 0.0, "closed").value
         assert math.isclose(got, oracle, rel_tol=1e-7), (d, k, got, oracle)
 
 
@@ -152,18 +148,18 @@ def test_case2_mc_dual_route():
         log_l = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d)
         vals[done : done + b] = np.where(np.isneginf(log_l), 0.0, np.exp(2.0 * log_l))
         done += b
-    closed = chisq_case2_closed(d, m, k).value
+    closed = evaluate(d, m, k, 0.0, "closed").value
     assert_within_nse(vals.mean(), vals.std(ddof=1) / math.sqrt(samples), closed,
                       label="case2 (30,1,2)")
 
 
 def test_case_overlap_at_k_eq_m():
     for d in (30, 50, 200):
-        v1 = chisq_case1_closed(d, 1, 1).value
-        v2 = chisq_case2_closed(d, 1, 1).value
+        v1 = evaluate(d, 1, 1, 0.0, "closed").value
+        v2 = _case2_closed(d, 1, 1)  # evaluate routes k = m to case 1
         assert math.isclose(v1, v2, rel_tol=1e-9)
-    v1 = chisq_case1_closed(200, 3, 3).value
-    v2 = chisq_case2_closed(200, 3, 3).value
+    v1 = evaluate(200, 3, 3, 0.0, "closed").value
+    v2 = _case2_closed(200, 3, 3)
     assert math.isclose(v1, v2, rel_tol=1e-9)
 
 
@@ -222,7 +218,8 @@ def _xxt_lr_power(d, m, k, samples, rng, power):
 
 
 def test_xxt_reference_is_the_former_route():
-    # chisq_case1_mc(50, 2, 2, 5000, make_rng(97)) before Bartlett factors
+    # the case-1 Monte Carlo at (d, m, k) = (50, 2, 2), 5000 draws on make_rng(97),
+    # before Bartlett factors
     est = MomentEstimate.from_values(_xxt_lr_power(50, 2, 2, 5000, make_rng(97), 2.0))
     assert (est.value, est.stderr) == (1.111036811110822, 0.014138082943907636)
 
@@ -296,16 +293,20 @@ def test_case1_mc_stream_spans_two_chunks():
     want = np.concatenate(parts)
     got = _case1_lr_power(d, m, k, samples, make_rng(102), 2.0)
     assert np.array_equal(got, want)
-    report = chisq_case1_mc(d, m, k, samples, make_rng(102))
+    report = evaluate(d, m, k, 0.0, "mc", samples, make_rng(102))
     assert report.value == MomentEstimate.from_values(want).value
+
+
+def case1_mc(d, m, k, samples, rng):
+    return evaluate(d, m, k, 0.0, "mc", samples, rng)
 
 
 @pytest.mark.parametrize(
     "estimator, d, m, k",
     [
-        (chisq_case1_mc, 2, 2, 1),  # no density: d - m < k
-        (chisq_case1_mc, 3, 2, 1),  # E[L^2] diverges at k = 1, d < m + 2
-        (chisq_case1_mc, 7, 2, 2),  # d - m - 2k < k, outside the closed form
+        (case1_mc, 2, 2, 1),  # no density: d - m < k
+        (case1_mc, 3, 2, 1),  # E[L^2] diverges at k = 1, d < m + 2
+        (case1_mc, 7, 2, 2),  # d - m - 2k < k, outside the closed form
         (likelihood_ratio_case1_mc_mean, 2, 2, 1),
         (likelihood_ratio_case1_mc_mean, 3, 2, 2),
     ],
@@ -325,19 +326,19 @@ def test_likelihood_ratio_integrates_to_one():
 
 
 def test_case1_mc_matches_closed_form():
-    closed = chisq_case1_closed(50, 2, 1).value
-    mc = chisq_case1_mc(50, 2, 1, 100_000, make_rng(62))
+    closed = evaluate(50, 2, 1, 0.0, "closed").value
+    mc = evaluate(50, 2, 1, 0.0, "mc", 100_000, make_rng(62))
     assert_within_nse(mc.value, mc.stderr, closed, label="case1 (50,2,1)")
     assert mc.value >= 1.0 - 3 * mc.stderr
 
-    closed22 = chisq_case1_closed(50, 2, 2).value
-    mc22 = chisq_case1_mc(50, 2, 2, 100_000, make_rng(63))
+    closed22 = evaluate(50, 2, 2, 0.0, "closed").value
+    mc22 = evaluate(50, 2, 2, 0.0, "mc", 100_000, make_rng(63))
     assert_within_nse(mc22.value, mc22.stderr, closed22, label="case1 (50,2,2)")
 
 
 def test_case1_mc_stderr_shrinks_like_sqrt_samples():
-    small = chisq_case1_mc(50, 2, 1, 1000, make_rng(64))
-    large = chisq_case1_mc(50, 2, 1, 100_000, make_rng(64))
+    small = evaluate(50, 2, 1, 0.0, "mc", 1000, make_rng(64))
+    large = evaluate(50, 2, 1, 0.0, "mc", 100_000, make_rng(64))
     ratio = small.stderr / large.stderr
     assert 5.0 <= ratio <= 20.0  # ideal sqrt(100) = 10
 
@@ -350,28 +351,29 @@ def test_case1_mc_stderr_shrinks_like_sqrt_samples():
 )
 def test_case1_mc_flags_heavy_tail_near_domain_edge():
     # 1.57 +- 0.048 against the closed form 2.0 (z = -8.8): the L^2 draws are heavy-tailed
-    report = chisq_case1_mc(6, 2, 1, 20_000, make_rng(0))
+    report = evaluate(6, 2, 1, 0.0, "mc", 20_000, make_rng(0))
     assert report.warning
 
 
 def test_m_eq_d_mc_limits_and_validation():
     rng = make_rng(65)
-    report = chisq_m_eq_d_mc(20, 2, 100.0, 20_000, rng)
+    report = evaluate(20, 20, 2, 100.0, "mc", 20_000, rng)
     assert abs(report.value - 1.0) < 1e-3
     assert report.warning == ""
 
-    assert chisq_m_eq_d_mc(20, 0, 3.0, 10, rng).value == 1.0
+    with pytest.raises(ValueError):
+        evaluate(20, 20, 0, 3.0, "mc", 10, rng)  # k = 0 is outside every regime's input range
     with pytest.raises(UnsupportedRegimeError):
-        chisq_m_eq_d_mc(20, 2, 0.0, 10, rng)
+        evaluate(20, 20, 2, 0.0, "mc", 10, rng)
 
-    heavy = chisq_m_eq_d_mc(8, 1, 0.5, 1000, rng)
+    heavy = evaluate(8, 8, 1, 0.5, "mc", 1000, rng)
     assert "heavy-tail" in heavy.warning
 
 
 def test_m_eq_d_mc_nonincreasing_in_sigma():
     values = []
     for sigma in (1.0, 2.0, 4.0, 8.0, 16.0):
-        rep = chisq_m_eq_d_mc(16, 2, sigma, 20_000, make_rng(66))  # common random numbers
+        rep = evaluate(16, 16, 2, sigma, "mc", 20_000, make_rng(66))  # common random numbers
         assert rep.value >= 1.0 - 3 * rep.stderr
         values.append((rep.value, rep.stderr))
     for (v1, s1), (v2, s2) in zip(values, values[1:]):
@@ -379,9 +381,9 @@ def test_m_eq_d_mc_nonincreasing_in_sigma():
 
 
 _ESTIMATORS = {
-    "case1_mc": lambda n, rng: chisq_case1_mc(10, 3, 2, n, rng),
+    "case1_mc": lambda n, rng: evaluate(10, 3, 2, 0.0, "mc", n, rng),
     "lr_mean": lambda n, rng: likelihood_ratio_case1_mc_mean(10, 3, 2, n, rng),
-    "m_eq_d_mc": lambda n, rng: chisq_m_eq_d_mc(5, 2, 1.5, n, rng),
+    "m_eq_d_mc": lambda n, rng: evaluate(5, 5, 2, 1.5, "mc", n, rng),
     "det_integral_mc": lambda n, rng: det_integral_mc(5, 0.3, 2, n, rng),
 }
 
@@ -405,15 +407,21 @@ def test_mc_estimators_at_one_and_zero_samples(name):
 # regime dispatcher
 
 
+# supported rows: (regime, method, value.hex(), stderr.hex() or None, samples, warning),
+# each value and stderr taken from the per-regime evaluators this dispatcher replaced
 @pytest.mark.parametrize(
     "d, m, k, sigma, method, expected",
     [
-        (50, 2, 1, 0.0, "closed", (REGIME_CASE1, "closed_form")),
-        (40, 1, 2, 0.0, "closed", (REGIME_CASE2, "closed_form")),
+        (50, 2, 1, 0.0, "closed",
+         (REGIME_CASE1, "closed_form", "0x1.0b21642c8593cp+0", None, None, "")),
+        (40, 1, 2, 0.0, "closed",
+         (REGIME_CASE2, "closed_form", "0x1.15f15f15f160ep+0", None, None, "")),
         (16, 16, 1, 1.0, "closed", UnsupportedRegimeError),
-        (10, 3, 2, 0.0, "mc", (REGIME_CASE1, "monte_carlo")),
+        (10, 3, 2, 0.0, "mc",
+         (REGIME_CASE1, "monte_carlo", "0x1.1740890547078p+1", "0x1.605257ed38a30p-2", 200, "")),
         (40, 1, 2, 0.0, "mc", UnsupportedRegimeError),
-        (5, 5, 2, 1.5, "mc", (REGIME_M_EQ_D, "monte_carlo")),
+        (5, 5, 2, 1.5, "mc",
+         (REGIME_M_EQ_D, "monte_carlo", "0x1.599cea6e7da5cp+0", "0x1.27db44031e0b1p-5", 200, "")),
         (16, 8, 1, 1.0, "mc", UnsupportedRegimeError),
         (3, 2, 1, 0.0, "mc", UnsupportedRegimeError),
         (2, 2, 1, 0.0, "mc", UnsupportedRegimeError),
@@ -425,20 +433,56 @@ def test_mc_estimators_at_one_and_zero_samples(name):
     ],
 )
 def test_evaluate_regime_table(d, m, k, sigma, method, expected):
+    rng = make_rng(70)
     if isinstance(expected, type):
-        with pytest.raises(expected):
-            evaluate(d, m, k, sigma, method, 200, make_rng(70))
+        before = rng.bit_generator.state
+        with pytest.raises(expected) as err:
+            evaluate(d, m, k, sigma, method, 200, rng)
+        assert rng.bit_generator.state == before
+        assert f"d={d}, m={m}, k={k}, sigma={sigma}" in str(err.value)
         return
-    report = evaluate(d, m, k, sigma, method, 200, make_rng(70))
-    assert (report.regime, report.method) == expected
+    report = evaluate(d, m, k, sigma, method, 200, rng)
+    stderr = None if report.stderr is None else report.stderr.hex()
+    got = (report.regime, report.method, report.value.hex(), stderr, report.samples, report.warning)
+    assert got == expected
     assert (report.d, report.m, report.k, report.sigma) == (d, m, k, sigma)
-    direct = {
-        (REGIME_CASE1, "closed_form"): lambda: chisq_case1_closed(d, m, k),
-        (REGIME_CASE2, "closed_form"): lambda: chisq_case2_closed(d, m, k),
-        (REGIME_CASE1, "monte_carlo"): lambda: chisq_case1_mc(d, m, k, 200, make_rng(70)),
-        (REGIME_M_EQ_D, "monte_carlo"): lambda: chisq_m_eq_d_mc(d, k, sigma, 200, make_rng(70)),
-    }[expected]()
-    assert report == direct
+
+
+@pytest.mark.parametrize(
+    "d, m, k, sigma, method",
+    [
+        (5, 2, 0, 0.0, "closed"), (5, 2, 0, 0.0, "mc"),
+        (3, 3, 0, 1.0, "closed"), (3, 3, 0, 1.0, "mc"),
+        (5, 2, -1, 0.0, "closed"), (5, 2, -1, 0.0, "mc"),
+        (3, 3, -1, 1.0, "closed"), (3, 3, -1, 1.0, "mc"),
+        (5, 0, 1, 0.0, "closed"), (5, 0, 1, 0.0, "mc"),
+        (5, 6, 1, 0.0, "closed"), (5, 6, 1, 1.0, "mc"),
+    ],
+)
+def test_evaluate_rejects_k_or_m_out_of_range_before_any_draw(d, m, k, sigma, method):
+    # an out-of-range k or m is a bad input under either method, not a regime without an evaluator
+    rng = make_rng(71)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="need k >= 1 and 1 <= m <= d"):
+        evaluate(d, m, k, sigma, method, 100, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "d, m, k, sigma, samples",
+    [(2, 2, 1, 1.0, 0), (1, 1, 1, 1.0, -3), (5, 5, 2, 1.5, 0), (10, 3, 2, 0.0, -1)],
+)
+def test_evaluate_mc_rejects_samples_below_one_in_every_regime(d, m, k, sigma, samples):
+    # the exact d <= 2 cells draw nothing, yet they refuse the same sample counts
+    rng = make_rng(72)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        evaluate(d, m, k, sigma, "mc", samples, rng)
+    assert rng.bit_generator.state == before
+    if d <= 2:
+        report = evaluate(d, m, k, sigma, "mc", 1, rng)
+        assert (report.stderr, report.samples) == (0.0, 0)
+        assert rng.bit_generator.state == before
 
 
 def test_evaluate_mc_needs_rng():
