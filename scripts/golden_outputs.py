@@ -54,6 +54,10 @@ RUNS: dict[str, list[str]] = {
     "detect-small": CLI + [
         "detect", "--n", "1", "--d", "3", "--m", "1", "--sigma", "0", "0.5", "--trials", "500",
         "--seed", "14", "--output", "detect_small.csv"],
+    # a NaN threshold is a usage error (exit 2, no file), not a rule that never fires
+    "detect-nan-threshold": CLI + [
+        "detect", "--n", "4", "--d", "2", "--m", "2", "--sigma", "0.5", "--trials", "100",
+        "--threshold", "nan", "--seed", "1", "--output", "detect_nan.csv"],
     "advantage-per-pattern": CLI + [
         "advantage", "--n", "2", "--d", "2", "--m", "2", "--sigma", "0.5", "--D", "0", "2", "4",
         "--samples", "2000", "--seed", "5", "--output", "advantage.csv",

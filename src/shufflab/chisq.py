@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
+from .common import MomentEstimate, UnsupportedRegimeError, as_integer, draw_chunked
 from .randmat import haar_verblunsky_batch
 
 ZETA_SLACK = 1e-12
@@ -263,7 +263,8 @@ def det_integral_mc(
 ) -> MomentEstimate:
     """Rao-Blackwellized Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q on O(d).
 
-    Needs |eps| < 1 and an integer k (ValueError before any draw otherwise).
+    Needs |eps| < 1, an integer d >= 1 and an integer k (ValueError before
+    any draw otherwise).
     Each of ``samples`` draws takes one row of d normals from the stream
     (``randmat.haar_verblunsky_batch``) and contributes the exact conditional
     mean of det(I + eps Q)^k given alpha_0..alpha_{d-3}, O(d) per draw with no
@@ -274,11 +275,9 @@ def det_integral_mc(
     """
     if not abs(eps) < 1:
         raise ValueError(f"need |eps| < 1, got {eps}")
+    d, k = as_integer("d", d), as_integer("k", k)
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if not float(k).is_integer():
-        raise ValueError(f"need an integer power k, got {k}")
-    k = int(k)
     if eps == 0.0 or k == 0:
         return MomentEstimate(value=1.0, stderr=0.0, samples=0)
     if d <= 2:  # nothing left to draw
@@ -305,7 +304,8 @@ def evaluate(
 ) -> ChiSquareReport:
     """Chi-square of the reduced k-row model, by the one evaluator for its regime.
 
-    ValueError unless k >= 1, 1 <= m <= d, sigma is finite and >= 0 and
+    ValueError unless d, m and k are integers (an integral value such as 2.0
+    is taken as the int), k >= 1, 1 <= m <= d, sigma is finite and >= 0 and
     method is "closed" or "mc"; "mc" also needs ``rng`` and samples >= 1.
     The regime table below writes each regime's domain once:
 
@@ -323,6 +323,7 @@ def evaluate(
     UnsupportedRegimeError naming d, m, k and sigma.  Every refusal comes
     before any draw.
     """
+    d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
         raise ValueError(f"need k >= 1 and 1 <= m <= d, got d={d}, m={m}, k={k}")
     if not 0 <= sigma < math.inf:

@@ -20,11 +20,19 @@ independent of execution order.
 
 Exit codes: 0 success, 1 oracle failure, 2 usage, 3 capacity,
 4 unsupported regime, 5 I/O.
+
+A process builds one argument parser, on the first ``main`` call, and every
+later call parses with it: ``parse_args`` keeps no state between calls (each
+returns a fresh namespace with new grid lists, and help reads the terminal
+width when it is printed).  Only repeated in-process calls gain from this,
+such as a test suite or the benchmark passes; a run from the shell builds
+one parser either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -440,7 +448,9 @@ def resolve_config(config: dict[str, object]) -> tuple[Command, argparse.Namespa
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; shared, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="shufflab",
         description="Batch experiments for low-degree detection in shuffled regression",

@@ -1,4 +1,4 @@
-"""Shared value types, error classes and the chunked Monte Carlo loop."""
+"""Shared value types, error classes, the integer rule and the chunked Monte Carlo loop."""
 
 from __future__ import annotations
 
@@ -7,6 +7,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+def as_integer(name: str, value: object) -> int:
+    """``value`` as an int if it is integral (2.0 gives 2), else a ValueError naming ``name``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class CapacityError(Exception):

@@ -140,11 +140,15 @@ def run_test(
 ) -> DetectionReport:
     """Draw f under the null, then under the planted law, and report the rule f < threshold.
 
-    ``threshold`` None takes ``default_threshold``.  Fewer than two trials
-    leave no sample variance and are refused before any draw.
+    ``threshold`` None takes ``default_threshold``; +-inf are the trivial
+    rules.  A NaN threshold (every comparison with it is false, so it would
+    read as a perfect test) and fewer than two trials (no sample variance)
+    are refused before any draw.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if params.m != params.d:
         warnings.warn(
             "the detection statistic's mean formulas hold at m = d; "

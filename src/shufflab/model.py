@@ -19,11 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import randmat
+from .common import as_integer
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Problem dimensions (n rows, d predictors, m responses) and noise."""
+    """Problem dimensions (n rows, d predictors, m responses) and noise.
+
+    n, d and m must be integral; a value such as 2.0 is stored as the int 2.
+    """
 
     n: int
     d: int
@@ -31,6 +35,8 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "m"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if not 1 <= self.m <= self.d:

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .common import as_integer
+
 
 def _require_positive(**dims: int) -> None:
     for name, value in dims.items():
-        if int(value) != value or value < 1:
+        if as_integer(name, value) < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

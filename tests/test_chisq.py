@@ -469,6 +469,31 @@ def test_evaluate_rejects_k_or_m_out_of_range_before_any_draw(d, m, k, sigma, me
 
 
 @pytest.mark.parametrize(
+    "d, m, k, sigma, method",
+    [
+        (50, 2, 1.5, 0.0, "closed"), (50, 2, 1.5, 0.0, "mc"), (50.5, 2, 1, 0.0, "closed"),
+        (50, 2.5, 1, 0.0, "mc"), (16, 16, 1.5, 1.0, "mc"), (16.5, 16.5, 1, 1.0, "mc"),
+        (50, 2, math.nan, 0.0, "closed"), (math.inf, 2, 1, 0.0, "closed"),
+    ],
+)
+def test_evaluate_rejects_non_integer_dimensions_before_any_draw(d, m, k, sigma, method):
+    # a fractional k or d would reach log_wishart_constant's arange and return a value
+    rng = make_rng(73)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be an integer"):
+        evaluate(d, m, k, sigma, method, 100, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_evaluate_takes_integral_floats_as_ints():
+    report = evaluate(50.0, 2.0, np.int64(1), 0.0, "closed")
+    assert report.value == evaluate(50, 2, 1, 0.0, "closed").value
+    assert all(type(v) is int for v in (report.d, report.m, report.k))
+    mc = evaluate(16.0, 16.0, 2.0, 1.0, "mc", 200, make_rng(74))
+    assert mc.value == evaluate(16, 16, 2, 1.0, "mc", 200, make_rng(74)).value
+
+
+@pytest.mark.parametrize(
     "d, m, k, sigma, samples",
     [(2, 2, 1, 1.0, 0), (1, 1, 1, 1.0, -3), (5, 5, 2, 1.5, 0), (10, 3, 2, 0.0, -1)],
 )

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -10,7 +11,14 @@ import pytest
 import shufflab
 from shufflab import make_rng
 from shufflab.advantage import advantage_sq_with_patterns
-from shufflab.cli import ORACLE_NAMES, STREAM_STRIDE, main, parse_config, resolve_config
+from shufflab.cli import (
+    ORACLE_NAMES,
+    STREAM_STRIDE,
+    build_parser,
+    main,
+    parse_config,
+    resolve_config,
+)
 from shufflab.detect import _sample_f, run_test
 from shufflab.matrixio import format_float, read_matrix, read_sidecar
 from shufflab.model import ModelParams
@@ -36,6 +44,52 @@ def test_cli_start_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()  # drop the parser built under the test's patches
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys, fresh_parser):
+    # usage errors and help pages exit through the same parser as the runs around them
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        if kwargs.get("prog") == "shufflab":  # the top level, not a subcommand's parser
+            builds.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    chisq = ("chisq", "--d", 50, "--m", 2, "--k", 1, "--sigma", 0.0, "--seed", 1)
+    assert run_cli(*chisq, "--output", tmp_path / "a.csv") == 0
+    assert run_cli("chisq", "--d", 50) == 2
+    assert run_cli("--help") == 0
+    assert run_cli("detect", "--help") == 0
+    assert run_cli(*chisq, "--mode", "bogus", "--output", tmp_path / "b.csv") == 2
+    assert run_cli(*chisq, "--output", tmp_path / "c.csv") == 0
+    assert builds == ["shufflab"]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.5, "--D", 0, 2,
+     "--samples", 500, "--seed", 3),
+    ("chisq", "--d", 50, "--m", 2, "--k", 1, 2, "--sigma", 0.0, "--mode", "both",
+     "--samples", 2000, "--seed", 4),
+], ids=("advantage", "chisq"))
+def test_repeated_call_after_errors_writes_the_same_bytes(tmp_path, capsys, argv):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert run_cli(*argv, "--output", first) == 0
+    assert run_cli(*argv[:3], "--output", tmp_path / "x.csv") == 2  # missing flags
+    assert run_cli(argv[0], "--help") == 0
+    assert run_cli(*argv, "--output", again) == 0
+    assert first.read_bytes() == again.read_bytes()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_oracle_names_are_the_oracle_checks():
@@ -100,6 +154,22 @@ def test_detect_usage_errors(tmp_path):
     out = tmp_path / "inf.csv"
     assert run_cli("detect", "--n", 8, "--d", 4, "--m", 4, "--sigma", "inf",
                    "--seed", 1, "--output", out) == 2
+    assert not out.exists()
+
+
+def test_detect_nan_threshold_is_usage_error(tmp_path, capsys):
+    # no comparison with NaN holds, so the rule would read as a perfect test
+    out = tmp_path / "nan.csv"
+    assert run_cli("detect", "--n", 4, "--d", 2, "--m", 2, "--sigma", 0.5, "--trials", 100,
+                   "--threshold", "nan", "--seed", 1, "--output", out) == 2
+    assert "threshold must not be NaN" in capsys.readouterr().err
+    config = tmp_path / "nan.cfg"
+    config.write_text(
+        "command = detect\nmaster_seed = 1\nn = [4]\nd = [2]\nm = [2]\nsigma = [0.5]\n"
+        f"trials = 100\nthreshold = nan\noutput = {out}\n"
+    )
+    assert run_cli("sweep", "--config", config) == 2
+    assert "threshold must not be NaN" in capsys.readouterr().err
     assert not out.exists()
 
 

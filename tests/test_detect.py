@@ -118,6 +118,22 @@ def test_run_test_zero_threshold_declares_nothing_planted():
     assert rates.type2 == 1.0 and rates.type1 == 0.0
 
 
+def test_run_test_nan_threshold_refused_before_any_draw():
+    # every comparison with NaN is false, so the rule would report type1 = type2 = 0
+    rng = make_rng(119)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="NaN"):
+        run_test(PARAMS, math.nan, 50, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("threshold, rates", [(math.inf, (1.0, 0.0)), (-math.inf, (0.0, 1.0))])
+def test_run_test_infinite_thresholds_are_the_trivial_rules(threshold, rates):
+    # f < inf declares every draw planted, f < -inf none
+    report = run_test(PARAMS, threshold, 50, make_rng(120))
+    assert (report.type1, report.type2) == rates
+
+
 def test_run_test_error_rates_match_chi2_oracle():
     # f / (4nd) is asymptotically chi^2(1) under the null and s chi^2(1) under
     # the planted law, so each error rate of the likelihood-ratio rule is a

@@ -26,6 +26,19 @@ def test_param_validation():
         ModelParams(n=1, d=2, m=1, sigma=math.inf)
 
 
+@pytest.mark.parametrize("n, d, m", [(2.5, 4, 4), (2, 4.5, 4), (2, 4, 1.5), (2, 4, math.nan),
+                                     (2, math.inf, 4), (None, 4, 4), ("2", 4, 4)])
+def test_param_dimensions_must_be_integers(n, d, m):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ModelParams(n=n, d=d, m=m, sigma=0.5)
+
+
+def test_param_integral_dimensions_are_stored_as_ints():
+    params = ModelParams(n=2.0, d=np.int64(4), m=4.0, sigma=0.5)
+    assert (params.n, params.d, params.m) == (2, 4, 4)
+    assert all(type(v) is int for v in (params.n, params.d, params.m))
+
+
 def test_null_shapes_and_independence():
     params = ModelParams(n=5, d=4, m=3, sigma=1.0)
     inst = sample_null(params, make_rng(20))

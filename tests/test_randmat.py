@@ -299,7 +299,8 @@ def test_degenerate_dimensions_rejected():
     rng = make_rng(0)
     with pytest.raises(ValueError):
         sample_null_batch(ModelParams(n=0, d=3, m=1, sigma=0.0), 1, rng)
-    with pytest.raises(ValueError):
-        haar_verblunsky_batch(0, 1, rng)
-    with pytest.raises(ValueError):
-        permutation_batch(0, 1, rng)
+    for bad in (0, 2.5, math.inf, math.nan):  # int(inf) raises OverflowError, not ValueError
+        with pytest.raises(ValueError):
+            haar_verblunsky_batch(bad, 1, rng)
+        with pytest.raises(ValueError):
+            permutation_batch(bad, 1, rng)
