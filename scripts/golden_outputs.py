@@ -99,6 +99,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-closed": CLI + [
         "chisq", "--d", "40", "--m", "1", "--k", "2", "--sigma", "0", "--seed", "1",
         "--output", "chisq_closed.csv"],
+    # d = 10,000: summed log-Gamma constants lost ~1e5 ulp here
+    "chisq-closed-large-d": CLI + [
+        "chisq", "--d", "10000", "--m", "2", "--k", "1", "2", "--sigma", "0", "--seed", "1",
+        "--output", "chisq_closed_large_d.csv"],
     "chisq-mc": CLI + [
         "chisq", "--d", "16", "--m", "16", "--k", "1", "2", "--sigma", "1", "3",
         "--mode", "mc", "--samples", "5000", "--seed", "12", "--output", "chisq_mc.csv"],

@@ -3,9 +3,9 @@
 ``evaluate`` is the one entry point: it checks its inputs, owns every
 regime's domain, picks the evaluator for a regime and method, and builds the
 report.  Its private kernels are two noiseless closed forms (products of
-Wishart normalizing constants) and the case-1 likelihood-ratio Monte Carlo;
-the Haar determinant integral behind the m = d Monte Carlo with noise lives
-here too.  The analytic moments that check the samplers
+ratios of Wishart normalizing constants) and the case-1 likelihood-ratio
+Monte Carlo; the Haar determinant integral behind the m = d Monte Carlo with
+noise lives here too.  The analytic moments that check the samplers
 (sphere monomials, Gaussian exponential moments, orthogonal submatrix
 density, Haar determinant moments) live in ``oracles``, as do the exact
 product form of the Wishart constant ratio and the Monte Carlo mean of the
@@ -47,8 +47,15 @@ log det A = 2 sum_i log L_ii and the eigenvalues of (A^{-1/2} Y)(A^{-1/2} Y)^T;
 since A^{-1/2} = O L^{-1} with O = A^{-1/2} L orthogonal, those are the
 eigenvalues of M M^T with M = L^{-1} Y, found by forward substitution.
 
-All normalizing constants and determinants are handled in log space: the
-raw constants overflow double precision once d reaches the low hundreds.
+The Wishart normalizing constants omega(s, t) enter only as ratios
+omega(s - h, t) / omega(s, t), and those are exact: every Gamma argument is
+an integer or a half-integer, so each ratio telescopes to integers times
+pi^(a/2) 2^(b/2) (``_wishart_ratio``).  In both closed forms the pi and 2
+exponents cancel, so each value is an exact rational rounded once; the
+likelihood ratio takes the log of its exact constant, once per Monte Carlo
+call.  The raw constants, which overflow double precision once d reaches the
+low hundreds, are never formed, and no large logs are summed to an O(1)
+result.  Determinants are handled in log space.
 """
 
 from __future__ import annotations
@@ -87,21 +94,63 @@ class ChiSquareReport:
     warning: str = ""
 
 
-def log_wishart_constant(s: int, t: int) -> float:
-    """log of the Wishart normalizing constant omega(s, t).
+def _wishart_ratio(*terms: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """prod over (s, h, t, e) of [omega(s - h, t) / omega(s, t)]^e exactly, as (p, q, a, b).
 
-    1/omega(s, t) = pi^{t(t-1)/4} * 2^{st/2} * prod_{j=1..t} Gamma((s-j+1)/2).
+    The product is p / q * pi^(a/2) * 2^(b/2), p and q positive integers.
+    With 1/omega(s, t) = pi^{t(t-1)/4} 2^{st/2} prod_{j=1..t} Gamma((s-j+1)/2),
+    one ratio is 2^{ht/2} prod_{j=1..t} Gamma((s-j+1)/2) / Gamma((s-h-j+1)/2).
+    Each Gamma argument n/2 is an integer or a half-integer, and
+    Gamma(n) = (n-1)!, Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!) give
+    Gamma(n/2) = sqrt(pi)^[n odd] prod_{v = n mod 2, 0 < v < n} v/2.
+    So v/2 enters with the net exponent of the Gamma(n/2) with n > v of its
+    parity: a run of v between two consecutive such n is one ``math.prod``,
+    and the runs where the exponents cancel cost nothing.
     """
-    if not s >= t >= 1:
-        raise ValueError(f"need s >= t >= 1, got s={s}, t={t}")
-    from scipy.special import gammaln  # here, so importing the CLI loads no SciPy
+    net: dict[int, int] = {}  # n -> exponent of Gamma(n/2)
+    b = 0
+    for s, h, t, e in terms:
+        if not (t >= 1 and h >= 0 and s - h >= t):
+            raise ValueError(f"need t >= 1, h >= 0 and s - h >= t, got s={s}, h={h}, t={t}")
+        b += e * h * t
+        for j in range(1, t + 1):
+            net[s - j + 1] = net.get(s - j + 1, 0) + e
+            net[s - h - j + 1] = net.get(s - h - j + 1, 0) - e
+    a = sum(e for n, e in net.items() if n % 2)
+    p = q = 1
+    for parity in (0, 1):
+        tops = sorted((n for n, e in net.items() if e and n % 2 == parity), reverse=True)
+        exponent = 0
+        for top, low in zip(tops, tops[1:] + [2 - parity]):
+            exponent += net[top]
+            run = range(low, top, 2)  # v in [low, top) of top's parity
+            if exponent and run:
+                factor = math.prod(run) ** abs(exponent)
+                p, q = (p * factor, q) if exponent > 0 else (p, q * factor)
+                b -= 2 * exponent * len(run)
+    return p, q, a, b
 
-    js = np.arange(1, t + 1)
-    return -float(
-        (t * (t - 1) / 4.0) * math.log(math.pi)
-        + (s * t / 2.0) * math.log(2.0)
-        + gammaln((s - js + 1) / 2.0).sum()
-    )
+
+def log_wishart_ratio(s: int, h: int, t: int) -> float:
+    """log of omega(s - h, t) / omega(s, t), omega the Wishart normalizing constant.
+
+    1/omega(s, t) = pi^{t(t-1)/4} * 2^{st/2} * prod_{j=1..t} Gamma((s-j+1)/2)
+    (Muirhead, Thm 3.2.14).  The ratio is exact (``_wishart_ratio``): a
+    rational p/q times pi^(a/2) 2^(b/2).  p/q is rounded once after scaling
+    by a power of two into (1/2, 2), so the log loses no digits to the size
+    of the Gamma values.  Needs t >= 1, h >= 0 and s - h >= t.
+    """
+    p, q, a, b = _wishart_ratio((s, h, t, 1))
+    shift = p.bit_length() - q.bit_length()
+    x = p / (q << shift) if shift >= 0 else (p << -shift) / q
+    return math.log(x) + (shift + b / 2) * math.log(2.0) + (a / 2) * math.log(math.pi)
+
+
+def _rational_wishart_ratio(*terms: tuple[int, int, int, int]) -> float:
+    """A product of Wishart constant ratios whose pi and 2 exponents cancel, rounded once."""
+    p, q, a, b = _wishart_ratio(*terms)
+    assert a == 0 and b % 2 == 0, f"irrational Wishart ratio product {terms}"
+    return (p << max(b // 2, 0)) / (q << max(-b // 2, 0))  # int division rounds correctly
 
 
 def _case1_closed(d: int, m: int, k: int) -> float:
@@ -117,13 +166,9 @@ def _case1_closed(d: int, m: int, k: int) -> float:
     ratio Monte Carlo, and an exact quadrature identity at m = 1) pin this
     exponent down.  At k = 1 the formula coincides with the regrouped
     product [omega(d-m, 1)/omega(d-m-2, 1)] * [omega(d-2, 1)/omega(d, 1)].
+    The value is rational: the two ratios' pi and 2 exponents cancel.
     """
-    return math.exp(
-        log_wishart_constant(d - m, k)
-        - log_wishart_constant(d, k)
-        + log_wishart_constant(d - k - 1, k)
-        - log_wishart_constant(d - m - k - 1, k)
-    )
+    return _rational_wishart_ratio((d, m, k, 1), (d - k - 1, m, k, -1))
 
 
 def _case2_closed(d: int, m: int, k: int) -> float:
@@ -135,29 +180,34 @@ def _case2_closed(d: int, m: int, k: int) -> float:
     Same derivation as case 1 with the roles of the Gram sides swapped; the
     final factor again carries the symmetric-space Jacobian exponent.  The
     two cases agree at their overlap k = m, and at m = 1 the value equals
-    the exact sphere-overlap quadrature E[(1 - <q, q'>)^{-k}].
+    the exact sphere-overlap quadrature E[(1 - <q, q'>)^{-k}].  The value is
+    rational, as in case 1.
     """
-    return math.exp(
-        2.0 * (log_wishart_constant(d - k, m) - log_wishart_constant(d, m))
-        + log_wishart_constant(d, k)
-        - log_wishart_constant(d - m, k)
-        + log_wishart_constant(d - k - 1, m)
-        - log_wishart_constant(d - 2 * k - 1, m)
-    )
+    return _rational_wishart_ratio((d, k, m, 2), (d, m, k, -1), (d - k - 1, k, m, -1))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo: the case-1 likelihood ratio, and the Haar determinant integral at m = d
 
 
-def _reduced_log_likelihood(L: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
+def _lr_log_const(d: int, m: int, k: int) -> float:
+    """log of the likelihood ratio's normalizing constant.
+
+    omega(d-m, k)/omega(d, k) for k <= m and omega(d-k, m)/omega(d, m)
+    otherwise (the orthogonal-block density swaps its constant roles when
+    the block is taller than wide).
+    """
+    return log_wishart_ratio(d, m, k) if k <= m else log_wishart_ratio(d, k, m)
+
+
+def _reduced_log_likelihood(
+    L: np.ndarray, Y: np.ndarray, d: int, log_const: float
+) -> np.ndarray:
     """log density ratio of the noiseless reduced planted law to the null.
 
     L: (..., k, k) lower-triangular Cholesky factor of the row Gram A = L L^T,
-    Y: (..., k, m).  Batched; -inf outside the support.  The normalizing
-    constant is omega(d-m, k)/omega(d, k) for k <= m and omega(d-k, m)/omega(d, m)
-    otherwise (the orthogonal-block density swaps its constant roles when
-    the block is taller than wide); everything else is shared.
+    Y: (..., k, m), log_const = ``_lr_log_const(d, m, k)``.  Batched; -inf
+    outside the support.
     """
     k = L.shape[-1]
     m = Y.shape[-1]
@@ -174,10 +224,6 @@ def _reduced_log_likelihood(L: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
     clipped = np.clip(eigs, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         logdet_gap = np.log1p(-clipped).sum(axis=-1)
-    if k <= m:
-        log_const = log_wishart_constant(d - m, k) - log_wishart_constant(d, k)
-    else:
-        log_const = log_wishart_constant(d - k, m) - log_wishart_constant(d, m)
     tr_yy = np.einsum("...ij,...ij->...", Y, Y)
     log_l = (
         log_const
@@ -213,11 +259,13 @@ def _case1_lr_power(
     normals; ``_bartlett_factor``), then its (b, k, m) block of Y.  The
     power is taken per chunk, so no full-length log array is kept.
     """
+    log_const = _lr_log_const(d, m, k)
 
     def draw(b: int) -> np.ndarray:
         L = _bartlett_factor(d, k, b, rng)
         Y = rng.standard_normal((b, k, m))
-        return np.exp(power * _reduced_log_likelihood(L, Y, d))  # exp(-inf) = 0 off support
+        # exp(-inf) = 0 off support
+        return np.exp(power * _reduced_log_likelihood(L, Y, d, log_const))
 
     return draw_chunked(draw, samples, _MC_CHUNK)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import chisq as chisq_mod
 from .advantage import AdvantageEstimate, PatternBreakdown, batch_sizes, jackknife_estimate
-from .chisq import ZETA_SLACK, log_wishart_constant
+from .chisq import ZETA_SLACK, log_wishart_ratio
 from .common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from .hermite import (
     PatternStack, hermite_table, multiindex_enumerate, pattern_pairs, slot_products, slot_table,
@@ -187,8 +187,7 @@ def submatrix_density(Z: np.ndarray, d: int) -> float:
     with np.errstate(divide="ignore"):
         logdet_gap = float(np.log1p(-clipped).sum())
     log_dens = (
-        log_wishart_constant(d - p, q)
-        - log_wishart_constant(d, q)
+        log_wishart_ratio(d, p, q)
         - (p * q / 2.0) * math.log(2.0 * math.pi)
         + 0.5 * (d - p - q - 1) * logdet_gap
     )

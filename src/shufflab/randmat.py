@@ -28,10 +28,14 @@ import numpy as np
 from .common import as_integer
 
 
-def _require_positive(**dims: int) -> None:
+def _require_positive(**dims: int) -> tuple[int, ...]:
+    """The dims as ints, in order; ValueError unless each is a positive integer."""
+    ints = []
     for name, value in dims.items():
-        if as_integer(name, value) < 1:
+        ints.append(as_integer(name, value))
+        if ints[-1] < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return tuple(ints)
 
 
 def qr_sign_fixed(g: np.ndarray) -> np.ndarray:
@@ -109,7 +113,7 @@ def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
     without a clip.  Row s is the stream's normals s*d..s*d + d - 1, so a
     draw of a + b rows equals a draw of a rows stacked on one of b.
     """
-    _require_positive(d=d, size=size)
+    d, size = _require_positive(d=d, size=size)
     g = rng.standard_normal((size, d))
     tails = np.square(g)
     np.cumsum(tails[:, ::-1], axis=1, out=tails[:, ::-1])
@@ -121,6 +125,6 @@ def haar_verblunsky_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
 
 def permutation_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """size x n stack of independent uniform permutations of [0, n) (Fisher-Yates per row)."""
-    _require_positive(n=n, size=size)
+    n, size = _require_positive(n=n, size=size)
     return rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
 

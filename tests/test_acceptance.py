@@ -110,7 +110,7 @@ def test_criterion_04_chisq_closed_vs_mc():
     closed = evaluate(50, 2, 1, 0.0, "closed").value
     mc = evaluate(50, 2, 1, 0.0, "mc", 100_000, make_rng(40))
     elapsed = time.monotonic() - start
-    exact_ok = math.isclose(closed, 24 / 23, rel_tol=1e-12)
+    exact_ok = closed == 24 / 23
     z = abs(mc.value - closed) / mc.stderr
     ok = exact_ok and z <= 3.0 and elapsed < 60.0
     _report(4, ok, f"closed 24/23, mc {mc.value:.5f}±{mc.stderr:.5f} (|z|={z:.2f}), {elapsed:.1f}s")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from shufflab.chisq import (
     _case1_lr_power,
     _case2_closed,
     _conditional_det_power,
+    _lr_log_const,
     _reduced_log_likelihood,
     REGIME_CASE1,
     REGIME_CASE2,
     REGIME_M_EQ_D,
     det_integral_mc,
     evaluate,
-    log_wishart_constant,
+    log_wishart_ratio,
 )
 from shufflab.common import MomentEstimate, UnsupportedRegimeError, draw_chunked
 from shufflab.oracles import (
@@ -38,29 +40,30 @@ from shufflab.randmat import haar_verblunsky_batch, qr_sign_fixed
 # Wishart constants
 
 
-def test_log_wishart_constant_values():
-    assert math.isclose(log_wishart_constant(2, 1), -math.log(2.0), rel_tol=1e-15)
-    # omega(1, 1) = 1 / (sqrt(2) Gamma(1/2)) = 1 / sqrt(2 pi)
-    assert math.isclose(log_wishart_constant(1, 1), -0.5 * math.log(2 * math.pi), rel_tol=1e-14)
-    assert math.isfinite(log_wishart_constant(10_000, 3))
+def test_log_wishart_ratio_values():
+    # omega(48, 1) / omega(50, 1) = 2 Gamma(25) / Gamma(24) = 48
+    assert math.isclose(log_wishart_ratio(50, 2, 1), math.log(48.0), rel_tol=1e-15)
+    # omega(1, 1) / omega(2, 1) = 2 / sqrt(2 pi): one half-integer Gamma left over
+    assert math.isclose(log_wishart_ratio(2, 1, 1), 0.5 * math.log(2 / math.pi), rel_tol=1e-15)
+    assert log_wishart_ratio(7, 0, 3) == 0.0
+    assert math.isfinite(log_wishart_ratio(10_000, 3, 3))
 
 
-def test_log_wishart_constant_validation():
-    with pytest.raises(ValueError):
-        log_wishart_constant(1, 2)
-    with pytest.raises(ValueError):
-        log_wishart_constant(5, 0)
+def test_log_wishart_ratio_validation():
+    for s, h, t in ((3, 2, 2), (5, 1, 0), (5, -1, 1)):
+        with pytest.raises(ValueError, match="need t >= 1, h >= 0 and s - h >= t"):
+            log_wishart_ratio(s, h, t)
 
 
 def test_wishart_ratio_exact_small():
     assert math.isclose(wishart_ratio_exact(10, 1), 8.0, rel_tol=1e-12)
 
 
-def test_wishart_ratio_matches_gammaln_path():
-    # the exact product equals omega(d - 2k, k) / omega(d, k)
+def test_wishart_ratio_product_matches_exact_log_ratio():
+    # the product oracle equals omega(d - 2k, k) / omega(d, k)
     for d, k in ((10, 1), (30, 2), (100, 5), (2000, 2), (5000, 3)):
-        via_logs = math.exp(log_wishart_constant(d - 2 * k, k) - log_wishart_constant(d, k))
-        assert math.isclose(wishart_ratio_exact(d, k), via_logs, rel_tol=1e-9)
+        via_log = math.exp(log_wishart_ratio(d, 2 * k, k))
+        assert math.isclose(wishart_ratio_exact(d, k), via_log, rel_tol=1e-12)
 
 
 def test_wishart_ratio_asymptotics():
@@ -79,8 +82,63 @@ def test_wishart_ratio_validation():
 
 def test_case1_exact_value():
     report = evaluate(50, 2, 1, 0.0, "closed")
-    assert math.isclose(report.value, 24 / 23, rel_tol=1e-12)
+    assert report.value == 24 / 23
     assert report.regime == "case1_sigma0" and report.method == "closed_form"
+
+
+def test_case2_exact_value():
+    report = evaluate(40, 1, 2, 0.0, "closed")
+    assert report.value == 38 / 35
+    assert report.regime == "case2_sigma0" and report.method == "closed_form"
+
+
+def _gamma_half(n: int) -> tuple[Fraction, int]:
+    """Gamma(n/2) = value * sqrt(pi)^odd, from factorials."""
+    if n % 2 == 0:
+        return Fraction(math.factorial(n // 2 - 1)), 0
+    j = n // 2  # Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!)
+    return Fraction(math.factorial(2 * j), 4**j * math.factorial(j)), 1
+
+
+def _omega_product(*factors: tuple[int, int, int]) -> float:
+    """prod over (s, t, e) of omega(s, t)^e, rounded once; its pi and 2 exponents must cancel.
+
+    1/omega(s, t) = pi^{t(t-1)/4} 2^{st/2} prod_{j=1..t} Gamma((s-j+1)/2), Gamma by Gamma.
+    """
+    value, pi_quarters, two_halves = Fraction(1), 0, 0
+    for s, t, e in factors:
+        inverse, pi_exp = Fraction(1), t * (t - 1)
+        for j in range(1, t + 1):
+            gamma, odd = _gamma_half(s - j + 1)
+            inverse, pi_exp = inverse * gamma, pi_exp + 2 * odd
+        value = value / inverse**e
+        pi_quarters, two_halves = pi_quarters - e * pi_exp, two_halves - e * s * t
+    assert pi_quarters == 0 and two_halves % 2 == 0
+    return float(value * Fraction(2) ** (two_halves // 2))
+
+
+@pytest.mark.parametrize("d, m, k", [
+    (10, 1, 1), (11, 2, 1), (12, 3, 2), (50, 2, 1), (51, 3, 3), (300, 4, 2),
+    (1001, 5, 3), (5000, 2, 2), (9999, 3, 2), (10_000, 1, 1), (10_000, 2, 1), (10_001, 2, 1),
+])
+def test_case1_closed_is_the_rounded_rational(d, m, k):
+    # [omega(d-m, k)/omega(d, k)] * [omega(d-k-1, k)/omega(d-m-k-1, k)]
+    want = _omega_product((d - m, k, 1), (d, k, -1), (d - k - 1, k, 1), (d - m - k - 1, k, -1))
+    assert evaluate(d, m, k, 0.0, "closed").value == want
+
+
+@pytest.mark.parametrize("d, m, k", [
+    (10, 1, 2), (40, 1, 2), (41, 2, 3), (100, 1, 4), (999, 2, 5), (5000, 3, 4),
+    (10_000, 1, 2), (10_001, 2, 3),
+])
+def test_case2_closed_is_the_rounded_rational(d, m, k):
+    # [omega(d-k, m)/omega(d, m)]^2 * [omega(d, k)/omega(d-m, k)]
+    #     * [omega(d-k-1, m)/omega(d-2k-1, m)]
+    want = _omega_product(
+        (d - k, m, 2), (d, m, -2), (d, k, 1), (d - m, k, -1),
+        (d - k - 1, m, 1), (d - 2 * k - 1, m, -1),
+    )
+    assert evaluate(d, m, k, 0.0, "closed").value == want
 
 
 def test_case1_asymptotic_form():
@@ -145,7 +203,7 @@ def test_case2_mc_dual_route():
         X = rng.standard_normal((b, k, d))
         Y = rng.standard_normal((b, k, m))
         A = X @ np.swapaxes(X, -2, -1)
-        log_l = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d)
+        log_l = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d, _lr_log_const(d, m, k))
         vals[done : done + b] = np.where(np.isneginf(log_l), 0.0, np.exp(2.0 * log_l))
         done += b
     closed = evaluate(d, m, k, 0.0, "closed").value
@@ -154,13 +212,12 @@ def test_case2_mc_dual_route():
 
 
 def test_case_overlap_at_k_eq_m():
+    # both closed forms are the same rational at k = m, each rounded once
     for d in (30, 50, 200):
         v1 = evaluate(d, 1, 1, 0.0, "closed").value
         v2 = _case2_closed(d, 1, 1)  # evaluate routes k = m to case 1
-        assert math.isclose(v1, v2, rel_tol=1e-9)
-    v1 = evaluate(200, 3, 3, 0.0, "closed").value
-    v2 = _case2_closed(200, 3, 3)
-    assert math.isclose(v1, v2, rel_tol=1e-9)
+        assert v1 == v2
+    assert evaluate(200, 3, 3, 0.0, "closed").value == _case2_closed(200, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +227,9 @@ def test_case_overlap_at_k_eq_m():
 def test_likelihood_ratio_outside_support_is_zero():
     A = np.eye(1)
     Y = np.array([[2.0, 0.0]])  # Y^T A^{-1} Y has eigenvalue 4 > 1
-    assert np.exp(_reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], 50)[0]) == 0.0
+    L = np.linalg.cholesky(A)[None]
+    log_l = _reduced_log_likelihood(L, Y[None], 50, _lr_log_const(50, 2, 1))
+    assert np.exp(log_l[0]) == 0.0
 
 
 def _eigh_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
@@ -188,12 +247,8 @@ def _eigh_log_likelihood(A: np.ndarray, Y: np.ndarray, d: int) -> np.ndarray:
     inside = eigs[..., -1] <= 1.0 + 1e-12
     with np.errstate(divide="ignore"):
         logdet_gap = np.log1p(-np.clip(eigs, 0.0, 1.0)).sum(axis=-1)
-    if k <= m:
-        log_const = log_wishart_constant(d - m, k) - log_wishart_constant(d, k)
-    else:
-        log_const = log_wishart_constant(d - k, m) - log_wishart_constant(d, m)
     log_l = (
-        log_const
+        _lr_log_const(d, m, k)
         + 0.5 * np.einsum("...ij,...ij->...", Y, Y)
         + 0.5 * (d - k - m - 1) * logdet_gap
         - 0.5 * m * np.log(w).sum(axis=-1)
@@ -219,9 +274,9 @@ def _xxt_lr_power(d, m, k, samples, rng, power):
 
 def test_xxt_reference_is_the_former_route():
     # the case-1 Monte Carlo at (d, m, k) = (50, 2, 2), 5000 draws on make_rng(97),
-    # before Bartlett factors
+    # before Bartlett factors, with the exact likelihood-ratio constant
     est = MomentEstimate.from_values(_xxt_lr_power(50, 2, 2, 5000, make_rng(97), 2.0))
-    assert (est.value, est.stderr) == (1.111036811110822, 0.014138082943907636)
+    assert (est.value, est.stderr) == (1.1110368111108022, 0.01413808294390738)
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
@@ -232,7 +287,7 @@ def test_cholesky_kernel_matches_eigh_route(k, m):
     A = G @ np.swapaxes(G, -2, -1) + 4.0 * np.eye(k)
     Y = 1.2 / math.sqrt(m) * rng.standard_normal((n, k, m))
     want = _eigh_log_likelihood(A, Y, d)
-    got = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d)
+    got = _reduced_log_likelihood(np.linalg.cholesky(A), Y, d, _lr_log_const(d, m, k))
     assert 0 < np.isneginf(want).sum() < n  # both sides of the support are hit
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     # 1e-12 relative, absolute near log L = 0; log(1 - eig) near the support edge amplifies rounding
@@ -243,7 +298,9 @@ def test_cholesky_kernel_outside_support_is_zero():
     A = np.array([[4.0, 1.0], [1.0, 2.0]])
     Y = np.array([[3.0, 0.0], [0.0, 0.1]])  # (A^{-1/2} Y)(A^{-1/2} Y)^T has eigenvalue > 1
     assert _eigh_log_likelihood(A, Y, 20) == -np.inf
-    assert np.exp(_reduced_log_likelihood(np.linalg.cholesky(A)[None], Y[None], 20)[0]) == 0.0
+    L = np.linalg.cholesky(A)[None]
+    log_l = _reduced_log_likelihood(L, Y[None], 20, _lr_log_const(20, 2, 2))
+    assert np.exp(log_l[0]) == 0.0
 
 
 @pytest.mark.parametrize("d, k, m", [(50, 1, 2), (50, 2, 2), (10, 3, 3)])
@@ -254,7 +311,7 @@ def test_bartlett_law_matches_xxt_route(d, k, m):
     L = _bartlett_factor(d, k, n, rng)
     Y = rng.standard_normal((n, k, m))
     fast_logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-    fast_log_l = _reduced_log_likelihood(L, Y, d)
+    fast_log_l = _reduced_log_likelihood(L, Y, d, _lr_log_const(d, m, k))
     A, Y = _xxt_draw(d, m, k, n, make_rng(100, 100 * d + k))
     slow_logdet = np.linalg.slogdet(A)[1]
     slow_log_l = _eigh_log_likelihood(A, Y, d)
@@ -289,7 +346,7 @@ def test_case1_mc_stream_spans_two_chunks():
         L[:, 0, 0], L[:, 1, 1] = np.sqrt(chi2[:, 0]), np.sqrt(chi2[:, 1])
         L[:, 1, 0] = rng.standard_normal((b, 1))[:, 0]
         Y = rng.standard_normal((b, k, m))
-        parts.append(np.exp(2.0 * _reduced_log_likelihood(L, Y, d)))
+        parts.append(np.exp(2.0 * _reduced_log_likelihood(L, Y, d, _lr_log_const(d, m, k))))
     want = np.concatenate(parts)
     got = _case1_lr_power(d, m, k, samples, make_rng(102), 2.0)
     assert np.array_equal(got, want)
@@ -408,14 +465,15 @@ def test_mc_estimators_at_one_and_zero_samples(name):
 
 
 # supported rows: (regime, method, value.hex(), stderr.hex() or None, samples, warning),
-# each value and stderr taken from the per-regime evaluators this dispatcher replaced
+# each value and stderr taken from the per-regime evaluators this dispatcher replaced,
+# the closed forms since then exact: 24/23 and 38/35, rounded once
 @pytest.mark.parametrize(
     "d, m, k, sigma, method, expected",
     [
         (50, 2, 1, 0.0, "closed",
-         (REGIME_CASE1, "closed_form", "0x1.0b21642c8593cp+0", None, None, "")),
+         (REGIME_CASE1, "closed_form", "0x1.0b21642c8590bp+0", None, None, "")),
         (40, 1, 2, 0.0, "closed",
-         (REGIME_CASE2, "closed_form", "0x1.15f15f15f160ep+0", None, None, "")),
+         (REGIME_CASE2, "closed_form", "0x1.15f15f15f15f1p+0", None, None, "")),
         (16, 16, 1, 1.0, "closed", UnsupportedRegimeError),
         (10, 3, 2, 0.0, "mc",
          (REGIME_CASE1, "monte_carlo", "0x1.1740890547078p+1", "0x1.605257ed38a30p-2", 200, "")),
@@ -477,7 +535,7 @@ def test_evaluate_rejects_k_or_m_out_of_range_before_any_draw(d, m, k, sigma, me
     ],
 )
 def test_evaluate_rejects_non_integer_dimensions_before_any_draw(d, m, k, sigma, method):
-    # a fractional k or d would reach log_wishart_constant's arange and return a value
+    # a fractional k or d must not reach the Wishart ratios' integer arithmetic
     rng = make_rng(73)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="must be an integer"):

@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -31,19 +32,37 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
-def test_cli_start_loads_no_scipy():
+def test_cli_start_loads_no_scipy(tmp_path):
     # SciPy and the oracle module are imported by the commands that use them,
-    # not when the CLI starts
+    # not when the CLI starts, and the chisq, sweep and advantage commands use neither
+    runs = [
+        ["chisq", "--d", "50", "--m", "2", "--k", "1", "--sigma", "0", "--mode", "both",
+         "--samples", "2000", "--seed", "1", "--output", "case1.csv"],
+        ["chisq", "--d", "40", "--m", "1", "--k", "2", "--sigma", "0", "--seed", "1",
+         "--output", "case2.csv"],
+        ["sweep", "--config", str(SCRIPTS / "chisq_regimes_noiseless.cfg")],
+        ["advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0", "--D", "2",
+         "--samples", "200", "--seed", "1", "--output", "advantage.csv"],
+    ]
     code = (
-        "import sys, shufflab.cli; shufflab.cli.build_parser(); "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m == 'shufflab.oracles'))"
+        "import json, sys, shufflab.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m == 'shufflab.oracles')\n"
+        "cli.build_parser()\n"
+        "start = loaded()\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([start, codes, loaded()]))\n"
     )
     src = str(Path(shufflab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    env = dict(os.environ, PYTHONPATH=src, SHUFFLAB_OUTPUT_DIR=".")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    start, codes, after = json.loads(out.stdout.splitlines()[-1])
+    assert start == []
+    assert codes == [0, 0, 0, 0]
+    assert after == []
+    assert (tmp_path / "chisq_regimes_noiseless.csv").exists()
 
 
 @pytest.fixture
@@ -291,7 +310,7 @@ def test_chisq_both_mode(tmp_path):
     closed = dict(zip(lines[0].split(","), lines[1].split(",")))
     mc = dict(zip(lines[0].split(","), lines[2].split(",")))
     assert closed["method"] == "closed_form"
-    assert math.isclose(float(closed["value"]), 24 / 23, rel_tol=1e-12)
+    assert float(closed["value"]) == 24 / 23
     assert float(mc["delta_vs_closed"]) <= 3 * float(mc["stderr"])
 
 

@@ -288,6 +288,17 @@ def test_permutation_is_bijection(n, seed):
     assert sorted(p.tolist()) == list(range(n))
 
 
+def test_integral_float_sizes_sample_as_ints():
+    # 5.0 passes the integer rule and must draw exactly what 5 draws
+    want_rng, got_rng = make_rng(16), make_rng(16)
+    want, got = permutation_batch(5, 2, want_rng), permutation_batch(5.0, 2, got_rng)
+    assert got.dtype == want.dtype and np.issubdtype(got.dtype, np.integer)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    want = haar_verblunsky_batch(4, 3, want_rng)
+    assert np.array_equal(haar_verblunsky_batch(4.0, np.float64(3.0), got_rng), want)
+
+
 def test_sphere_moment_family_matches_closed_form():
     from shufflab.oracles import check_sphere
 
