@@ -334,6 +334,17 @@ def test_bartlett_factor_wishart_moments():
                 assert_within_nse(mean, se, d, n=4.0, label=f"E[A_{i}{j}^2]")
 
 
+def test_case1_mc_k1_takes_no_eigendecomposition(monkeypatch):
+    # a 1 x 1 Gram is its own eigenvalue; the bits are those of the former eigvalsh route
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a 1 x 1 Gram")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    report = evaluate(50, 2, 1, 0.0, "mc", 5000, make_rng(71))
+    want = ("0x1.07d25d48e891ap+0", "0x1.9f426c8e97d10p-8")
+    assert (report.value.hex(), report.stderr.hex()) == want
+
+
 def test_case1_mc_stream_spans_two_chunks():
     # per chunk: the (b, k) diagonal chi-squares, the (b, 1) below-diagonal
     # normals, then the (b, k, m) block of Y
@@ -466,7 +477,8 @@ def test_mc_estimators_at_one_and_zero_samples(name):
 
 # supported rows: (regime, method, value.hex(), stderr.hex() or None, samples, warning),
 # each value and stderr taken from the per-regime evaluators this dispatcher replaced,
-# the closed forms since then exact: 24/23 and 38/35, rounded once
+# the closed forms since then exact: 24/23 and 38/35, rounded once, and the m = d row
+# since then the mean of antithetic pairs over the same draws
 @pytest.mark.parametrize(
     "d, m, k, sigma, method, expected",
     [
@@ -478,15 +490,18 @@ def test_mc_estimators_at_one_and_zero_samples(name):
         (10, 3, 2, 0.0, "mc",
          (REGIME_CASE1, "monte_carlo", "0x1.1740890547078p+1", "0x1.605257ed38a30p-2", 200, "")),
         (40, 1, 2, 0.0, "mc", UnsupportedRegimeError),
+        (50, 2, 1, 0.0, "mc",
+         (REGIME_CASE1, "monte_carlo", "0x1.131e8a6fc3690p+0", "0x1.a9a7bef17abdap-6", 200, "")),
         (5, 5, 2, 1.5, "mc",
-         (REGIME_M_EQ_D, "monte_carlo", "0x1.599cea6e7da5cp+0", "0x1.27db44031e0b1p-5", 200, "")),
+         (REGIME_M_EQ_D, "monte_carlo", "0x1.556d1b1c1e6b7p+0", "0x1.c09db3de530b1p-7", 200, "")),
         (16, 8, 1, 1.0, "mc", UnsupportedRegimeError),
         (3, 2, 1, 0.0, "mc", UnsupportedRegimeError),
         (2, 2, 1, 0.0, "mc", UnsupportedRegimeError),
     ],
     ids=[
         "closed-sigma0-case1", "closed-sigma0-case2", "closed-noisy",
-        "mc-sigma0-case1", "mc-sigma0-k-gt-m", "mc-m-eq-d", "mc-noisy-m-lt-d",
+        "mc-sigma0-case1", "mc-sigma0-case1-k1", "mc-sigma0-k-gt-m", "mc-m-eq-d",
+        "mc-noisy-m-lt-d",
         "mc-sigma0-case1-l2-diverges", "mc-sigma0-case1-no-density",
     ],
 )
@@ -729,6 +744,25 @@ def test_det_integral_mc_bits_do_not_depend_on_chunk(monkeypatch):
     want = det_integral_mc(d, eps, k, samples, make_rng(96))
     monkeypatch.setattr(chisq, "_MC_CHUNK", 1000)
     assert det_integral_mc(d, eps, k, samples, make_rng(96)) == want
+
+
+@pytest.mark.parametrize("d", [3, 7, 40])
+def test_det_integral_mc_is_even_in_eps(d):
+    # each draw is used at +eps and at -eps, and the pair sum commutes bit for bit
+    for eps, k in ((0.4, -2), (-0.7, 3)):
+        assert det_integral_mc(d, eps, k, 3000, make_rng(99, d)) == det_integral_mc(
+            d, -eps, k, 3000, make_rng(99, d)
+        )
+
+
+def test_det_integral_mc_antithetic_pair_shrinks_stderr():
+    # sigma = 2, k = 2 of the chi-square; the two sides correlate at about -0.87
+    d, eps, k, n = 40, -0.2, -2, 20_000
+    est = det_integral_mc(d, eps, k, n, make_rng(100))
+    head = haar_verblunsky_batch(d, n, make_rng(100))[:, :-2]  # the same draws
+    plus, minus = _conditional_det_power(head, eps, k), _conditional_det_power(head, -eps, k)
+    assert est == MomentEstimate.from_values(0.5 * (plus + minus))
+    assert est.stderr <= 0.3 * MomentEstimate.from_values(plus).stderr
 
 
 def test_det_integral_d1_draws_are_one_plus_or_minus_eps():
