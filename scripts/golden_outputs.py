@@ -118,6 +118,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc-d3": CLI + [
         "chisq", "--d", "3", "--m", "3", "--k", "1", "2", "3", "--sigma", "0.5", "2",
         "--mode", "mc", "--samples", "4000", "--seed", "20", "--output", "chisq_mc_d3.csv"],
+    # d = 4: the smallest square cell with a Szego product (alpha_0) before alpha_1
+    "chisq-mc-d4": CLI + [
+        "chisq", "--d", "4", "--m", "4", "--k", "1", "2", "3", "--sigma", "0.5", "2",
+        "--mode", "mc", "--samples", "4000", "--seed", "21", "--output", "chisq_mc_d4.csv"],
     # refusals outside the regime table (exit 4, no file): noise with m < d,
     # Monte Carlo for case 2, and a closed form for m = d with noise
     "chisq-refuse-mc-m-lt-d": CLI + [

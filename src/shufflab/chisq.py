@@ -45,6 +45,22 @@ unbiased for E det(I - eps Q)^k, which is the same target, and so is the
 mean of the pair.  The two sides are negatively correlated once eps is small
 (sigma >= 1 in the chi-square), where most of the variance is.
 
+Each draw then averages out alpha_{d-3} on a randomly shifted lattice
+(Cranley and Patterson, SIAM J. Numer. Anal. 1976).  alpha_{d-3} is the
+first coordinate of a uniform point on the sphere in R^3, so by Archimedes'
+hat-box theorem it is uniform on [-1, 1], independent of alpha_0..alpha_{d-4}.
+With u = (alpha_{d-3} + 1)/2, each of the M = 4 points a_i = 2 frac(u + i/M) - 1
+is uniform on [-1, 1] and independent of alpha_0..alpha_{d-4} as well, so the
+conditional mean above with a_i in place of alpha_{d-3} is unbiased for every
+i, and so is the mean over i; the per-draw means stay i.i.d., and the draw
+takes no more of the stream.  Szego's product over alpha_0..alpha_{d-4} is
+formed once per sign of eps, then one step per point and the closed form for
+the last two on all M points at once.  At d = 3 the lattice covers the one
+sampled coefficient.  Against the pair mean with alpha_{d-3} used once, at
+d = 40 and k = 2 with eps = -1/(1 + sigma^2) (200,000 draws), the variance
+falls 1.98x at sigma = 0.5, 1.75x at 1, 1.64x at 2 and 1.62x at 4; below
+sigma = 0.5 the sample variance is too heavy-tailed to give a ratio.
+
 The case-1 likelihood-ratio Monte Carlo forms no k x d design either: the
 null sees X only through A = X X^T ~ Wishart_k(d, I), and by Bartlett's
 decomposition (Bartlett 1933; Muirhead, "Aspects of Multivariate Statistical
@@ -84,6 +100,7 @@ REGIME_CASE2 = "case2_sigma0"
 REGIME_M_EQ_D = "m_eq_d"
 
 _MC_CHUNK = 4096
+_LATTICE = 4  # points of the shifted lattice in alpha_{d-3} per Verblunsky draw
 
 
 @dataclass(frozen=True)
@@ -247,13 +264,16 @@ def _bartlett_factor(d: int, k: int, size: int, rng: np.random.Generator) -> np.
 
     Stream order: a (size, k) block of chi-square draws with d, d-1, ...,
     d-k+1 degrees of freedom (the squared diagonal), then a (size, k(k-1)/2)
-    block of normals for the entries below it, row by row.
+    block of normals for the entries below it, row by row.  At k = 1 the
+    degrees of freedom go in as the scalar d, which draws the same bits as
+    the length-1 array in less time.
     """
     L = np.zeros((size, k, k))
     idx = np.arange(k)
-    L[:, idx, idx] = np.sqrt(rng.chisquare(d - idx, size=(size, k)))
-    rows, cols = np.tril_indices(k, -1)
-    L[:, rows, cols] = rng.standard_normal((size, rows.size))
+    L[:, idx, idx] = np.sqrt(rng.chisquare(d if k == 1 else d - idx, size=(size, k)))
+    if k > 1:  # at k = 1 nothing lies below the diagonal
+        rows, cols = np.tril_indices(k, -1)
+        L[:, rows, cols] = rng.standard_normal((size, rows.size))
     return L
 
 
@@ -278,21 +298,52 @@ def _case1_lr_power(
     return draw_chunked(draw, samples, _MC_CHUNK)
 
 
-def _legendre_mean(c0: np.ndarray, rho2: np.ndarray, p: int) -> np.ndarray:
-    """E_theta (c0 - c1 cos theta)^p = rho^p P_p(c0 / rho), rho2 = c0^2 - c1^2 > 0.
+def _legendre_q(c0: np.ndarray, rho2: np.ndarray, n: int) -> np.ndarray:
+    """Q_n = rho^n P_n(c0 / rho), rho2 = rho^2 > 0, by Bonnet's recurrence in homogeneous form.
 
-    Laplace's integrals (module docstring), by Bonnet's recurrence in
-    homogeneous form, Q_n = rho^n P_n(c0 / rho):
     (n + 1) Q_{n+1} = (2n + 1) c0 Q_n - n rho^2 Q_{n-1}, Q_0 = 1, Q_1 = c0.
-    p >= 0 returns Q_p; p < 0 returns Q_n / rho^{2n+1} with n = -p - 1.
     """
-    n = p if p >= 0 else -p - 1
     prev, q = 1.0, (c0 if n else 1.0)
     for j in range(1, n):
         prev, q = q, ((2 * j + 1) * c0 * q - j * rho2 * prev) / (j + 1)
-    if p >= 0:
-        return q
-    return q / (rho2**n * np.sqrt(rho2))
+    return q
+
+
+def _szego_product(alphas: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Szego's recursion at z through the rows of ``alphas`` = (steps, size) coefficients.
+
+    Returns D, the product of the factors 1 - alpha_j z r_j, and the last r,
+    from D = r = 1 (module docstring).  The loop works in place on four
+    length-``size`` buffers.
+    """
+    size = alphas.shape[1]
+    D, r, zr, t = np.ones(size), np.ones(size), np.empty(size), np.empty(size)
+    for a in alphas:
+        np.multiply(z, r, out=zr)
+        np.multiply(a, zr, out=t)
+        np.subtract(1.0, t, out=t)
+        D *= t
+        np.subtract(zr, a, out=r)
+        r /= t
+    return D, r
+
+
+def _last_two_mean(D: np.ndarray, r: np.ndarray, z: float, k: int) -> np.ndarray:
+    """D^k times the mean of the last two factors to the k over alpha_{d-2} and alpha_{d-1}.
+
+    D = Phi*_{d-2}(z) and r = r_{d-2}.  With c0 = 1 - s c, c = z^2 r, the
+    mean over theta is rho^k P_k(c0 / rho) (Laplace's integrals, module
+    docstring), then the mean over s = +-1.
+    """
+    zr = z * r
+    c = z * zr
+    rho2 = (1.0 - z * z) * (1.0 - zr * zr)  # = c0^2 - c1^2 for either sign
+    n = k if k >= 0 else -k - 1  # P_k = P_{-k-1}
+    lo, hi = _legendre_q(1.0 - c, rho2, n), _legendre_q(1.0 + c, rho2, n)
+    if k < 0:  # rho^k P_k = Q_n / rho^{2n+1}
+        den = rho2**n * np.sqrt(rho2)
+        lo, hi = lo / den, hi / den
+    return 0.5 * (lo + hi) * D**k
 
 
 def _conditional_det_power(head: np.ndarray, eps: float, k: int) -> np.ndarray:
@@ -301,17 +352,34 @@ def _conditional_det_power(head: np.ndarray, eps: float, k: int) -> np.ndarray:
     Szego's product over alpha_0..alpha_{d-3}, then the last two coefficients
     integrated out in closed form (module docstring); |eps| < 1, integer k.
     """
+    return _last_two_mean(*_szego_product(head.T, -eps), -eps, k)
+
+
+def _lattice_points(alpha: np.ndarray) -> np.ndarray:
+    """(M, size) points 2 frac(u + i/M) - 1, i = 0..M-1, u = (alpha + 1)/2, M = ``_LATTICE``.
+
+    For alpha uniform on [-1, 1] each row is uniform on [-1, 1]: a randomly
+    shifted lattice (module docstring).  The point is alpha + 2i/M, less 2
+    where that reaches 1: the subtraction is exact, and a mask is cheaper
+    than ``% 1.0`` or a ``where=``.
+    """
+    a = alpha + (np.arange(_LATTICE) * (2 / _LATTICE))[:, None]
+    a -= 2.0 * (a >= 1.0)
+    return a
+
+
+def _lattice_det_power(head: np.ndarray, lattice: np.ndarray, eps: float, k: int) -> np.ndarray:
+    """E[det(I + eps Q)^k | alpha_0..alpha_{d-4}, alpha_{d-3} = lattice[i]] for each point i.
+
+    head = (size, d - 3) coefficients alpha_0..alpha_{d-4}: Szego's product
+    over them once, then one step per lattice point and the closed form for
+    the last two (module docstring).
+    """
     z = -eps
-    D = r = np.ones(len(head))
-    for a in head.T:
-        zr = z * r
-        t = 1.0 - a * zr
-        D = D * t
-        r = (zr - a) / t
+    D, r = _szego_product(head.T, z)
     zr = z * r
-    rho2 = (1.0 - z * z) * (1.0 - zr * zr)
-    tail = _legendre_mean(1.0 - z * zr, rho2, k) + _legendre_mean(1.0 + z * zr, rho2, k)
-    return 0.5 * tail * D**k
+    t = 1.0 - lattice * zr
+    return _last_two_mean(D * t, (zr - lattice) / t, z, k)
 
 
 def det_integral_mc(
@@ -322,17 +390,20 @@ def det_integral_mc(
     Needs |eps| < 1, an integer d >= 1 and an integer k (ValueError before
     any draw otherwise).
     Each of ``samples`` draws takes one row of d normals from the stream
-    (``randmat.haar_verblunsky_batch``) and contributes the mean of the
-    exact conditional means of det(I + eps Q)^k and det(I - eps Q)^k given
-    alpha_0..alpha_{d-3}, O(d) per draw with no d x d matrix (module
-    docstring).  Those pair means are i.i.d. with the target as their mean,
-    so the estimate is unbiased and even in eps; ``samples`` counts draws,
-    and ``stderr`` is the pair means' sample standard deviation over
-    sqrt(samples).  Against the one-sided mean of the same draws, at d = 40
-    and k = 2 with eps = -1/(1 + sigma^2), the variance falls 1.24x at
-    sigma = 0.3, 1.81x at 0.5, 3.16x at 1, 15.1x at 2 and 166x at 4.  At
-    eps = 0, k = 0 or d <= 2 the value is exact: stderr 0, samples 0, and
-    nothing is drawn.
+    (``randmat.haar_verblunsky_batch``) and contributes the mean of 2M exact
+    conditional means, of det(I + eps Q)^k and of det(I - eps Q)^k given
+    alpha_0..alpha_{d-4} and alpha_{d-3} = a_i, over the M = ``_LATTICE``
+    points a_i of the lattice that the drawn alpha_{d-3} shifts: O(d) per
+    draw with no d x d matrix (module docstring).  Those per-draw means are
+    i.i.d. with the target as their mean, so the estimate is unbiased and
+    even in eps; ``samples`` counts draws, and ``stderr`` is the per-draw
+    means' sample standard deviation over sqrt(samples).  At d = 40 and
+    k = 2 with eps = -1/(1 + sigma^2), the antithetic pair divides the
+    one-sided variance by 1.24 at sigma = 0.3, 1.81 at 0.5, 3.16 at 1, 15.1
+    at 2 and 166 at 4, and the lattice divides the pair's by 1.98 at 0.5,
+    1.75 at 1, 1.64 at 2 and 1.62 at 4.
+    At eps = 0, k = 0 or d <= 2 the value is exact: stderr 0, samples 0,
+    and nothing is drawn.
     """
     if not abs(eps) < 1:
         raise ValueError(f"need |eps| < 1, got {eps}")
@@ -349,8 +420,10 @@ def det_integral_mc(
         return MomentEstimate(value=value, stderr=0.0, samples=0)
 
     def draw(b: int) -> np.ndarray:
-        head = haar_verblunsky_batch(d, b, rng)[:, :-2]
-        return 0.5 * (_conditional_det_power(head, eps, k) + _conditional_det_power(head, -eps, k))
+        alpha = haar_verblunsky_batch(d, b, rng)
+        head, lattice = alpha[:, : d - 3], _lattice_points(alpha[:, d - 3])
+        plus, minus = (_lattice_det_power(head, lattice, e, k).sum(axis=0) for e in (eps, -eps))
+        return (plus + minus) / (2 * _LATTICE)
 
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
@@ -377,8 +450,9 @@ def evaluate(
       diverges for d < m + 2).
     - case 2, sigma = 0 and k > m: "closed" only.
     - m = d with sigma > 0: "mc" only, E det(I - Q/(1+sigma^2))^{-k} over
-      Haar Q on O(d) by ``det_integral_mc``, the Rao-Blackwellized mean of
-      antithetic pairs over Verblunsky draws (the integrand is unbounded at
+      Haar Q on O(d) by ``det_integral_mc``, the Rao-Blackwellized mean over
+      Verblunsky draws of antithetic pairs, each averaged over a shifted
+      4-point lattice in alpha_{d-3} (the integrand is unbounded at
       sigma = 0).  The value is exact at d <= 2 (stderr 0, samples 0), and a
       sampled estimate at sigma < 1 carries the heavy-tail warning.
 

@@ -14,6 +14,9 @@ from shufflab.chisq import (
     _case1_lr_power,
     _case2_closed,
     _conditional_det_power,
+    _LATTICE,
+    _lattice_det_power,
+    _lattice_points,
     _lr_log_const,
     _reduced_log_likelihood,
     REGIME_CASE1,
@@ -478,7 +481,8 @@ def test_mc_estimators_at_one_and_zero_samples(name):
 # supported rows: (regime, method, value.hex(), stderr.hex() or None, samples, warning),
 # each value and stderr taken from the per-regime evaluators this dispatcher replaced,
 # the closed forms since then exact: 24/23 and 38/35, rounded once, and the m = d row
-# since then the mean of antithetic pairs over the same draws
+# since then the mean of antithetic pairs over the same draws, each averaged over the
+# shifted lattice in alpha_{d-3}
 @pytest.mark.parametrize(
     "d, m, k, sigma, method, expected",
     [
@@ -493,7 +497,7 @@ def test_mc_estimators_at_one_and_zero_samples(name):
         (50, 2, 1, 0.0, "mc",
          (REGIME_CASE1, "monte_carlo", "0x1.131e8a6fc3690p+0", "0x1.a9a7bef17abdap-6", 200, "")),
         (5, 5, 2, 1.5, "mc",
-         (REGIME_M_EQ_D, "monte_carlo", "0x1.556d1b1c1e6b7p+0", "0x1.c09db3de530b1p-7", 200, "")),
+         (REGIME_M_EQ_D, "monte_carlo", "0x1.53c062e711c37p+0", "0x1.4949fc835354ep-7", 200, "")),
         (16, 8, 1, 1.0, "mc", UnsupportedRegimeError),
         (3, 2, 1, 0.0, "mc", UnsupportedRegimeError),
         (2, 2, 1, 0.0, "mc", UnsupportedRegimeError),
@@ -670,7 +674,7 @@ def _last_two_integrated(alpha: np.ndarray, eps: float, k: int, nodes: int) -> n
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 40])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 40])
 def test_det_integral_matches_exact_moments(d):
     # eps = -1/(1 + sigma^2), the chi-square sign; z-tests from d = 3 on, where
     # alpha_0..alpha_{d-3} are drawn; at d <= 2 the value is exact and draws nothing
@@ -755,14 +759,64 @@ def test_det_integral_mc_is_even_in_eps(d):
         )
 
 
+def _pair_and_lattice_means(d, eps, k, n, rng):
+    """Per draw: the +-eps pair mean of _conditional_det_power, and the
+    estimator's lattice mean, on the same Verblunsky draws."""
+    alpha = haar_verblunsky_batch(d, n, rng)
+    head = alpha[:, :-2]
+    pair = 0.5 * (_conditional_det_power(head, eps, k) + _conditional_det_power(head, -eps, k))
+    lattice = _lattice_points(alpha[:, d - 3])
+    plus, minus = (_lattice_det_power(alpha[:, : d - 3], lattice, e, k).mean(axis=0)
+                   for e in (eps, -eps))
+    return pair, 0.5 * (plus + minus), plus
+
+
 def test_det_integral_mc_antithetic_pair_shrinks_stderr():
     # sigma = 2, k = 2 of the chi-square; the two sides correlate at about -0.87
     d, eps, k, n = 40, -0.2, -2, 20_000
     est = det_integral_mc(d, eps, k, n, make_rng(100))
-    head = haar_verblunsky_batch(d, n, make_rng(100))[:, :-2]  # the same draws
-    plus, minus = _conditional_det_power(head, eps, k), _conditional_det_power(head, -eps, k)
-    assert est == MomentEstimate.from_values(0.5 * (plus + minus))
+    _, lattice_mean, plus = _pair_and_lattice_means(d, eps, k, n, make_rng(100))  # the same draws
+    assert est == MomentEstimate.from_values(lattice_mean)
     assert est.stderr <= 0.3 * MomentEstimate.from_values(plus).stderr
+
+
+@pytest.mark.parametrize("d, eps, k, ratio", [(40, -0.5, -2, 0.85), (3, -0.5, -1, 0.3)])
+def test_det_integral_mc_lattice_shrinks_stderr(d, eps, k, ratio):
+    # sigma = 1 of the chi-square at k = 2 (d = 40) and k = 1 (d = 3); against
+    # the +-eps pair mean with alpha_{d-3} drawn once, on the same stream
+    est = det_integral_mc(d, eps, k, 20_000, make_rng(102, d))
+    pair, lattice_mean, _ = _pair_and_lattice_means(d, eps, k, 20_000, make_rng(102, d))
+    assert est == MomentEstimate.from_values(lattice_mean)
+    assert est.stderr <= ratio * MomentEstimate.from_values(pair).stderr
+
+
+def test_lattice_points_are_a_shifted_lattice():
+    alpha = np.concatenate([[-1.0, 0.0, 0.5, 1.0 - 2**-53, 1.0],
+                            haar_verblunsky_batch(3, 1000, make_rng(103))[:, 0]])
+    lattice = _lattice_points(alpha)
+    assert lattice.shape == (_LATTICE, len(alpha))
+    assert np.all((lattice >= -1.0) & (lattice < 1.0))
+    u = (alpha + 1.0) / 2.0
+    for i, row in enumerate(lattice):  # 2 frac(u + i/M) - 1, up to rounding on the circle
+        gap = (row - (2.0 * ((u + i / _LATTICE) % 1.0) - 1.0) + 1.0) % 2.0 - 1.0
+        np.testing.assert_allclose(gap, 0.0, rtol=0, atol=1e-15)
+    gaps = np.diff(np.sort(lattice, axis=0), axis=0)  # M points 2/M apart
+    np.testing.assert_allclose(gaps, 2.0 / _LATTICE, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 4, 40])
+def test_lattice_det_power_substitutes_each_point(d):
+    # the vectorised tail at point i is the conditional mean with alpha_{d-3} = lattice[i]
+    alpha = haar_verblunsky_batch(d, 500, make_rng(104, d))
+    lattice = _lattice_points(alpha[:, d - 3])
+    for k in (-3, -2, -1, 1, 2):
+        for eps in (0.5, -0.5, -0.9):
+            got = _lattice_det_power(alpha[:, : d - 3], lattice, eps, k)
+            assert got.shape == lattice.shape
+            for point, row in zip(lattice, got):
+                head = alpha[:, :-2].copy()
+                head[:, -1] = point
+                np.testing.assert_allclose(row, _conditional_det_power(head, eps, k), rtol=1e-14)
 
 
 def test_det_integral_d1_draws_are_one_plus_or_minus_eps():
