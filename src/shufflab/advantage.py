@@ -258,12 +258,12 @@ def jackknife_estimate(
     return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=mean_var)
 
 
-def require_pattern_cap(n: int, d: int, m: int, D: int, pattern_cap: int) -> None:
-    """Raise CapacityError when the degree-D basis has more than ``pattern_cap`` patterns."""
+def require_pattern_cap(n: int, d: int, m: int, D: int) -> None:
+    """Raise CapacityError when the degree-D basis has more than DEFAULT_PATTERN_CAP patterns."""
     count = pattern_count(n, d, m, D)
-    if count > pattern_cap:
+    if count > DEFAULT_PATTERN_CAP:
         raise CapacityError(
-            f"pattern enumeration needs {count} patterns, above the cap {pattern_cap}"
+            f"pattern enumeration needs {count} patterns, above the cap {DEFAULT_PATTERN_CAP}"
         )
 
 
@@ -272,12 +272,11 @@ def advantage_sq_with_patterns(
     D: int,
     samples: int,
     rng: np.random.Generator,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
     """Estimate the squared advantage and return the per-pattern breakdown (module docstring)."""
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
-    require_pattern_cap(params.n, params.d, params.m, D, pattern_cap)
+    require_pattern_cap(params.n, params.d, params.m, D)
     if D == 0:
         est = AdvantageEstimate(degree=0, value_sq=1.0, stderr=0.0, pattern_count=1, samples=0)
         return est, PatternBreakdown(np.zeros(1, dtype=int), np.ones(1), np.zeros(1))
@@ -295,10 +294,9 @@ def estimate_advantage_sq(
     D: int,
     samples: int,
     rng: np.random.Generator,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
 ) -> AdvantageEstimate:
     """Unbiased estimate of the squared degree-D advantage (see module docstring)."""
-    est, _ = advantage_sq_with_patterns(params, D, samples, rng, pattern_cap=pattern_cap)
+    est, _ = advantage_sq_with_patterns(params, D, samples, rng)
     return est
 
 

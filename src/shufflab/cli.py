@@ -11,6 +11,13 @@ with the same flags and master seed: numeric fields are printed with 17
 significant digits and nothing time-dependent enters the files
 (wall-clock timing goes to stderr).
 
+Sweep values: a config value is typed once, from the text written, by its
+option, as argparse types a flag.  A str key keeps its text (``007`` stays
+``007``), an int or float key refuses a word such as ``true``, and a switch
+takes ``true`` or ``false`` in any case.  The one intended difference from
+the flags: an int key also takes an integral float, such as ``8.0`` or
+``1e5``.
+
 Grid handling: grid options take lists and form a grid iterated row-major
 over the declared key order (table order for flags: n, d, m, sigma for
 detect, n, d, m, sigma, D for advantage and d, m, k, sigma for chisq; file
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import time
@@ -99,21 +107,9 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _iter_grid(grids: dict[str, list]) -> Iterator[tuple[int, dict[str, object]]]:
-    """Row-major product over the grids, in their declared key order."""
-    keys = list(grids)
-    sizes = [len(grids[k]) for k in keys]
-    if any(s == 0 for s in sizes):
-        raise ValueError("every grid must be nonempty")
-    total = 1
-    for s in sizes:
-        total *= s
-    for cell in range(total):
-        combo: dict[str, object] = {}
-        rem = cell
-        for key, size in zip(reversed(keys), reversed(sizes)):
-            combo[key] = grids[key][rem % size]
-            rem //= size
-        yield cell, combo
+    """Row-major product over the grids in their declared key order, the last key fastest."""
+    for cell, values in enumerate(itertools.product(*grids.values())):
+        yield cell, dict(zip(grids, values))
 
 
 def _check_m_le_d(grids: dict[str, list]) -> None:
@@ -190,16 +186,14 @@ def _cmd_advantage(args: argparse.Namespace) -> int:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     # the pattern count grows in n, d, m and D, so the grid's largest cell is its corner
     corner = {key: max(values) for key, values in args.grids.items()}
-    require_pattern_cap(corner["n"], corner["d"], corner["m"], corner["D"], args.pattern_cap)
+    require_pattern_cap(corner["n"], corner["d"], corner["m"], corner["D"])
     rows = [ADVANTAGE_COLUMNS]
     pattern_rows = [PATTERN_COLUMNS]
     for cell, combo in _iter_grid(args.grids):
         D = combo.pop("D")
         params = ModelParams(**combo)
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
-        est, breakdown = advantage_sq_with_patterns(
-            params, D, args.samples, rng, pattern_cap=args.pattern_cap
-        )
+        est, breakdown = advantage_sq_with_patterns(params, D, args.samples, rng)
         rows.append(_row(
             params.n, params.d, params.m, params.sigma, D,
             est.value_sq, est.stderr, est.pattern_count,
@@ -282,7 +276,7 @@ class Option:
     """
 
     name: str
-    type: Callable[[object], object] = str
+    type: Callable[[str], object] = str
     required: bool = False
     default: object = None
     grid: bool = False
@@ -298,7 +292,7 @@ class Command:
     options: tuple[Option, ...]
 
 
-def _grid(name: str, type: Callable[[object], object] = int) -> Option:
+def _grid(name: str, type: Callable[[str], object] = int) -> Option:
     return Option(name, type, required=True, grid=True)
 
 
@@ -325,7 +319,6 @@ COMMANDS: dict[str, Command] = {
     "advantage": Command(_cmd_advantage, "squared-advantage estimates over a grid", (
         _grid("n"), _grid("d"), _grid("m"), _grid("sigma", float), _grid("D"),
         Option("samples", int, default=100_000),
-        Option("pattern_cap", int, default=1_000_000),
         Option("per_pattern_output", flag="--per-pattern",
                help="also write per-pattern contributions to this CSV"),
         _SEED, _OUTPUT,
@@ -351,24 +344,13 @@ SWEEP_COMMANDS = ("sample", "detect", "advantage", "chisq")
 # sweep configs: flat "key = value" text, arrays as "[a, b, c]"
 
 
-def _parse_scalar(token: str) -> object:
-    token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    if token.lower() in ("true", "false"):
-        return token.lower() == "true"
-    return token
+def parse_config(text: str) -> dict[str, str | list[str]]:
+    """Parse the flat config format, preserving key order; a key may appear once.
 
-
-def parse_config(text: str) -> dict[str, object]:
-    """Parse the flat config format, preserving key order; a key may appear once."""
-    out: dict[str, object] = {}
+    Each value stays the text written, stripped; a bracketed value becomes the
+    list of its stripped comma-separated texts.  ``resolve_config`` types them.
+    """
+    out: dict[str, str | list[str]] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -384,26 +366,42 @@ def parse_config(text: str) -> dict[str, object]:
         seen[key] = lineno
         if value.startswith("[") and value.endswith("]"):
             inner = value[1:-1].strip()
-            out[key] = [_parse_scalar(tok) for tok in inner.split(",")] if inner else []
+            out[key] = [tok.strip() for tok in inner.split(",")] if inner else []
         else:
-            out[key] = _parse_scalar(value)
+            out[key] = value
     return out
 
 
-def _convert(option: Option, value: object) -> object:
-    """A parsed config value as the option's flag would take it."""
-    if option.type is bool and not isinstance(value, bool):
-        raise ValueError(f"sweep key {option.name!r} takes true or false, got {value!r}")
-    if option.type is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"sweep key {option.name!r} takes an integer, got {value!r}")
-    value = option.type(value)
-    if option.choices is not None and value not in option.choices:
-        allowed = ", ".join(map(repr, option.choices[:-1])) + f" or {option.choices[-1]!r}"
-        raise ValueError(f"{option.name} must be {allowed}, got {value!r}")
-    return value
+def _convert(option: Option, text: str) -> object:
+    """A config value's text as the option's flag would take it (module docstring)."""
+    name = option.name
+    if option.type is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"sweep key {name!r} takes true or false, got {text!r}")
+        return text.lower() == "true"
+    if option.type is str:
+        if option.choices is not None and text not in option.choices:
+            allowed = ", ".join(map(repr, option.choices[:-1])) + f" or {option.choices[-1]!r}"
+            raise ValueError(f"{name} must be {allowed}, got {text!r}")
+        return text
+    if option.type is int:
+        try:
+            return int(text)  # first, so that a seed above 2**53 stays exact
+        except ValueError:
+            pass
+    kind = "a number" if option.type is float else "an integer"
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"sweep key {name!r} takes {kind}, got {text}") from None
+    if option.type is float:
+        return value
+    if not value.is_integer():
+        raise ValueError(f"sweep key {name!r} takes an integer, got {text}")
+    return int(value)  # an integral float, such as 8.0 or 1e5
 
 
-def resolve_config(config: dict[str, object]) -> tuple[Command, argparse.Namespace]:
+def resolve_config(config: dict[str, str | list[str]]) -> tuple[Command, argparse.Namespace]:
     """Check a parsed sweep config against its command's options; run nothing.
 
     Returns the command and its arguments as the parser would give them,

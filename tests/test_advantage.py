@@ -139,10 +139,11 @@ def test_estimate_nondecreasing_in_degree():
 
 
 def test_pattern_cap_enforced():
+    # C(38, 6) = 2,760,681 patterns, above the cap of 10^6
     params = ModelParams(n=4, d=4, m=4, sigma=0.0)
     with pytest.raises(CapacityError) as err:
-        estimate_advantage_sq(params, 6, 100, make_rng(95), pattern_cap=1000)
-    assert "1000" in str(err.value)
+        estimate_advantage_sq(params, 6, 100, make_rng(95))
+    assert "1000000" in str(err.value)
 
 
 def test_argument_checks_run_before_patterns_are_built(monkeypatch):

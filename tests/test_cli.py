@@ -246,14 +246,14 @@ def test_advantage_csv(tmp_path):
 
 def test_advantage_capacity_exit_code(tmp_path, capsys):
     code = run_cli("advantage", "--n", 6, "--d", 6, "--m", 6, "--sigma", 0.0,
-                   "--D", 8, "--samples", 10, "--pattern-cap", 500,
-                   "--seed", 1, "--output", tmp_path / "x.csv")
+                   "--D", 8, "--samples", 10, "--seed", 1, "--output", tmp_path / "x.csv")
     assert code == 3
-    assert "500" in capsys.readouterr().err
+    assert "1000000" in capsys.readouterr().err
 
 
 def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
-    # D = 2 fits the cap and D = 8 does not: no cell may run
+    # D = 2 has 190 patterns and fits the cap of 10^6, D = 8 has C(26, 8) = 1,562,275
+    # and does not: no cell may run
     calls = []
 
     def spy(params, D, *args, **kwargs):
@@ -262,8 +262,8 @@ def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
 
     monkeypatch.setattr("shufflab.cli.advantage_sq_with_patterns", spy)
     out = tmp_path / "x.csv"
-    code = run_cli("advantage", "--n", 2, "--d", 2, "--m", 2, "--sigma", 0.5, "--D", 2, 8,
-                   "--samples", 2000, "--pattern-cap", 500, "--seed", 1, "--output", out)
+    code = run_cli("advantage", "--n", 3, "--d", 3, "--m", 3, "--sigma", 0.5, "--D", 2, 8,
+                   "--samples", 2000, "--seed", 1, "--output", out)
     assert code == 3
     assert calls == []
     assert not out.exists()
@@ -392,23 +392,25 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 
 def test_parse_config_types_and_order():
+    # every value stays the text written; resolve_config types it by its option
     cfg = parse_config(
         """
         # comment
         command = detect
-        master_seed = 7
-        sigma = [0.05, 10.0]
+        master_seed = 007
+        sigma = [0.05,10.0 ,  1e5]
         n = [64]
-        flag = true
-        name = hello
+        flag = TRUE
+        name = hello world  # trailing comment
         empty = []
         """
     )
     assert cfg["command"] == "detect"
-    assert cfg["master_seed"] == 7
-    assert cfg["sigma"] == [0.05, 10.0]
-    assert cfg["flag"] is True
-    assert cfg["name"] == "hello"
+    assert cfg["master_seed"] == "007"
+    assert cfg["sigma"] == ["0.05", "10.0", "1e5"]
+    assert cfg["n"] == ["64"]
+    assert cfg["flag"] == "TRUE"
+    assert cfg["name"] == "hello world"
     assert cfg["empty"] == []
     assert list(cfg)[:4] == ["command", "master_seed", "sigma", "n"]
     with pytest.raises(ValueError):
@@ -496,9 +498,16 @@ def test_sweep_sample_command(tmp_path):
          "keep_latent = no\n", "'keep_latent' takes true or false, got 'no'"),
         ("command = chisq\nd = [50]\nm = [2]\nk = [1]\nsigma = [0]\nd = [60]\n",
          "config line 7: key 'd' repeats line 3"),
+        ("command = detect\nn = true\nd = [4]\nm = [4]\nsigma = [1.0]\ntrials = 10\n",
+         "sweep key 'n' takes an integer, got true"),
+        ("command = detect\nn = [4]\nd = [4]\nm = [4]\nsigma = [true]\ntrials = 10\n",
+         "sweep key 'sigma' takes a number, got true"),
+        ("command = advantage\nn = [1]\nd = [2]\nm = [1]\nsigma = [0]\nD = [yes]\n"
+         "samples = 100\n", "sweep key 'D' takes an integer, got yes"),
     ],
     ids=["sample-n", "chisq-samples", "chisq-sampels-typo", "detect-n-fraction",
-         "advantage-D-fraction", "sample-keep-latent-no", "chisq-repeated-key"],
+         "advantage-D-fraction", "sample-keep-latent-no", "chisq-repeated-key",
+         "detect-n-true", "detect-sigma-true", "advantage-D-yes"],
 )
 def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body, reason):
     config = tmp_path / "bad.cfg"
@@ -510,6 +519,50 @@ def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body, reason):
     # the body's own fault, not the output or prefix key its command lacks
     assert reason in err
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "body, flags, names",
+    [
+        ("command = sample\nn = 4\nd = 3\nm = 2\nsigma = 0.5\nhypothesis = planted\n"
+         "keep_latent = True\nprefix = 1e5\n",
+         ["sample", "--n", 4, "--d", 3, "--m", 2, "--sigma", 0.5, "--hypothesis", "planted",
+          "--keep-latent", "--prefix", "1e5"],
+         ["1e5_Q.txt", "1e5_X.txt", "1e5_Y.txt", "1e5_Z.txt", "1e5_meta.txt", "1e5_perm.txt"]),
+        ("command = chisq\nd = [50]\nm = 2.0\nk = [1]\nsigma = [0]\nmode = both\n"
+         "samples = 2e3\noutput = 007\n",
+         ["chisq", "--d", 50, "--m", 2, "--k", 1, "--sigma", 0, "--mode", "both",
+          "--samples", 2000, "--output", "007"],
+         ["007"]),
+    ],
+    ids=["sample-prefix-1e5", "chisq-output-007"],
+)
+def test_sweep_keeps_numeric_looking_text(tmp_path, monkeypatch, body, flags, names):
+    # a str key keeps its text as written, as its flag does
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"master_seed = 5\n{body}")
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "flags").mkdir()
+    monkeypatch.chdir(tmp_path / "sweep")
+    assert run_cli("sweep", "--config", config) == 0
+    monkeypatch.chdir(tmp_path / "flags")
+    assert run_cli(*flags, "--seed", 5) == 0
+    for side in ("sweep", "flags"):
+        assert sorted(p.name for p in (tmp_path / side).iterdir()) == names
+    for name in names:
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+def test_sweep_int_key_takes_integral_float_and_exact_seed():
+    body = ("command = chisq\nd = [8.0, 1e1]\nm = 2\nk = [1]\nsigma = [0]\nsamples = 1e5\n"
+            "master_seed = 9007199254740993\noutput = x.csv\n")
+    _, args = resolve_config(parse_config(body))
+    assert args.grids == {"d": [8, 10], "m": [2], "k": [1], "sigma": [0.0]}
+    assert all(type(v) is int for key in "dmk" for v in args.grids[key])
+    assert args.samples == 100_000 and type(args.samples) is int
+    assert args.master_seed == 2**53 + 1
+    _, args = resolve_config(parse_config(body.replace("9007199254740993", "1" + "0" * 400)))
+    assert args.master_seed == 10**400
 
 
 def test_sweep_rejects_unknown_chisq_mode(tmp_path, capsys):
