@@ -133,6 +133,25 @@ RUNS: dict[str, list[str]] = {
     "chisq-refuse-closed-m-eq-d": CLI + [
         "chisq", "--d", "16", "--m", "16", "--k", "1", "--sigma", "1",
         "--seed", "1", "--output", "chisq_refuse_closed_m_eq_d.csv"],
+    # a valid first cell and an invalid last one: refused before the first cell runs
+    # (exit 2, 2 and 4, no file)
+    "detect-late-n0": CLI + [
+        "detect", "--n", "64", "0", "--d", "8", "--m", "8", "--sigma", "1", "--trials", "700",
+        "--seed", "1", "--output", "detect_late_n0.csv"],
+    "advantage-late-negative-sigma": CLI + [
+        "advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0.5", "-1", "--D", "4",
+        "--samples", "2000", "--seed", "1", "--output", "advantage_late_sigma.csv"],
+    "chisq-late-mc-sigma0": CLI + [
+        "chisq", "--d", "40", "--m", "40", "--k", "2", "--sigma", "1", "0", "--mode", "mc",
+        "--samples", "4000", "--seed", "1", "--output", "chisq_late_sigma0.csv"],
+    # sigma above sqrt of the largest double: 1 + sigma^2 overflows (exit 2, no file)
+    "detect-sigma-1e200": CLI + [
+        "detect", "--n", "4", "--d", "2", "--m", "2", "--sigma", "1e200", "--trials", "100",
+        "--seed", "1", "--output", "detect_sigma_1e200.csv"],
+    # case 2 at d - 3k = m: about 9.9e219, then above the largest double, which reads inf
+    "chisq-closed-overflow": CLI + [
+        "chisq", "--d", "620", "--m", "10", "20", "--k", "200", "--sigma", "0", "--seed", "1",
+        "--output", "chisq_closed_overflow.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

@@ -36,8 +36,8 @@ of A and of B agree as multisets.  That test pairs an X-side multi-index
 with a Y-side one, where the parity test above keeps or drops each side on
 its own, so it does not fit the per-side blocks below.  Skipping them would
 also make some estimates exact, 1 with stderr 0 at (n, d, m) = (1, 2, 1)
-and D = 3, which the benchmark's z-check of that cell cannot yet take
-(ROADMAP item 3).
+and D = 3, which the benchmark's z-check of that cell cannot yet take (the
+ROADMAP item on a benchmark that times exact routes).
 
 Stream layout: sample s reads the standard normals s*(nd + dm) through
 (s + 1)*(nd + dm) - 1 of the generator, X (n x d, row-major) from the first
@@ -258,9 +258,13 @@ def jackknife_estimate(
     return est, PatternBreakdown(degree=degrees, mean=mean, mean_var=mean_var)
 
 
-def require_pattern_cap(n: int, d: int, m: int, D: int) -> None:
-    """Raise CapacityError when the degree-D basis has more than DEFAULT_PATTERN_CAP patterns."""
-    count = pattern_count(n, d, m, D)
+def check_cell(params: ModelParams, D: int, samples: int) -> None:
+    """Refuse a cell before any work: D >= 0, samples >= 2 at every D, and the pattern cap."""
+    if D < 0:
+        raise ValueError(f"need D >= 0, got D={D}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    count = pattern_count(params.n, params.d, params.m, D)
     if count > DEFAULT_PATTERN_CAP:
         raise CapacityError(
             f"pattern enumeration needs {count} patterns, above the cap {DEFAULT_PATTERN_CAP}"
@@ -273,15 +277,11 @@ def advantage_sq_with_patterns(
     samples: int,
     rng: np.random.Generator,
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
-    """Estimate the squared advantage and return the per-pattern breakdown (module docstring)."""
-    if D < 0:
-        raise ValueError(f"need D >= 0, got {D}")
-    require_pattern_cap(params.n, params.d, params.m, D)
+    """Estimate the squared advantage and the per-pattern breakdown, after ``check_cell``."""
+    check_cell(params, D, samples)
     if D == 0:
         est = AdvantageEstimate(degree=0, value_sq=1.0, stderr=0.0, pattern_count=1, samples=0)
         return est, PatternBreakdown(np.zeros(1, dtype=int), np.ones(1), np.zeros(1))
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     patterns = pattern_pairs(params.n, params.d, params.m, D)
     split = side_split(params.n, params.d, params.m, D)
     sizes = batch_sizes(samples)
@@ -369,13 +369,16 @@ def advantage_bound_via_chisq(
     Sums ``chisq.evaluate`` over k = 1..D, by method "closed" when sigma = 0
     and "mc" (the m = d determinant integral, all k on one ``rng``) with
     noise; the returned value then carries that estimate's Monte Carlo
-    error.  ``evaluate``'s refusals pass through unchanged: a cell outside
-    every regime raises its UnsupportedRegimeError, naming d, m, k and sigma.
+    error, and a closed form above the largest double makes it +inf.  Every k
+    passes ``chisq.check_cell`` before any is evaluated: a k outside every
+    regime raises its UnsupportedRegimeError, naming d, m, k and sigma.
     """
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
-    total = 1.0
     method = "closed" if sigma == 0 else "mc"
+    for k in range(1, D + 1):
+        chisq_mod.check_cell(d, m, k, sigma, method, samples)
+    total = 1.0
     for k in range(1, D + 1):
         total += chisq_mod.evaluate(d, m, k, sigma, method, samples, rng).value - 1.0
     return total

@@ -1,15 +1,15 @@
 """Chi-square divergence between the reduced k-row planted and null laws.
 
-``evaluate`` is the one entry point: it checks its inputs, owns every
-regime's domain, picks the evaluator for a regime and method, and builds the
-report.  Its private kernels are two noiseless closed forms (products of
-ratios of Wishart normalizing constants) and the case-1 likelihood-ratio
-Monte Carlo; the Haar determinant integral behind the m = d Monte Carlo with
-noise lives here too.  The analytic moments that check the samplers
-(sphere monomials, Gaussian exponential moments, orthogonal submatrix
-density, Haar determinant moments) live in ``oracles``, as do the exact
-product form of the Wishart constant ratio and the Monte Carlo mean of the
-case-1 likelihood ratio.
+``check_cell`` holds the input checks and every regime's domain, and does no
+work; ``evaluate``, the one entry point, calls it first, then picks the
+evaluator for the regime and method and builds the report.  Its private
+kernels are two noiseless closed forms (products of ratios of Wishart
+normalizing constants) and the case-1 likelihood-ratio Monte Carlo; the Haar
+determinant integral behind the m = d Monte Carlo with noise lives here too.
+The analytic moments that check the samplers (sphere monomials, Gaussian
+exponential moments, orthogonal submatrix density, Haar determinant moments)
+live in ``oracles``, as do the exact product form of the Wishart constant
+ratio and the Monte Carlo mean of the case-1 likelihood ratio.
 
 The determinant integral forms no d x d matrix: the spectral measure of e_1
 under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
@@ -75,7 +75,8 @@ The Wishart normalizing constants omega(s, t) enter only as ratios
 omega(s - h, t) / omega(s, t), and those are exact: every Gamma argument is
 an integer or a half-integer, so each ratio telescopes to integers times
 pi^(a/2) 2^(b/2) (``_wishart_ratio``).  In both closed forms the pi and 2
-exponents cancel, so each value is an exact rational rounded once; the
+exponents cancel, so each value is an exact rational rounded once (to +inf
+above the largest double, as IEEE round-to-nearest gives); the
 likelihood ratio takes the log of its exact constant, once per Monte Carlo
 call.  The raw constants, which overflow double precision once d reaches the
 low hundreds, are never formed, and no large logs are summed to an O(1)
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import MomentEstimate, UnsupportedRegimeError, as_integer, draw_chunked
+from .common import MomentEstimate, UnsupportedRegimeError, as_integer, check_sigma, draw_chunked
 from .randmat import haar_verblunsky_batch
 
 ZETA_SLACK = 1e-12
@@ -175,7 +176,10 @@ def _rational_wishart_ratio(*terms: tuple[int, int, int, int]) -> float:
     """A product of Wishart constant ratios whose pi and 2 exponents cancel, rounded once."""
     p, q, a, b = _wishart_ratio(*terms)
     assert a == 0 and b % 2 == 0, f"irrational Wishart ratio product {terms}"
-    return (p << max(b // 2, 0)) / (q << max(-b // 2, 0))  # int division rounds correctly
+    try:
+        return (p << max(b // 2, 0)) / (q << max(-b // 2, 0))  # int division rounds correctly
+    except OverflowError:  # raised only where the rounded value is above the largest double
+        return math.inf
 
 
 def _case1_closed(d: int, m: int, k: int) -> float:
@@ -428,21 +432,14 @@ def det_integral_mc(
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
 
-def evaluate(
-    d: int,
-    m: int,
-    k: int,
-    sigma: float,
-    method: str,
-    samples: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> ChiSquareReport:
-    """Chi-square of the reduced k-row model, by the one evaluator for its regime.
+def check_cell(
+    d: int, m: int, k: int, sigma: float, method: str, samples: int
+) -> tuple[str, int, int, int]:
+    """The regime of one cell for ``method``, with d, m and k as ints, before any work.
 
-    ValueError unless d, m and k are integers (an integral value such as 2.0
-    is taken as the int), k >= 1, 1 <= m <= d, sigma is finite and >= 0 and
-    method is "closed" or "mc"; "mc" also needs ``rng`` and samples >= 1.
-    The regime table below writes each regime's domain once:
+    ValueError unless d, m and k are integers (2.0 is taken as 2), k >= 1,
+    1 <= m <= d, ``common.check_sigma`` passes and method is "closed" or
+    "mc", with samples >= 1 for "mc".  The regime table writes each domain once:
 
     - case 1, sigma = 0 and k <= m: "closed" is the closed form, "mc" the
       mean of L^2 over ``samples`` null draws, L the likelihood ratio.  Its
@@ -457,16 +454,16 @@ def evaluate(
       sampled estimate at sigma < 1 carries the heavy-tail warning.
 
     A cell outside its regime's domain or methods raises
-    UnsupportedRegimeError naming d, m, k and sigma.  Every refusal comes
-    before any draw.
+    UnsupportedRegimeError naming d, m, k and sigma.
     """
     d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
         raise ValueError(f"need k >= 1 and 1 <= m <= d, got d={d}, m={m}, k={k}")
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"need finite sigma >= 0, got {sigma}")
+    check_sigma(sigma)
     if method not in ("closed", "mc"):
         raise ValueError(f"method must be 'closed' or 'mc', got {method!r}")
+    if method == "mc" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if sigma == 0 and k <= m:
         regime, methods, inside = REGIME_CASE1, ("closed", "mc"), d - m - 2 * k >= k
     elif sigma == 0:
@@ -476,13 +473,20 @@ def evaluate(
     if method not in methods or not inside:
         why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
         raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
+    return regime, d, m, k
+
+
+def evaluate(
+    d: int, m: int, k: int, sigma: float, method: str, samples: int = 100_000,
+    rng: np.random.Generator | None = None,
+) -> ChiSquareReport:
+    """Chi-square of the reduced k-row model, after ``check_cell``; "mc" also needs ``rng``."""
+    regime, d, m, k = check_cell(d, m, k, sigma, method, samples)
     if method == "closed":
         value = (_case1_closed if regime == REGIME_CASE1 else _case2_closed)(d, m, k)
         return ChiSquareReport(regime, value, "closed_form", d, m, k, 0.0)
     if rng is None:
         raise ValueError("rng is required for the Monte Carlo evaluators")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if regime == REGIME_CASE1:
         est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
         return ChiSquareReport(

@@ -14,16 +14,20 @@ significant digits and nothing time-dependent enters the files
 Sweep values: a config value is typed once, from the text written, by its
 option, as argparse types a flag.  A str key keeps its text (``007`` stays
 ``007``), an int or float key refuses a word such as ``true``, and a switch
-takes ``true`` or ``false`` in any case.  The one intended difference from
-the flags: an int key also takes an integral float, such as ``8.0`` or
-``1e5``.
+takes ``true`` or ``false`` in any case.  A ``#`` starts a comment only at
+the start of a line or after whitespace (``output = run#1.csv`` keeps it).
+The intended differences from the flags: an int key also takes an integral
+float, such as ``8.0`` or ``1e5``, and a bracketed value is a list, so
+``prefix = [a]`` is refused where ``--prefix '[a]'`` is taken.
 
 Grid handling: grid options take lists and form a grid iterated row-major
 over the declared key order (table order for flags: n, d, m, sigma for
 detect, n, d, m, sigma, D for advantage and d, m, k, sigma for chisq; file
 order for sweep configs).  Each grid cell owns the disjoint stream-index
 range [cell * 1024, (cell+1) * 1024) of the master seed, so results are
-independent of execution order.
+independent of execution order.  Every cell passes its library check
+(``ModelParams``, ``advantage.check_cell``, ``chisq.check_cell`` per method)
+before the first cell runs; the CLI holds no domain rule of its own.
 
 Exit codes: 0 success, 1 oracle failure, 2 usage, 3 capacity,
 4 unsupported regime, 5 I/O.
@@ -45,11 +49,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .advantage import advantage_sq_with_patterns, require_pattern_cap
-from .chisq import ChiSquareReport, evaluate
+from .advantage import advantage_sq_with_patterns, check_cell as check_advantage_cell
+from .chisq import ChiSquareReport, check_cell as check_chisq_cell, evaluate
 from .common import CapacityError, UnsupportedRegimeError
 from .detect import run_test
 from .matrixio import format_float, write_matrix, write_sidecar
@@ -106,19 +110,9 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def _iter_grid(grids: dict[str, list]) -> Iterator[tuple[int, dict[str, object]]]:
+def _cells(grids: dict[str, list]) -> list[dict[str, object]]:
     """Row-major product over the grids in their declared key order, the last key fastest."""
-    for cell, values in enumerate(itertools.product(*grids.values())):
-        yield cell, dict(zip(grids, values))
-
-
-def _check_m_le_d(grids: dict[str, list]) -> None:
-    if "m" in grids and "d" in grids:
-        if max(grids["m"]) > min(grids["d"]):
-            raise ValueError(
-                f"grids must satisfy m <= d for every combination, "
-                f"got max m={max(grids['m'])} > min d={min(grids['d'])}"
-            )
+    return [dict(zip(grids, values)) for values in itertools.product(*grids.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +156,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _check_m_le_d(args.grids)
+    cells = [ModelParams(**combo) for combo in _cells(args.grids)]
     rows = [DETECT_COLUMNS]
-    for cell, combo in _iter_grid(args.grids):
-        params = ModelParams(**combo)
+    for cell, params in enumerate(cells):
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
         report = run_test(params, args.threshold, args.trials, rng)
         rows.append(_row(
@@ -179,19 +172,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
-    _check_m_le_d(args.grids)
-    if min(args.grids["D"]) < 0:
-        raise ValueError(f"need D >= 0, got D={min(args.grids['D'])}")
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
-    # the pattern count grows in n, d, m and D, so the grid's largest cell is its corner
-    corner = {key: max(values) for key, values in args.grids.items()}
-    require_pattern_cap(corner["n"], corner["d"], corner["m"], corner["D"])
-    rows = [ADVANTAGE_COLUMNS]
-    pattern_rows = [PATTERN_COLUMNS]
-    for cell, combo in _iter_grid(args.grids):
+    cells = []
+    for combo in _cells(args.grids):
         D = combo.pop("D")
         params = ModelParams(**combo)
+        check_advantage_cell(params, D, args.samples)
+        cells.append((params, D))
+    rows = [ADVANTAGE_COLUMNS]
+    pattern_rows = [PATTERN_COLUMNS]
+    for cell, (params, D) in enumerate(cells):
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
         est, breakdown = advantage_sq_with_patterns(params, D, args.samples, rng)
         rows.append(_row(
@@ -220,24 +209,19 @@ def _report_row(report: ChiSquareReport, delta: float | None) -> str:
 
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
-    _check_m_le_d(args.grids)
-    if min(args.grids["k"]) < 1:
-        raise ValueError(f"need k >= 1, got k={min(args.grids['k'])}")
-    if args.mode != "closed" and args.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {args.samples}")
+    methods = ("closed", "mc") if args.mode == "both" else (args.mode,)
+    cells = _cells(args.grids)
+    for combo in cells:
+        for method in methods:
+            check_chisq_cell(**combo, method=method, samples=args.samples)
     rows = [CHISQ_COLUMNS]
-    for cell, combo in _iter_grid(args.grids):
+    for cell, combo in enumerate(cells):
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)
-        closed = mc = None
-        if args.mode in ("closed", "both"):
-            closed = evaluate(**combo, method="closed")
-        if args.mode in ("mc", "both"):
-            mc = evaluate(**combo, method="mc", samples=args.samples, rng=rng)
-        if closed is not None:
-            rows.append(_report_row(closed, None))
-        if mc is not None:
-            delta = abs(mc.value - closed.value) if closed is not None else None
-            rows.append(_report_row(mc, delta))
+        reports = [evaluate(**combo, method=method, samples=args.samples, rng=rng)
+                   for method in methods]
+        rows.append(_report_row(reports[0], None))
+        if len(reports) == 2:  # "both": the Monte Carlo row, with its distance from closed
+            rows.append(_report_row(reports[1], abs(reports[1].value - reports[0].value)))
     _write_lines(_resolve_output(args.output), rows)
     return EXIT_OK
 
@@ -353,7 +337,9 @@ def parse_config(text: str) -> dict[str, str | list[str]]:
     out: dict[str, str | list[str]] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a "#" at the start of the line or after whitespace starts a comment
+        cut = (i for i, c in enumerate(raw) if c == "#" and (i == 0 or raw[i - 1].isspace()))
+        line = raw[: next(cut, len(raw))].strip()
         if not line:
             continue
         if "=" not in line:

@@ -1,8 +1,9 @@
-"""Shared value types, error classes, the integer rule and the chunked Monte Carlo loop."""
+"""Shared value types, error classes, the integer and sigma rules, the chunked Monte Carlo loop."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,12 @@ def as_integer(name: str, value: object) -> int:
     except (TypeError, ValueError, OverflowError):  # None, NaN, inf
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_sigma(sigma: float) -> None:
+    """ValueError unless sigma >= 0 with sigma * sigma finite: every law uses 1 + sigma^2."""
+    if not 0 <= sigma <= math.sqrt(sys.float_info.max):  # False for NaN; exact for an int
+        raise ValueError(f"need finite sigma >= 0 with a finite square, got {sigma}")
 
 
 class CapacityError(Exception):

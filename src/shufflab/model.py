@@ -13,13 +13,12 @@ integrates the permutation and the noise out given (X, Q) (``advantage``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import randmat
-from .common import as_integer
+from .common import as_integer, check_sigma
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,7 @@ class ModelParams:
     """Problem dimensions (n rows, d predictors, m responses) and noise.
 
     n, d and m must be integral; a value such as 2.0 is stored as the int 2.
+    Construction checks n >= 1, 1 <= m <= d and sigma (``common.check_sigma``).
     """
 
     n: int
@@ -41,8 +41,7 @@ class ModelParams:
             raise ValueError(f"need n >= 1, got {self.n}")
         if not 1 <= self.m <= self.d:
             raise ValueError(f"need 1 <= m <= d, got m={self.m}, d={self.d}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"need finite sigma >= 0, got {self.sigma}")
+        check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)

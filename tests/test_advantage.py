@@ -10,11 +10,13 @@ import pytest
 from conftest import assert_within_nse, even_column_sums
 
 from shufflab import advantage as advantage_mod
+from shufflab import chisq as chisq_mod
 from shufflab import make_rng
 from shufflab.advantage import (
     advantage_bound_m1,
     advantage_bound_via_chisq,
     advantage_sq_with_patterns,
+    check_cell,
     estimate_advantage_sq,
 )
 from shufflab.chisq import evaluate
@@ -153,6 +155,24 @@ def test_argument_checks_run_before_patterns_are_built(monkeypatch):
     monkeypatch.setattr(advantage_mod, "pattern_pairs", fail)
     with pytest.raises(ValueError, match="samples"):
         advantage_sq_with_patterns(ModelParams(2, 2, 2, 0.5), 4, 1, make_rng(0))
+
+
+@pytest.mark.parametrize("D, samples, error, text", [
+    (-1, 100, ValueError, "need D >= 0"),
+    (0, 1, ValueError, "samples must be >= 2"),  # at D = 0 too, which draws nothing
+    (4, 0, ValueError, "samples must be >= 2"),
+    (6, 100, CapacityError, "1000000"),  # C(38, 6) = 2,760,681 patterns
+])
+def test_check_cell_refuses_before_any_draw(D, samples, error, text):
+    params = ModelParams(4, 4, 4, 0.5)
+    with pytest.raises(error, match=text):
+        check_cell(params, D, samples)
+    rng = make_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(error, match=text):
+        advantage_sq_with_patterns(params, D, samples, rng)
+    assert rng.bit_generator.state == before
+    check_cell(params, 2, 2)  # 561 patterns and two samples pass
 
 
 def test_estimate_bits_pinned():
@@ -518,6 +538,22 @@ def test_bound_via_chisq_unsupported_regimes():
         advantage_bound_via_chisq(40, 20, 1.0, 1)  # sigma>0 with m != d
     with pytest.raises(ValueError):
         advantage_bound_via_chisq(40, 40, 1.0, 1)  # mc path without rng
+
+
+def test_bound_via_chisq_checks_every_k_before_any_evaluation(monkeypatch):
+    # k = 1..3 are inside the noiseless regimes at d = 12, m = 1, and k = 4 is not
+    # (d - 3k < m): the bound is refused before k = 1 is evaluated
+    calls = []
+    monkeypatch.setattr(chisq_mod, "evaluate", lambda *args: calls.append(args))
+    with pytest.raises(UnsupportedRegimeError, match="k=4"):
+        advantage_bound_via_chisq(12, 1, 0.0, 5)
+    assert calls == []
+
+
+def test_bound_via_chisq_above_the_largest_double_is_inf():
+    # at k = 200 the case-2 closed form is about 2**1482 (test_chisq), so the bound is +inf
+    assert advantage_bound_via_chisq(620, 20, 0.0, 200) == math.inf
+    assert math.isfinite(advantage_bound_via_chisq(620, 10, 0.0, 200))
 
 
 def test_bound_via_chisq_dominates_estimate():

@@ -22,6 +22,7 @@ from shufflab.chisq import (
     REGIME_CASE1,
     REGIME_CASE2,
     REGIME_M_EQ_D,
+    check_cell,
     det_integral_mc,
     evaluate,
     log_wishart_ratio,
@@ -103,8 +104,8 @@ def _gamma_half(n: int) -> tuple[Fraction, int]:
     return Fraction(math.factorial(2 * j), 4**j * math.factorial(j)), 1
 
 
-def _omega_product(*factors: tuple[int, int, int]) -> float:
-    """prod over (s, t, e) of omega(s, t)^e, rounded once; its pi and 2 exponents must cancel.
+def _omega_exact(*factors: tuple[int, int, int]) -> Fraction:
+    """prod over (s, t, e) of omega(s, t)^e, exactly; its pi and 2 exponents must cancel.
 
     1/omega(s, t) = pi^{t(t-1)/4} 2^{st/2} prod_{j=1..t} Gamma((s-j+1)/2), Gamma by Gamma.
     """
@@ -117,7 +118,21 @@ def _omega_product(*factors: tuple[int, int, int]) -> float:
         value = value / inverse**e
         pi_quarters, two_halves = pi_quarters - e * pi_exp, two_halves - e * s * t
     assert pi_quarters == 0 and two_halves % 2 == 0
-    return float(value * Fraction(2) ** (two_halves // 2))
+    return value * Fraction(2) ** (two_halves // 2)
+
+
+def _omega_product(*factors: tuple[int, int, int]) -> float:
+    """``_omega_exact`` rounded once."""
+    return float(_omega_exact(*factors))
+
+
+def _case2_exact(d: int, m: int, k: int) -> Fraction:
+    # [omega(d-k, m)/omega(d, m)]^2 * [omega(d, k)/omega(d-m, k)]
+    #     * [omega(d-k-1, m)/omega(d-2k-1, m)]
+    return _omega_exact(
+        (d - k, m, 2), (d, m, -2), (d, k, 1), (d - m, k, -1),
+        (d - k - 1, m, 1), (d - 2 * k - 1, m, -1),
+    )
 
 
 @pytest.mark.parametrize("d, m, k", [
@@ -132,16 +147,32 @@ def test_case1_closed_is_the_rounded_rational(d, m, k):
 
 @pytest.mark.parametrize("d, m, k", [
     (10, 1, 2), (40, 1, 2), (41, 2, 3), (100, 1, 4), (999, 2, 5), (5000, 3, 4),
-    (10_000, 1, 2), (10_001, 2, 3),
+    (10_000, 1, 2), (10_001, 2, 3), (620, 10, 200),  # 9.9023002645879202e+219
 ])
 def test_case2_closed_is_the_rounded_rational(d, m, k):
-    # [omega(d-k, m)/omega(d, m)]^2 * [omega(d, k)/omega(d-m, k)]
-    #     * [omega(d-k-1, m)/omega(d-2k-1, m)]
-    want = _omega_product(
-        (d - k, m, 2), (d, m, -2), (d, k, 1), (d - m, k, -1),
-        (d - k - 1, m, 1), (d - 2 * k - 1, m, -1),
+    assert evaluate(d, m, k, 0.0, "closed").value == float(_case2_exact(d, m, k))
+
+
+def _log_omega(s: int, t: int) -> float:
+    """log omega(s, t) by math.lgamma, a route apart from the exact ratios."""
+    gammas = sum(math.lgamma((s - j + 1) / 2) for j in range(1, t + 1))
+    return -(t * (t - 1) / 4 * math.log(math.pi) + s * t / 2 * math.log(2.0) + gammas)
+
+
+@pytest.mark.parametrize("d, m, k", [(620, 20, 200), (1210, 10, 400), (2405, 5, 800)])
+def test_closed_form_above_the_largest_double_reads_inf(d, m, k):
+    # inside case 2's domain (d - 3k = m), with a value near 2**1500, far above the largest
+    # double: IEEE round-to-nearest gives +inf, where int / int raises OverflowError
+    assert d - 3 * k == m
+    log_value = (
+        2 * _log_omega(d - k, m) - 2 * _log_omega(d, m) + _log_omega(d, k) - _log_omega(d - m, k)
+        + _log_omega(d - k - 1, m) - _log_omega(d - 2 * k - 1, m)
     )
-    assert evaluate(d, m, k, 0.0, "closed").value == want
+    assert log_value > 1400 * math.log(2.0)
+    if d == 620:  # the smallest cell, exactly: past the midpoint of the largest double and 2**1024
+        assert _case2_exact(d, m, k) >= 2**1024 - 2**970
+    report = evaluate(d, m, k, 0.0, "closed")
+    assert report.value == math.inf and report.regime == REGIME_CASE2
 
 
 def test_case1_asymptotic_form():
@@ -417,7 +448,7 @@ def test_case1_mc_stderr_shrinks_like_sqrt_samples():
 @pytest.mark.xfail(
     strict=True,
     reason="case-1 MC stderr under-covers near the domain edge and no row says so "
-    "(CHANGES.md FOUND entry on chisq_case1_mc; ROADMAP item 7, Monte Carlo health "
+    "(CHANGES.md FOUND entry on chisq_case1_mc; the ROADMAP item on Monte Carlo health "
     "diagnostics)",
 )
 def test_case1_mc_flags_heavy_tail_near_domain_edge():
@@ -592,6 +623,29 @@ def test_evaluate_mc_needs_rng():
         evaluate(10, 3, 2, 0.0, "mc", 200)
     with pytest.raises(ValueError, match="rng is required"):
         evaluate(5, 5, 2, 1.5, "mc", 200)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, 1.35e154])
+def test_evaluate_rejects_bad_sigma_before_any_draw(sigma):
+    # 1.35e154 is finite, but its square is not: sqrt of the largest double is 1.3408e154
+    rng = make_rng(75)
+    before = rng.bit_generator.state
+    for method in ("closed", "mc"):
+        with pytest.raises(ValueError, match="need finite sigma >= 0"):
+            evaluate(3, 3, 1, sigma, method, 100, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_check_cell_gives_the_regime_and_does_no_work():
+    assert check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0) == (REGIME_CASE1, 50, 2, 1)
+    assert all(type(v) is int for v in check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0)[1:])
+    assert check_cell(40, 1, 2, 0.0, "closed", 0) == (REGIME_CASE2, 40, 1, 2)
+    assert check_cell(16, 16, 3, 1.0, "mc", 1) == (REGIME_M_EQ_D, 16, 16, 3)
+    # a sample count matters to "mc" only, and is checked before the regime table
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_cell(16, 8, 1, 1.0, "mc", 0)
+    with pytest.raises(UnsupportedRegimeError, match="outside the m_eq_d domain"):
+        check_cell(16, 8, 1, 1.0, "mc", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,76 @@ def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, target, code", [
+    (("detect", "--n", 64, 0, "--d", 8, "--m", 8, "--sigma", 1.0, "--trials", 200),
+     "run_test", 2),
+    (("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.5, -1, "--D", 4,
+      "--samples", 2000), "advantage_sq_with_patterns", 2),
+    (("chisq", "--d", 40, "--m", 40, "--k", 2, "--sigma", 1, -1, "--mode", "mc",
+      "--samples", 2000), "evaluate", 2),
+    (("chisq", "--d", 40, "--m", 40, "--k", 2, "--sigma", 1, 0, "--mode", "mc",
+      "--samples", 2000), "evaluate", 4),
+    # "both" checks each method: k = 2 is case 2, which has no Monte Carlo evaluator
+    (("chisq", "--d", 40, "--m", 1, "--k", 1, 2, "--sigma", 0, "--mode", "both",
+      "--samples", 2000), "evaluate", 4),
+], ids=("detect-n0", "advantage-negative-sigma", "chisq-negative-sigma", "chisq-mc-sigma0",
+        "chisq-both-case2-mc"))
+def test_late_invalid_cell_refused_before_any_cell(tmp_path, monkeypatch, argv, target, code):
+    # the first cell is valid and the last is not: every cell passes its library check
+    # before the first one runs
+    calls = []
+    real = getattr(shufflab.cli, target)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shufflab.cli, target, spy)
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--seed", 1, "--output", out) == code
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", 3, "--d", 2, "--m", 2, "--hypothesis", "null", "--prefix"),
+    ("sample", "--n", 3, "--d", 2, "--m", 2, "--hypothesis", "planted", "--prefix"),
+    ("detect", "--n", 4, "--d", 2, "--m", 2, "--trials", 100, "--output"),
+    ("detect", "--n", 4, "--d", 2, "--m", 2, "--trials", 100, "--threshold", 50, "--output"),
+    ("advantage", "--n", 1, "--d", 2, "--m", 1, "--D", 2, "--samples", 100, "--output"),
+    ("chisq", "--d", 3, "--m", 3, "--k", 1, "--mode", "mc", "--samples", 100, "--output"),
+], ids=("sample-null", "sample-planted", "detect", "detect-threshold", "advantage", "chisq"))
+def test_sigma_needs_a_finite_square(tmp_path, capsys, argv):
+    # every law uses 1 + sigma^2, and sqrt of the largest double is 1.3407807929942596e154:
+    # a sigma above it is a usage error on every route, even one that never squares it
+    *head, out_flag = argv
+    big, ok = tmp_path / "big", tmp_path / "ok"
+    big.mkdir()
+    ok.mkdir()
+    assert run_cli(*head, "--sigma", 1.35e154, "--seed", 1, out_flag, big / "x") == 2
+    assert "need finite sigma >= 0" in capsys.readouterr().err
+    assert list(big.iterdir()) == []
+    assert run_cli(*head, "--sigma", 1.34e154, "--seed", 1, out_flag, ok / "x") == 0
+    written = sorted(ok.iterdir())
+    assert written
+    for path in written:
+        if path.name.endswith("_meta.txt"):
+            continue
+        if path.suffix == ".txt":
+            assert np.isfinite(read_matrix(path)).all(), path.name
+            continue
+        for row in path.read_text().splitlines()[1:]:
+            numbers = [_number(field) for field in row.split(",")]
+            assert all(math.isfinite(x) for x in numbers if x is not None), row
+
+
+def _number(field: str) -> float | None:
+    try:
+        return float(field)  # "inf" and "nan" included
+    except ValueError:  # a regime, method or warning text, or an empty field
+        return None
+
+
 def test_advantage_per_pattern_csv(tmp_path):
     out, pp = tmp_path / "adv.csv", tmp_path / "patterns.csv"
     assert run_cli("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.0,
@@ -402,6 +472,7 @@ def test_parse_config_types_and_order():
         n = [64]
         flag = TRUE
         name = hello world  # trailing comment
+        output = run#1.csv	# a "#" inside a value is text
         empty = []
         """
     )
@@ -411,6 +482,7 @@ def test_parse_config_types_and_order():
     assert cfg["n"] == ["64"]
     assert cfg["flag"] == "TRUE"
     assert cfg["name"] == "hello world"
+    assert cfg["output"] == "run#1.csv"
     assert cfg["empty"] == []
     assert list(cfg)[:4] == ["command", "master_seed", "sigma", "n"]
     with pytest.raises(ValueError):
@@ -534,8 +606,11 @@ def test_sweep_rejects_list_in_scalar_key(tmp_path, capsys, body, reason):
          ["chisq", "--d", 50, "--m", 2, "--k", 1, "--sigma", 0, "--mode", "both",
           "--samples", 2000, "--output", "007"],
          ["007"]),
+        ("command = chisq\nd = [50]\nm = 2\nk = [1]\nsigma = [0]\noutput = run#1.csv\n",
+         ["chisq", "--d", 50, "--m", 2, "--k", 1, "--sigma", 0, "--output", "run#1.csv"],
+         ["run#1.csv"]),
     ],
-    ids=["sample-prefix-1e5", "chisq-output-007"],
+    ids=["sample-prefix-1e5", "chisq-output-007", "chisq-output-hash"],
 )
 def test_sweep_keeps_numeric_looking_text(tmp_path, monkeypatch, body, flags, names):
     # a str key keeps its text as written, as its flag does

@@ -24,6 +24,11 @@ def test_param_validation():
         ModelParams(n=1, d=2, m=1, sigma=-1.0)
     with pytest.raises(ValueError):
         ModelParams(n=1, d=2, m=1, sigma=math.inf)
+    # every law uses 1 + sigma^2; the largest sigma with a finite square is the next double down
+    for sigma in (math.nan, 1.35e154, 1.3407807929942597e154, 10**200):
+        with pytest.raises(ValueError, match="need finite sigma >= 0"):
+            ModelParams(n=1, d=2, m=1, sigma=sigma)
+    assert ModelParams(n=1, d=2, m=1, sigma=1.3407807929942596e154).sigma == 1.3407807929942596e154
 
 
 @pytest.mark.parametrize("n, d, m", [(2.5, 4, 4), (2, 4.5, 4), (2, 4, 1.5), (2, 4, math.nan),
