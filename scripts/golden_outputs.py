@@ -152,6 +152,15 @@ RUNS: dict[str, list[str]] = {
     "chisq-closed-overflow": CLI + [
         "chisq", "--d", "620", "--m", "10", "20", "--k", "200", "--sigma", "0", "--seed", "1",
         "--output", "chisq_closed_overflow.csv"],
+    # a closed form whose exact integers would hold 9.1e6 bits: refused, not 15 s of work
+    # (exit 3, no file)
+    "chisq-closed-cap": CLI + [
+        "chisq", "--d", "6000", "--m", "1000", "--k", "1000", "--sigma", "0", "--seed", "1",
+        "--output", "chisq_closed_cap.csv"],
+    # two samples make one-sample jackknife batches with no variance (exit 2, no file)
+    "advantage-two-samples": CLI + [
+        "advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0.5", "--D", "4",
+        "--samples", "2", "--seed", "1", "--output", "advantage_two_samples.csv"],
     **{
         f"sweep-{cfg.stem}": CLI + ["sweep", "--config", str(cfg)]
         for cfg in sorted(HERE.glob("*.cfg"))

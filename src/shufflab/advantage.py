@@ -42,9 +42,10 @@ ROADMAP item on a benchmark that times exact routes).
 Stream layout: sample s reads the standard normals s*(nd + dm) through
 (s + 1)*(nd + dm) - 1 of the generator, X (n x d, row-major) from the first
 nd and the Gaussian behind Q (d x m, row-major, ``randmat.qr_sign_fixed``)
-from the last dm.  The batches are consecutive runs of samples, and a chunk
-of consecutive batches draws its samples as one block, so the draws, and the
-estimate's bits, do not depend on the chunking.
+from the last dm.  The batches are consecutive runs of samples, the larger
+ones first.  ``common.draw_chunked`` draws them one batch size at a time, so
+a chunk holds consecutive batches of one size and draws their samples as one
+block: the draws, and the estimate's bits, do not depend on the chunking.
 
 A basis function factors as phi_(A,B) = phi_A(X) times the Y-side summand,
 so a batch's sums of the summands and of their squares are entries of U V^T
@@ -70,14 +71,13 @@ times sphere moments, in exact integers), and the chi-square route
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chisq as chisq_mod
-from .common import CapacityError
+from .common import CapacityError, draw_chunked
 from .hermite import SideSplit, pattern_count, pattern_pairs, side_split, slot_products, slot_table
 from .model import ModelParams
 from .randmat import qr_sign_fixed
@@ -115,10 +115,11 @@ class AdvantageEstimate:
 def _planted_moment_sums(
     split: SideSplit, params: ModelParams, sizes: list[int], rng: np.random.Generator
 ) -> np.ndarray:
-    """Each batch's sums of the summands and of their squares, (2, batches, kept) in block order.
+    """Each batch's sums of the summands and of their squares, (batches, 2, kept) in block order.
 
-    Chunks of consecutive batches are drawn and evaluated together, so that a
-    chunk's draws, table, U and V fit the budget.
+    The batches of each size, the larger size first as ``batch_sizes`` orders
+    them, go through ``draw_chunked``, so a chunk holds batches of one size:
+    as many as keep its draws, table, U and V within the budget.
     """
     n, d, m = params.n, params.d, params.m
     table_rows = n * (d + m) * (len(split.blocks) + 1)
@@ -126,31 +127,28 @@ def _planted_moment_sums(
     # the normals, Q and Y0 with the table (held once: slot_table is a view), then U and V
     # with the gather temporaries
     sample_bytes = 8 * (n * d + 2 * d * m + n * m + table_rows + 2 * side_rows)
-    per_chunk = max(1, DRAW_CHUNK_BYTES // (sample_bytes * max(sizes)))
-    sums = np.empty((2, len(sizes), split.kept))
-    for first in range(0, len(sizes), per_chunk):
-        chunk = sizes[first : first + per_chunk]
-        _chunk_moment_sums(split, params, chunk, rng, sums[:, first : first + len(chunk)])
-    return sums
+    return np.concatenate([
+        draw_chunked(
+            lambda count: _chunk_moment_sums(split, params, count, size, rng),
+            sizes.count(size),
+            max(1, DRAW_CHUNK_BYTES // (sample_bytes * size)),
+        )
+        for size in dict.fromkeys(sizes)
+    ])
 
 
 def _chunk_moment_sums(
-    split: SideSplit,
-    params: ModelParams,
-    chunk: list[int],
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> None:
-    """Draw a chunk of batches and write their sums of the summands and their squares to ``out``.
+    split: SideSplit, params: ModelParams, count: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``count`` batches of ``size`` samples; their sums of the summands and squares.
 
-    ``out`` is (2, batches, kept).  The batches share one Hermite table and one
-    U, V pair, squared in place for the second-moment sums.  Each run of
-    equal-size batches takes one stacked product per block, which makes the
-    same BLAS call per batch as a lone batch would: the sums do not depend on
-    the chunking.
+    Returns (count, 2, kept).  The batches share one Hermite table and one
+    U, V pair, squared in place for the second-moment sums.  They take one
+    stacked product per block, which makes the same BLAS call per batch as a
+    lone batch would: the sums do not depend on the chunking.
     """
     n, d, m = params.n, params.d, params.m
-    S = sum(chunk)
+    S = count * size
     draws = rng.standard_normal((S, n * d + d * m))
     X = draws[:, : n * d].reshape(S, n, d)
     Y0 = X @ qr_sign_fixed(draws[:, n * d :].reshape(S, d, m))
@@ -170,23 +168,20 @@ def _chunk_moment_sums(
     orbit_means *= (rho_b / sizes)[:, None]
     V = np.repeat(orbit_means, sizes, axis=0)
     del orbit_means
-    for power, sums in enumerate(out):
+    # (count, rows, size) stacks of the batches
+    u = U.reshape(len(U), count, size).transpose(1, 0, 2)
+    v = V.reshape(len(V), count, size).transpose(1, 2, 0)
+    sums = np.empty((count, 2, split.kept))
+    for power in range(2):
         if power:
-            U *= U
-            V *= V
-        lo = b = 0
-        for size, run in itertools.groupby(chunk):
-            count = len(list(run))
-            hi = lo + count * size
-            # (count, rows, size) stacks of the run's batches
-            u = U[:, lo:hi].reshape(len(U), count, size).transpose(1, 0, 2)
-            v = V[:, lo:hi].reshape(len(V), count, size).transpose(1, 2, 0)
-            for r0, r1, cols, offset in split.blocks:
-                if r0 == r1:  # no X-side row of this degree: an odd one, or none left
-                    continue
-                flat = sums[b : b + count, offset : offset + (r1 - r0) * cols]
-                np.matmul(u[:, r0:r1], v[:, :, :cols], out=flat.reshape(count, r1 - r0, cols))
-            lo, b = hi, b + count
+            u *= u
+            v *= v
+        for r0, r1, cols, offset in split.blocks:
+            if r0 == r1:  # no X-side row of this degree: an odd one, or none left
+                continue
+            flat = sums[:, power, offset : offset + (r1 - r0) * cols]
+            np.matmul(u[:, r0:r1], v[:, :, :cols], out=flat.reshape(count, r1 - r0, cols))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ def jackknife_estimate(
 ) -> tuple[AdvantageEstimate, PatternBreakdown]:
     """The unbiased sum of squared means and its jackknife stderr, from per-batch sums.
 
-    ``sums`` is (2, batches, columns): each batch's sums of a summand and of
+    ``sums`` is (batches, 2, columns): each batch's sums of a summand and of
     its square, per column, over ``sizes`` samples per batch.  Pattern k,
     of total degree ``degrees[k]``, reads column ``position[k]``; a position
     of ``columns`` marks a pattern whose planted mean is exactly 0, reported
@@ -244,11 +239,11 @@ def jackknife_estimate(
         return mean, var, (mean**2 - var / n).sum(axis=-1)
 
     samples = sum(sizes)
-    total1, total2 = sums.sum(axis=1)
+    total1, total2 = sums.sum(axis=0)
     mean, var, value = sum_of_squares(total1, total2, samples)
     # leave-one-batch-out values, one row per batch
     kept = (samples - np.array(sizes))[:, None]
-    _, _, loo = sum_of_squares(total1 - sums[0], total2 - sums[1], kept)
+    _, _, loo = sum_of_squares(total1 - sums[:, 0], total2 - sums[:, 1], kept)
     B = len(sizes)
     stderr = math.sqrt((B - 1) / B * float(((loo - loo.mean()) ** 2).sum()))
     est = AdvantageEstimate(
@@ -259,11 +254,14 @@ def jackknife_estimate(
 
 
 def check_cell(params: ModelParams, D: int, samples: int) -> None:
-    """Refuse a cell before any work: D >= 0, samples >= 2 at every D, and the pattern cap."""
+    """Refuse a cell before any work: D >= 0, samples >= 3 at every D, and the pattern cap.
+
+    At two samples each leave-one-batch-out set holds one sample, with no variance.
+    """
     if D < 0:
         raise ValueError(f"need D >= 0, got D={D}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples < 3:
+        raise ValueError(f"samples must be >= 3, got {samples}")
     count = pattern_count(params.n, params.d, params.m, D)
     if count > DEFAULT_PATTERN_CAP:
         raise CapacityError(

@@ -80,7 +80,9 @@ above the largest double, as IEEE round-to-nearest gives); the
 likelihood ratio takes the log of its exact constant, once per Monte Carlo
 call.  The raw constants, which overflow double precision once d reaches the
 low hundreds, are never formed, and no large logs are summed to an O(1)
-result.  Determinants are handled in log space.
+result.  Determinants are handled in log space.  The exact work grows faster
+than the bits it forms, so ``check_cell`` bounds those bits from the net
+exponents alone and refuses a closed form above ``WISHART_BITS_CAP`` bits.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import MomentEstimate, UnsupportedRegimeError, as_integer, check_sigma, draw_chunked
+from .common import (
+    CapacityError, MomentEstimate, UnsupportedRegimeError, as_integer, check_sigma, draw_chunked,
+)
 from .randmat import haar_verblunsky_batch
 
 ZETA_SLACK = 1e-12
@@ -99,6 +103,10 @@ HEAVY_TAIL_SIGMA = 1.0
 REGIME_CASE1 = "case1_sigma0"
 REGIME_CASE2 = "case2_sigma0"
 REGIME_M_EQ_D = "m_eq_d"
+
+# bits of p times q in an exact closed form (``_wishart_bits``): on a 2-vCPU Xeon host with
+# CPython 3.11, cells just under it took 0.7-1.0 s, and a 9.1e6-bit cell 15 s
+WISHART_BITS_CAP = 2_000_000
 
 _MC_CHUNK = 4096
 _LATTICE = 4  # points of the shifted lattice in alpha_{d-3} per Verblunsky draw
@@ -131,7 +139,22 @@ def _wishart_ratio(*terms: tuple[int, int, int, int]) -> tuple[int, int, int, in
     Gamma(n/2) = sqrt(pi)^[n odd] prod_{v = n mod 2, 0 < v < n} v/2.
     So v/2 enters with the net exponent of the Gamma(n/2) with n > v of its
     parity: a run of v between two consecutive such n is one ``math.prod``,
-    and the runs where the exponents cancel cost nothing.
+    and the runs where the exponents cancel cost nothing (``_wishart_runs``).
+    """
+    runs, a, b = _wishart_runs(*terms)
+    p = q = 1
+    for run, exponent in runs:
+        factor = math.prod(run) ** abs(exponent)
+        p, q = (p * factor, q) if exponent > 0 else (p, q * factor)
+    return p, q, a, b
+
+
+def _wishart_runs(*terms: tuple[int, int, int, int]) -> tuple[list[tuple[range, int]], int, int]:
+    """The net-exponent pass of ``_wishart_ratio``: its runs of v with their exponents, a and b.
+
+    Each run is a range of v of one parity whose product enters p (exponent
+    > 0) or q (exponent < 0) to the power |exponent|.  The pass forms no
+    product, so ``_wishart_bits`` can bound the exact work before any is done.
     """
     net: dict[int, int] = {}  # n -> exponent of Gamma(n/2)
     b = 0
@@ -143,7 +166,7 @@ def _wishart_ratio(*terms: tuple[int, int, int, int]) -> tuple[int, int, int, in
             net[s - j + 1] = net.get(s - j + 1, 0) + e
             net[s - h - j + 1] = net.get(s - h - j + 1, 0) - e
     a = sum(e for n, e in net.items() if n % 2)
-    p = q = 1
+    runs = []
     for parity in (0, 1):
         tops = sorted((n for n, e in net.items() if e and n % 2 == parity), reverse=True)
         exponent = 0
@@ -151,10 +174,22 @@ def _wishart_ratio(*terms: tuple[int, int, int, int]) -> tuple[int, int, int, in
             exponent += net[top]
             run = range(low, top, 2)  # v in [low, top) of top's parity
             if exponent and run:
-                factor = math.prod(run) ** abs(exponent)
-                p, q = (p * factor, q) if exponent > 0 else (p, q * factor)
+                runs.append((run, exponent))
                 b -= 2 * exponent * len(run)
-    return p, q, a, b
+    return runs, a, b
+
+
+def _wishart_bits(*terms: tuple[int, int, int, int]) -> float:
+    """The bits of p times q in ``_wishart_ratio``, to within two, with no product formed.
+
+    A run of v from low to top (exclusive, step 2) multiplies to
+    2^len Gamma(top/2) / Gamma(low/2).
+    """
+    runs, _, _ = _wishart_runs(*terms)
+    return sum(
+        abs(e) * (len(run) + (math.lgamma(run.stop / 2) - math.lgamma(run.start / 2)) / math.log(2))
+        for run, e in runs
+    )
 
 
 def log_wishart_ratio(s: int, h: int, t: int) -> float:
@@ -182,8 +217,8 @@ def _rational_wishart_ratio(*terms: tuple[int, int, int, int]) -> float:
         return math.inf
 
 
-def _case1_closed(d: int, m: int, k: int) -> float:
-    """Noiseless closed form for k <= m (wide-response case).
+def _case1_terms(d: int, m: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Noiseless closed form for k <= m (wide-response case), as ``_wishart_ratio`` terms.
 
     value = [omega(d-m, k)/omega(d, k)] * [omega(d-k-1, k)/omega(d-m-k-1, k)].
 
@@ -197,11 +232,11 @@ def _case1_closed(d: int, m: int, k: int) -> float:
     product [omega(d-m, 1)/omega(d-m-2, 1)] * [omega(d-2, 1)/omega(d, 1)].
     The value is rational: the two ratios' pi and 2 exponents cancel.
     """
-    return _rational_wishart_ratio((d, m, k, 1), (d - k - 1, m, k, -1))
+    return (d, m, k, 1), (d - k - 1, m, k, -1)
 
 
-def _case2_closed(d: int, m: int, k: int) -> float:
-    """Noiseless closed form for m <= k (tall-pattern case).
+def _case2_terms(d: int, m: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Noiseless closed form for m <= k (tall-pattern case), as ``_wishart_ratio`` terms.
 
     value = [omega(d-k, m)^2/omega(d, m)^2] * [omega(d, k)/omega(d-m, k)]
             * [omega(d-k-1, m)/omega(d-2k-1, m)].
@@ -212,7 +247,7 @@ def _case2_closed(d: int, m: int, k: int) -> float:
     the exact sphere-overlap quadrature E[(1 - <q, q'>)^{-k}].  The value is
     rational, as in case 1.
     """
-    return _rational_wishart_ratio((d, k, m, 2), (d, m, k, -1), (d - k - 1, k, m, -1))
+    return (d, k, m, 2), (d, m, k, -1), (d - k - 1, k, m, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +489,9 @@ def check_cell(
       sampled estimate at sigma < 1 carries the heavy-tail warning.
 
     A cell outside its regime's domain or methods raises
-    UnsupportedRegimeError naming d, m, k and sigma.
+    UnsupportedRegimeError naming d, m, k and sigma.  A "closed" cell whose
+    exact integers would hold more than ``WISHART_BITS_CAP`` bits
+    (``_wishart_bits``) raises CapacityError.
     """
     d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
@@ -473,6 +510,13 @@ def check_cell(
     if method not in methods or not inside:
         why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
         raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
+    if method == "closed":
+        bits = _wishart_bits(*(_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k))
+        if bits > WISHART_BITS_CAP:
+            raise CapacityError(
+                f"d={d}, m={m}, k={k}: the closed form needs {math.ceil(bits)} bits of "
+                f"exact integers, above the cap {WISHART_BITS_CAP}"
+            )
     return regime, d, m, k
 
 
@@ -483,7 +527,8 @@ def evaluate(
     """Chi-square of the reduced k-row model, after ``check_cell``; "mc" also needs ``rng``."""
     regime, d, m, k = check_cell(d, m, k, sigma, method, samples)
     if method == "closed":
-        value = (_case1_closed if regime == REGIME_CASE1 else _case2_closed)(d, m, k)
+        terms = (_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k)
+        value = _rational_wishart_ratio(*terms)
         return ChiSquareReport(regime, value, "closed_form", d, m, k, 0.0)
     if rng is None:
         raise ValueError("rng is required for the Monte Carlo evaluators")

@@ -62,7 +62,8 @@ def draw_chunked(
     likelihood ratio's Bartlett factors then Y, the detector's chi-squares),
     the chunk size fixes how they interleave, so changing it changes the
     output bits.  A ``draw`` that takes each sample as one contiguous stretch
-    (the m = d Verblunsky coefficients) gives the same bits at any chunk size.
+    (the m = d Verblunsky coefficients, the advantage kernel's (X, Q) rows)
+    gives the same bits at any chunk size.
     """
     if total < 1:
         raise ValueError(f"samples must be >= 1, got {total}")

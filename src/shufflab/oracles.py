@@ -438,16 +438,15 @@ def advantage_sq_planted_mc(
     expectation; this one has the larger variance.  Memory holds one batch's
     (batch size, K) basis matrix.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples < 3:
+        raise ValueError(f"samples must be >= 3, got {samples}")
     patterns = pattern_pairs(params.n, params.d, params.m, D)
     sizes = batch_sizes(samples)
-    sums = np.empty((2, len(sizes), len(patterns)))
+    sums = np.empty((len(sizes), 2, len(patterns)))
     for b, size in enumerate(sizes):
         X, Y, *_ = sample_planted_batch(params, size, rng)
         vals = phi_batch(patterns, X, Y)
-        sums[0, b] = vals.sum(axis=0)
-        sums[1, b] = (vals * vals).sum(axis=0)
+        sums[b] = vals.sum(axis=0), (vals * vals).sum(axis=0)
     return jackknife_estimate(D, patterns.degrees, sums, sizes, np.arange(len(patterns)))
 
 

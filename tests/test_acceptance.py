@@ -30,7 +30,7 @@ from scipy.stats import chi2 as chi2_dist
 
 from shufflab import make_rng
 from shufflab.advantage import advantage_bound_m1, estimate_advantage_sq
-from shufflab.chisq import _case2_closed, evaluate
+from shufflab.chisq import _case2_terms, _rational_wishart_ratio, evaluate
 from shufflab.cli import main
 from shufflab.detect import run_test
 from shufflab.model import ModelParams
@@ -121,7 +121,7 @@ def test_criterion_05_case_overlap():
     worst = 0.0
     for d in (30, 50, 200):
         v1 = evaluate(d, 1, 1, 0.0, "closed").value
-        v2 = _case2_closed(d, 1, 1)  # evaluate routes k = m to case 1
+        v2 = _rational_wishart_ratio(*_case2_terms(d, 1, 1))  # evaluate routes k = m to case 1
         worst = max(worst, abs(v1 - v2) / v1)
     ok = worst <= 1e-9
     _report(5, ok, f"case overlap at k=m=1: worst rel gap {worst:.2e}")

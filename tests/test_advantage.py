@@ -159,8 +159,9 @@ def test_argument_checks_run_before_patterns_are_built(monkeypatch):
 
 @pytest.mark.parametrize("D, samples, error, text", [
     (-1, 100, ValueError, "need D >= 0"),
-    (0, 1, ValueError, "samples must be >= 2"),  # at D = 0 too, which draws nothing
-    (4, 0, ValueError, "samples must be >= 2"),
+    (0, 1, ValueError, "samples must be >= 3"),  # at D = 0 too, which draws nothing
+    (4, 0, ValueError, "samples must be >= 3"),
+    (4, 2, ValueError, "samples must be >= 3"),  # two one-sample batches: no jackknife
     (6, 100, CapacityError, "1000000"),  # C(38, 6) = 2,760,681 patterns
 ])
 def test_check_cell_refuses_before_any_draw(D, samples, error, text):
@@ -172,7 +173,7 @@ def test_check_cell_refuses_before_any_draw(D, samples, error, text):
     with pytest.raises(error, match=text):
         advantage_sq_with_patterns(params, D, samples, rng)
     assert rng.bit_generator.state == before
-    check_cell(params, 2, 2)  # 561 patterns and two samples pass
+    check_cell(params, 2, 3)  # 561 patterns and three samples pass
 
 
 def test_estimate_bits_pinned():
@@ -276,22 +277,26 @@ def test_shared_draw_matches_per_batch_draws(params, D, samples):
 def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     calls = []
 
-    def counted(split, params, chunk, rng, out):
-        calls.append(sum(chunk))
-        return chunk_moment_sums(split, params, chunk, rng, out)
+    def counted(split, params, count, size, rng):
+        calls.append((count, size))
+        return chunk_moment_sums(split, params, count, size, rng)
 
     chunk_moment_sums = advantage_mod._chunk_moment_sums
     monkeypatch.setattr(advantage_mod, "_chunk_moment_sums", counted)
     params = ModelParams(2, 2, 2, 0.5)
-    # one batch per chunk, chunks of 6, 6, 6 and 2 batches, one chunk; the
-    # first three batches hold 1,001 samples and the other 17 hold 1,000
-    budgets = {1: 20, 1 << 23: 4, 1 << 40: 1}
+    # the first three batches hold 1,001 samples and the other 17 hold 1,000;
+    # each call draws (count, size): batches of one size, the larger size first
+    budgets = {
+        1: [(1, 1001)] * 3 + [(1, 1000)] * 17,
+        1 << 23: [(3, 1001), (6, 1000), (6, 1000), (5, 1000)],
+        1 << 40: [(3, 1001), (17, 1000)],
+    }
     runs = []
     for chunk_bytes, want_calls in budgets.items():
         calls.clear()
         monkeypatch.setattr(advantage_mod, "DRAW_CHUNK_BYTES", chunk_bytes)
         runs.append(advantage_sq_with_patterns(params, 4, 20_003, make_rng(22)))
-        assert sum(calls) == 20_003 and len(calls) == want_calls
+        assert calls == want_calls
     # each sample is one stretch of the stream, so the chunking moves no bit
     (est, rows), *others = runs
     for other_est, other_rows in others:
@@ -547,6 +552,16 @@ def test_bound_via_chisq_checks_every_k_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(chisq_mod, "evaluate", lambda *args: calls.append(args))
     with pytest.raises(UnsupportedRegimeError, match="k=4"):
         advantage_bound_via_chisq(12, 1, 0.0, 5)
+    assert calls == []
+
+
+def test_bound_via_chisq_checks_the_exact_work_of_every_k(monkeypatch):
+    # at d = 6000, m = 1000 the closed forms of k = 1..402 fit the bits cap and k = 403
+    # does not: the bound is refused before k = 1 is evaluated
+    calls = []
+    monkeypatch.setattr(chisq_mod, "evaluate", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match="k=403"):
+        advantage_bound_via_chisq(6000, 1000, 0.0, 403)
     assert calls == []
 
 

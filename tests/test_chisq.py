@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ from shufflab.chisq import (
     _MC_CHUNK,
     _bartlett_factor,
     _case1_lr_power,
-    _case2_closed,
+    _case1_terms,
+    _case2_terms,
     _conditional_det_power,
     _LATTICE,
     _lattice_det_power,
     _lattice_points,
     _lr_log_const,
+    _rational_wishart_ratio,
     _reduced_log_likelihood,
     REGIME_CASE1,
     REGIME_CASE2,
@@ -27,7 +30,7 @@ from shufflab.chisq import (
     evaluate,
     log_wishart_ratio,
 )
-from shufflab.common import MomentEstimate, UnsupportedRegimeError, draw_chunked
+from shufflab.common import CapacityError, MomentEstimate, UnsupportedRegimeError, draw_chunked
 from shufflab.oracles import (
     _verblunsky_log_det,
     gaussian_exp_moment,
@@ -175,6 +178,32 @@ def test_closed_form_above_the_largest_double_reads_inf(d, m, k):
     assert report.value == math.inf and report.regime == REGIME_CASE2
 
 
+@pytest.mark.parametrize("d, m, k", [
+    (50, 2, 1), (40, 1, 2), (10_000, 2, 2), (620, 20, 200), (2405, 5, 800), (3000, 300, 300),
+])
+def test_wishart_bits_bounds_the_exact_integers(d, m, k):
+    regime = check_cell(d, m, k, 0.0, "closed", 0)[0]
+    terms = (_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k)
+    p, q, _, _ = chisq._wishart_ratio(*terms)
+    bits = chisq._wishart_bits(*terms)
+    # sum of the log2 of the factors: each of p and q has at most one bit more
+    assert bits * (1 - 1e-12) <= p.bit_length() + q.bit_length() <= bits * (1 + 1e-12) + 2
+
+
+@pytest.mark.parametrize("d, m, k", [(6000, 1000, 1000), (9000, 1000, 2000)])
+def test_closed_cell_above_the_bits_cap_is_refused_before_any_product(monkeypatch, d, m, k):
+    # 9.1e6 and 2.2e7 bits: 15 s and 40 s of exact work to print inf
+    def fail(*terms):
+        raise AssertionError("an exact product was formed")
+
+    monkeypatch.setattr(chisq, "_wishart_ratio", fail)
+    start = time.perf_counter()
+    for call in (check_cell, evaluate):
+        with pytest.raises(CapacityError, match=f"above the cap {chisq.WISHART_BITS_CAP}"):
+            call(d, m, k, 0.0, "closed", 0)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_case1_asymptotic_form():
     d, m, k = 5000, 2, 1
     target = (d / (d - m)) ** (k * k)
@@ -249,9 +278,10 @@ def test_case_overlap_at_k_eq_m():
     # both closed forms are the same rational at k = m, each rounded once
     for d in (30, 50, 200):
         v1 = evaluate(d, 1, 1, 0.0, "closed").value
-        v2 = _case2_closed(d, 1, 1)  # evaluate routes k = m to case 1
+        v2 = _rational_wishart_ratio(*_case2_terms(d, 1, 1))  # evaluate routes k = m to case 1
         assert v1 == v2
-    assert evaluate(200, 3, 3, 0.0, "closed").value == _case2_closed(200, 3, 3)
+    case2 = _rational_wishart_ratio(*_case2_terms(200, 3, 3))
+    assert evaluate(200, 3, 3, 0.0, "closed").value == case2
 
 
 # ---------------------------------------------------------------------------

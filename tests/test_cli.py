@@ -273,7 +273,8 @@ def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
     ("--D", 0, "--samples", 0),
     ("--D", 4, -1, "--samples", 2000),
     ("--D", 2, "--samples", 1),
-], ids=("D0-samples0", "negative-D-after-a-cell", "samples1"))
+    ("--D", 2, "--samples", 2),  # two one-sample jackknife batches
+], ids=("D0-samples0", "negative-D-after-a-cell", "samples1", "samples2"))
 def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monkeypatch, grid):
     calls = []
 
@@ -302,8 +303,10 @@ def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monk
     # "both" checks each method: k = 2 is case 2, which has no Monte Carlo evaluator
     (("chisq", "--d", 40, "--m", 1, "--k", 1, 2, "--sigma", 0, "--mode", "both",
       "--samples", 2000), "evaluate", 4),
+    # a closed form whose exact integers would hold 9.1e6 bits, above the cap (exit 3)
+    (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0), "evaluate", 3),
 ], ids=("detect-n0", "advantage-negative-sigma", "chisq-negative-sigma", "chisq-mc-sigma0",
-        "chisq-both-case2-mc"))
+        "chisq-both-case2-mc", "chisq-closed-bits-cap"))
 def test_late_invalid_cell_refused_before_any_cell(tmp_path, monkeypatch, argv, target, code):
     # the first cell is valid and the last is not: every cell passes its library check
     # before the first one runs
