@@ -157,6 +157,15 @@ RUNS: dict[str, list[str]] = {
     "chisq-closed-cap": CLI + [
         "chisq", "--d", "6000", "--m", "1000", "--k", "1000", "--sigma", "0", "--seed", "1",
         "--output", "chisq_closed_cap.csv"],
+    # the same cell by Monte Carlo: the likelihood ratio's constant would hold 6.1e6 bits
+    # (exit 3, no file)
+    "chisq-mc-cap": CLI + [
+        "chisq", "--d", "6000", "--m", "1000", "--k", "1000", "--sigma", "0", "--mode", "mc",
+        "--seed", "1", "--output", "chisq_mc_cap.csv"],
+    # sixteen estimates in one process, each on the pages the one before it freed
+    "advantage-grid": CLI + [
+        "advantage", "--n", "1", "2", "--d", "2", "--m", "1", "2", "--sigma", "0", "0.5",
+        "--D", "3", "4", "--samples", "2000", "--seed", "5", "--output", "advantage_grid.csv"],
     # two samples make one-sample jackknife batches with no variance (exit 2, no file)
     "advantage-two-samples": CLI + [
         "advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0.5", "--D", "4",

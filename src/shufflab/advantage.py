@@ -57,11 +57,21 @@ so the D + 1 blocks hold exactly the kept patterns' sums; the empty ones,
 those of odd w, are skipped.  Q is computed on component rows, one array
 over the samples per matrix entry (``randmat.qr_sign_fixed``), and the
 Hermite table is built one degree plane at a time, samples last, and read
-through a slot-major view (``hermite.slot_table``).  Memory holds one
-chunk's draws, its table (once, never copied into another layout), U and V
-(squared in place for the second-moment sums), at most ``DRAW_CHUNK_BYTES``
-unless one batch needs more, and the kept patterns' per-batch sums: never a
-(samples, K) or (batch size, K) basis matrix.
+through a slot-major view (``hermite.slot_table``).
+
+Memory: one float64 workspace per estimate, sized for its largest chunk
+and reused by every chunk, holds each array of sample size the kernel
+makes; only Q and the Gram-Schmidt temporaries of ``randmat.qr_sign_fixed``,
+a few doubles a sample, lie outside it.  So no table, U or V is allocated
+per step, and freed pages are not faulted in again.  Each of its three
+regions holds, in turn, arrays whose lifetimes do not overlap
+(``_workspace_rows``): the draws and Y0, then U and V (squared in place for
+the second-moment sums); the table (once, never copied into another
+layout), then the orbit means; the recurrence's scratch plane, then each
+gather.  The chunks are sized so that the workspace stays within
+``DRAW_CHUNK_BYTES``, unless one batch needs more.  Memory also holds the
+kept patterns' per-batch sums: never a (samples, K) or (batch size, K)
+basis matrix.
 
 Two upper bounds complete the picture: an exact closed form for a single
 response column at zero noise (a sum over weights of composition counts
@@ -112,6 +122,23 @@ class AdvantageEstimate:
     samples: int
 
 
+def _workspace_rows(split: SideSplit, params: ModelParams) -> tuple[int, int, int]:
+    """Rows of S doubles in each of the three regions of an S-sample chunk's workspace.
+
+    A region holds, in turn, arrays whose lifetimes do not overlap, so it
+    takes the most rows of any of them (``_chunk_moment_sums``): the draws
+    and Y0, then U and V; the Hermite table, then the orbit means; the
+    recurrence's scratch plane, then each gather.
+    """
+    n, d, m = params.n, params.d, params.m
+    slots, ka, kb = n * (d + m), len(split.x_degrees), len(split.y_degrees)
+    return (
+        max(n * d + d * m + n * m, ka + kb),
+        max(len(split.blocks) * slots, len(split.orbit_sizes)),
+        max(slots, ka, kb),
+    )
+
+
 def _planted_moment_sums(
     split: SideSplit, params: ModelParams, sizes: list[int], rng: np.random.Generator
 ) -> np.ndarray:
@@ -119,58 +146,71 @@ def _planted_moment_sums(
 
     The batches of each size, the larger size first as ``batch_sizes`` orders
     them, go through ``draw_chunked``, so a chunk holds batches of one size:
-    as many as keep its draws, table, U and V within the budget.
+    as many as keep its workspace within ``DRAW_CHUNK_BYTES``, or one.  One
+    float64 workspace, sized for the largest chunk, serves every chunk of
+    the estimate.
     """
-    n, d, m = params.n, params.d, params.m
-    table_rows = n * (d + m) * (len(split.blocks) + 1)
-    side_rows = len(split.x_degrees) + len(split.y_degrees)
-    # the normals, Q and Y0 with the table (held once: slot_table is a view), then U and V
-    # with the gather temporaries
-    sample_bytes = 8 * (n * d + 2 * d * m + n * m + table_rows + 2 * side_rows)
+    sample_doubles = sum(_workspace_rows(split, params))
+    chunks = {
+        size: min(sizes.count(size), max(1, DRAW_CHUNK_BYTES // (8 * sample_doubles * size)))
+        for size in dict.fromkeys(sizes)
+    }
+    workspace = np.empty(sample_doubles * max(size * count for size, count in chunks.items()))
     return np.concatenate([
         draw_chunked(
-            lambda count: _chunk_moment_sums(split, params, count, size, rng),
+            lambda count: _chunk_moment_sums(split, params, count, size, rng, workspace),
             sizes.count(size),
-            max(1, DRAW_CHUNK_BYTES // (sample_bytes * size)),
+            chunk,
         )
-        for size in dict.fromkeys(sizes)
+        for size, chunk in chunks.items()
     ])
 
 
 def _chunk_moment_sums(
-    split: SideSplit, params: ModelParams, count: int, size: int, rng: np.random.Generator
+    split: SideSplit, params: ModelParams, count: int, size: int, rng: np.random.Generator,
+    workspace: np.ndarray,
 ) -> np.ndarray:
     """Draw ``count`` batches of ``size`` samples; their sums of the summands and squares.
 
     Returns (count, 2, kept).  The batches share one Hermite table and one
     U, V pair, squared in place for the second-moment sums.  They take one
     stacked product per block, which makes the same BLAS call per batch as a
-    lone batch would: the sums do not depend on the chunking.
+    lone batch would: the sums do not depend on the chunking.  Every array
+    of sample size lies in ``workspace``, in the regions of
+    ``_workspace_rows``.
     """
     n, d, m = params.n, params.d, params.m
     S = count * size
-    draws = rng.standard_normal((S, n * d + d * m))
+    bounds = S * np.cumsum((0, *_workspace_rows(split, params)))
+    front, middle, back = (workspace[lo:hi].reshape(-1, S) for lo, hi in zip(bounds, bounds[1:]))
+    ka, kb = len(split.x_degrees), len(split.y_degrees)
+    slots, planes = n * (d + m), len(split.blocks)
+    width = n * d + d * m  # normals per sample
+    draws = front[:width].reshape(S, width)
+    rng.standard_normal(out=draws)
     X = draws[:, : n * d].reshape(S, n, d)
-    Y0 = X @ qr_sign_fixed(draws[:, n * d :].reshape(S, d, m))
-    table = slot_table(X, Y0, len(split.blocks) - 1)
-    del draws, X, Y0  # freed before U and V are made, to keep the peak down
-    U = slot_products(split.x_degrees, table[: n * d])
-    V = slot_products(split.y_degrees, table[n * d :])
-    del table
-    # each Y-side row takes rho^|B| times the mean over its row orbit
+    Q = qr_sign_fixed(draws[:, n * d :].reshape(S, d, m))
+    Y0 = np.matmul(X, Q, out=front[width : width + n * m].reshape(S, n, m))
+    table = slot_table(X, Y0, planes - 1, middle[: planes * slots].reshape(planes, slots, S),
+                       back[:slots])
+    # U and V take the place of the draws, and each gather that of the scratch plane
+    U = slot_products(split.x_degrees, table[: n * d], front[:ka], back[:ka])
+    V = slot_products(split.y_degrees, table[n * d :], front[ka : ka + kb], back[:kb])
+    # each Y-side row takes rho^|B| times the mean over its row orbit; the orbits go
+    # longest first, so those longer than j are a prefix, and their sums take the table's place
     sizes = split.orbit_sizes
     starts = np.cumsum(sizes) - sizes
+    order = np.argsort(-sizes, kind="stable")
     rho_b = (1.0 + params.sigma**2) ** (-0.5 * split.y_degrees[starts].sum(axis=1))
-    orbit_means = V[starts]
+    means = V.take(starts[order], axis=0, out=middle[: len(sizes)], mode="clip")
     for j in range(1, sizes.max()):  # add each orbit's j-th member, a row gather per j
-        longer = np.flatnonzero(sizes > j)
-        orbit_means[longer] += V[starts[longer] + j]
-    orbit_means *= (rho_b / sizes)[:, None]
-    V = np.repeat(orbit_means, sizes, axis=0)
-    del orbit_means
+        r = np.count_nonzero(sizes > j)
+        means[:r] += V.take(starts[order[:r]] + j, axis=0, out=back[:r], mode="clip")
+    means *= (rho_b / sizes)[order, None]
+    means.take(np.repeat(np.argsort(order), sizes), axis=0, out=V, mode="clip")
     # (count, rows, size) stacks of the batches
-    u = U.reshape(len(U), count, size).transpose(1, 0, 2)
-    v = V.reshape(len(V), count, size).transpose(1, 2, 0)
+    u = U.reshape(ka, count, size).transpose(1, 0, 2)
+    v = V.reshape(kb, count, size).transpose(1, 2, 0)
     sums = np.empty((count, 2, split.kept))
     for power in range(2):
         if power:
@@ -367,9 +407,10 @@ def advantage_bound_via_chisq(
     Sums ``chisq.evaluate`` over k = 1..D, by method "closed" when sigma = 0
     and "mc" (the m = d determinant integral, all k on one ``rng``) with
     noise; the returned value then carries that estimate's Monte Carlo
-    error, and a closed form above the largest double makes it +inf.  Every k
-    passes ``chisq.check_cell`` before any is evaluated: a k outside every
-    regime raises its UnsupportedRegimeError, naming d, m, k and sigma.
+    error.  A closed form above the largest double makes the bound +inf,
+    and every chi^2_k - 1 is >= 0, so the sum stops at the first +inf term.
+    Every k passes ``chisq.check_cell`` before any is evaluated: a k outside
+    every regime raises its UnsupportedRegimeError, naming d, m, k and sigma.
     """
     if D < 0:
         raise ValueError(f"need D >= 0, got {D}")
@@ -378,5 +419,8 @@ def advantage_bound_via_chisq(
         chisq_mod.check_cell(d, m, k, sigma, method, samples)
     total = 1.0
     for k in range(1, D + 1):
-        total += chisq_mod.evaluate(d, m, k, sigma, method, samples, rng).value - 1.0
+        value = chisq_mod.evaluate(d, m, k, sigma, method, samples, rng).value
+        if value == math.inf:
+            return math.inf
+        total += value - 1.0
     return total

@@ -82,7 +82,8 @@ call.  The raw constants, which overflow double precision once d reaches the
 low hundreds, are never formed, and no large logs are summed to an O(1)
 result.  Determinants are handled in log space.  The exact work grows faster
 than the bits it forms, so ``check_cell`` bounds those bits from the net
-exponents alone and refuses a closed form above ``WISHART_BITS_CAP`` bits.
+exponents alone and refuses a cell above ``WISHART_BITS_CAP`` bits, be it a
+closed form or the likelihood ratio's constant.
 """
 
 from __future__ import annotations
@@ -254,14 +255,20 @@ def _case2_terms(d: int, m: int, k: int) -> tuple[tuple[int, int, int, int], ...
 # Monte Carlo: the case-1 likelihood ratio, and the Haar determinant integral at m = d
 
 
-def _lr_log_const(d: int, m: int, k: int) -> float:
-    """log of the likelihood ratio's normalizing constant.
+def _lr_term(d: int, m: int, k: int) -> tuple[int, int, int, int]:
+    """The likelihood ratio's normalizing constant, as one ``_wishart_ratio`` term.
 
     omega(d-m, k)/omega(d, k) for k <= m and omega(d-k, m)/omega(d, m)
     otherwise (the orthogonal-block density swaps its constant roles when
     the block is taller than wide).
     """
-    return log_wishart_ratio(d, m, k) if k <= m else log_wishart_ratio(d, k, m)
+    return (d, m, k, 1) if k <= m else (d, k, m, 1)
+
+
+def _lr_log_const(d: int, m: int, k: int) -> float:
+    """log of the likelihood ratio's normalizing constant (``_lr_term``)."""
+    s, h, t, _ = _lr_term(d, m, k)
+    return log_wishart_ratio(s, h, t)
 
 
 def _reduced_log_likelihood(
@@ -467,6 +474,19 @@ def det_integral_mc(
     return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
 
 
+def _exact_terms(
+    regime: str, method: str, d: int, m: int, k: int
+) -> tuple[tuple[int, int, int, int], ...]:
+    """The ``_wishart_ratio`` terms a cell forms in exact integers, before any draw.
+
+    A closed form's terms; for the case-1 likelihood ratio, its constant
+    (``_lr_term``); none for the determinant integral.
+    """
+    if method == "closed":
+        return (_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k)
+    return (_lr_term(d, m, k),) if regime == REGIME_CASE1 else ()
+
+
 def check_cell(
     d: int, m: int, k: int, sigma: float, method: str, samples: int
 ) -> tuple[str, int, int, int]:
@@ -489,9 +509,10 @@ def check_cell(
       sampled estimate at sigma < 1 carries the heavy-tail warning.
 
     A cell outside its regime's domain or methods raises
-    UnsupportedRegimeError naming d, m, k and sigma.  A "closed" cell whose
-    exact integers would hold more than ``WISHART_BITS_CAP`` bits
-    (``_wishart_bits``) raises CapacityError.
+    UnsupportedRegimeError naming d, m, k and sigma.  A cell whose exact
+    integers, those of a closed form or of the case-1 likelihood ratio's
+    constant (``_exact_terms``), would hold more than ``WISHART_BITS_CAP``
+    bits (``_wishart_bits``) raises CapacityError.
     """
     d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
@@ -510,13 +531,13 @@ def check_cell(
     if method not in methods or not inside:
         why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
         raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
-    if method == "closed":
-        bits = _wishart_bits(*(_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k))
-        if bits > WISHART_BITS_CAP:
-            raise CapacityError(
-                f"d={d}, m={m}, k={k}: the closed form needs {math.ceil(bits)} bits of "
-                f"exact integers, above the cap {WISHART_BITS_CAP}"
-            )
+    bits = _wishart_bits(*_exact_terms(regime, method, d, m, k))
+    if bits > WISHART_BITS_CAP:
+        what = "closed form" if method == "closed" else "likelihood ratio's constant"
+        raise CapacityError(
+            f"d={d}, m={m}, k={k}: the {what} needs {math.ceil(bits)} bits of "
+            f"exact integers, above the cap {WISHART_BITS_CAP}"
+        )
     return regime, d, m, k
 
 
@@ -527,8 +548,7 @@ def evaluate(
     """Chi-square of the reduced k-row model, after ``check_cell``; "mc" also needs ``rng``."""
     regime, d, m, k = check_cell(d, m, k, sigma, method, samples)
     if method == "closed":
-        terms = (_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k)
-        value = _rational_wishart_ratio(*terms)
+        value = _rational_wishart_ratio(*_exact_terms(regime, method, d, m, k))
         return ChiSquareReport(regime, value, "closed_form", d, m, k, 0.0)
     if rng is None:
         raise ValueError("rng is required for the Monte Carlo evaluators")

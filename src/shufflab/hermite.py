@@ -34,24 +34,30 @@ import numpy as np
 # tabulated evaluation
 
 
-def hermite_table(x: np.ndarray, max_degree: int) -> np.ndarray:
+def hermite_table(
+    x: np.ndarray, max_degree: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Values h_0(x) .. h_max_degree(x), stacked along a leading axis: (max_degree+1, *x.shape).
 
     Each degree is one contiguous plane, computed in place from the two
     below it with one scratch plane, by the recurrence's operations in its
-    order.  ``slot_table`` reads a table of (slots, samples) values through
-    a view with the degree axis second.
+    order.  The table goes into ``out`` and the scratch plane into
+    ``scratch`` where they are given, else into new arrays; ``x`` may be
+    ``out[1]`` itself.  ``slot_table`` reads a table of (slots, samples)
+    values through a view with the degree axis second.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape)
+    if out is None:
+        out = np.empty((max_degree + 1,) + x.shape)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = x
-    scaled = np.empty(x.shape)
+    if scratch is None:
+        scratch = np.empty(x.shape)
     for k in range(1, max_degree):
         h = out[k + 1, ...]  # a view, also where x is 0-d
         np.multiply(x, out[k], out=h)
-        h -= np.multiply(math.sqrt(k), out[k - 1], out=scaled)
+        h -= np.multiply(math.sqrt(k), out[k - 1], out=scratch)
         h /= math.sqrt(k + 1)
     return out
 
@@ -193,26 +199,44 @@ def side_split(n: int, d: int, m: int, max_degree: int) -> SideSplit:
     return SideSplit(x_degrees, y_degrees, blocks, position, orbit_sizes)
 
 
-def slot_table(X: np.ndarray, Y: np.ndarray, max_degree: int) -> np.ndarray:
+def slot_table(
+    X: np.ndarray, Y: np.ndarray, max_degree: int, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Hermite table (slots, max_degree+1, S) of X (S, n, d) then Y (S, n, m), slots row-major.
 
     A view of ``hermite_table`` on the (slots, S) values, with the slot and
     degree axes swapped: each (slot, degree) row of S values is contiguous.
+    The values are written into the degree-1 plane, so the table is the only
+    array of its size; ``out`` (max_degree+1, slots, S) and ``scratch``
+    (slots, S) go to ``hermite_table``.
     """
     S = X.shape[0]
-    values = np.concatenate([X.reshape(S, -1).T, Y.reshape(S, -1).T])
-    return hermite_table(values, max_degree).transpose(1, 0, 2)
+    x, y = X.reshape(S, -1).T, Y.reshape(S, -1).T
+    if out is None:
+        out = np.empty((max_degree + 1, len(x) + len(y), S))
+    values = out[min(1, max_degree)]  # at degree 0 nothing reads the values
+    values[: len(x)] = x
+    values[len(x) :] = y
+    return hermite_table(values, max_degree, out, scratch).transpose(1, 0, 2)
 
 
-def slot_products(degrees: np.ndarray, table: np.ndarray) -> np.ndarray:
+def slot_products(
+    degrees: np.ndarray, table: np.ndarray, out: np.ndarray | None = None,
+    gather: np.ndarray | None = None,
+) -> np.ndarray:
     """(R, S) products over slots c of ``table[c][degrees[:, c]]``, for degrees (R, slots).
 
     One gather and one multiply per slot serve every row.  A row's slot
     factors multiply left to right, and a zero-degree slot by h_0 = 1.0,
     which is exact: the bits are those of the nonzero-slot product, for any
-    sample slice of the table.
+    sample slice of the table.  The products go into ``out`` and each slot's
+    gathered rows into ``gather`` where they are given (both (R, S)), else
+    into new arrays.
     """
-    acc = table[0][degrees[:, 0]]
+    # mode="clip" gathers straight into out=, where "raise" would buffer a copy;
+    # every degree is a row of the table, so nothing is clipped
+    out = table[0].take(degrees[:, 0], axis=0, out=out, mode="clip")
     for c in range(1, degrees.shape[1]):
-        acc *= table[c][degrees[:, c]]
-    return acc
+        out *= table[c].take(degrees[:, c], axis=0, out=gather, mode="clip")
+    return out

@@ -1,8 +1,14 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -277,18 +283,21 @@ def test_shared_draw_matches_per_batch_draws(params, D, samples):
 def test_shared_draw_spanning_chunks_matches_per_batch_draws(monkeypatch):
     calls = []
 
-    def counted(split, params, count, size, rng):
+    def counted(split, params, count, size, rng, workspace):
         calls.append((count, size))
-        return chunk_moment_sums(split, params, count, size, rng)
+        return chunk_moment_sums(split, params, count, size, rng, workspace)
 
     chunk_moment_sums = advantage_mod._chunk_moment_sums
     monkeypatch.setattr(advantage_mod, "_chunk_moment_sums", counted)
     params = ModelParams(2, 2, 2, 0.5)
     # the first three batches hold 1,001 samples and the other 17 hold 1,000;
-    # each call draws (count, size): batches of one size, the larger size first
+    # each call draws (count, size): batches of one size, the larger size first.
+    # The workspace takes 118 doubles a sample here (26 + 26 rows of U and V,
+    # 5 x 8 of the table, 26 of the gather), so 2^23 bytes hold 8 batches.
+    assert sum(advantage_mod._workspace_rows(side_split(2, 2, 2, 4), params)) == 118
     budgets = {
         1: [(1, 1001)] * 3 + [(1, 1000)] * 17,
-        1 << 23: [(3, 1001), (6, 1000), (6, 1000), (5, 1000)],
+        1 << 23: [(3, 1001), (8, 1000), (8, 1000), (1, 1000)],
         1 << 40: [(3, 1001), (17, 1000)],
     }
     runs = []
@@ -397,6 +406,36 @@ def test_estimate_memory_stays_per_batch():
         tracemalloc.stop()
     assert peak < batch_bytes
     assert peak < samples // 20 * 495 * 8
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the minor page faults of glibc's heap",
+)
+def test_estimates_reuse_their_workspace_pages():
+    # A fresh interpreter, so that no other test shapes the heap.  glibc maps the
+    # first workspace of a process and raises its mmap threshold when it is freed,
+    # so the second estimate's workspace is the first on the heap; the later ones
+    # reuse its pages.  A kernel that frees short-lived tables of 0.4-0.6 MB
+    # between estimates faults them in again: about 210 pages an estimate here.
+    code = textwrap.dedent("""
+        import resource
+        from shufflab import make_rng
+        from shufflab.advantage import estimate_advantage_sq
+        from shufflab.model import ModelParams
+
+        params = ModelParams(2, 2, 2, 0.5)
+        for seed in range(2):
+            estimate_advantage_sq(params, 4, 2000, make_rng(seed))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(2, 52):
+            estimate_advantage_sq(params, 4, 2000, make_rng(seed))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(advantage_mod.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 50
 
 
 def test_per_pattern_breakdown_sums_to_total():
@@ -569,6 +608,24 @@ def test_bound_via_chisq_above_the_largest_double_is_inf():
     # at k = 200 the case-2 closed form is about 2**1482 (test_chisq), so the bound is +inf
     assert advantage_bound_via_chisq(620, 20, 0.0, 200) == math.inf
     assert math.isfinite(advantage_bound_via_chisq(620, 10, 0.0, 200))
+
+
+def test_bound_via_chisq_stops_at_the_first_inf_term(monkeypatch):
+    # every term chi^2_k - 1 is >= 0: at d = 6000, m = 1000 the closed form first
+    # reads inf at k = 88, and k = 89..402 (73 s of exact work) are not evaluated
+    ks = []
+    real = chisq_mod.evaluate
+
+    def counted(d, m, k, *args):
+        ks.append(k)
+        return real(d, m, k, *args)
+
+    monkeypatch.setattr(chisq_mod, "evaluate", counted)
+    start = time.perf_counter()
+    assert advantage_bound_via_chisq(6000, 1000, 0.0, 402) == math.inf
+    assert time.perf_counter() - start < 2.0
+    assert ks == list(range(1, 89))
+    assert real(6000, 1000, 87, 0.0, "closed").value < math.inf
 
 
 def test_bound_via_chisq_dominates_estimate():

@@ -204,6 +204,24 @@ def test_closed_cell_above_the_bits_cap_is_refused_before_any_product(monkeypatc
     assert time.perf_counter() - start < 0.5
 
 
+def test_case1_mc_cell_above_the_bits_cap_is_refused_before_its_constant(monkeypatch):
+    # the likelihood ratio's constant omega(d-m, k)/omega(d, k) needs 6.1e6 bits here:
+    # 13.5 s of exact work before the first draw
+    def fail(*args):
+        raise AssertionError("the likelihood ratio's constant was formed")
+
+    monkeypatch.setattr(chisq, "_lr_log_const", fail)
+    monkeypatch.setattr(chisq, "_wishart_ratio", fail)
+    start = time.perf_counter()
+    for call in (check_cell, lambda *cell: evaluate(*cell, make_rng(1))):
+        with pytest.raises(CapacityError, match="constant needs 6141360 bits of exact integers"):
+            call(6000, 1000, 1000, 0.0, "mc", 10)
+    assert time.perf_counter() - start < 0.5
+    # the benchmark's case-1 cell and the m = d integral form no exact constant here
+    assert check_cell(50, 2, 1, 0.0, "mc", 10)[0] == REGIME_CASE1
+    assert chisq._exact_terms(REGIME_M_EQ_D, "mc", 6000, 6000, 1000) == ()
+
+
 def test_case1_asymptotic_form():
     d, m, k = 5000, 2, 1
     target = (d / (d - m)) ** (k * k)

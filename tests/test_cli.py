@@ -305,8 +305,11 @@ def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monk
       "--samples", 2000), "evaluate", 4),
     # a closed form whose exact integers would hold 9.1e6 bits, above the cap (exit 3)
     (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0), "evaluate", 3),
+    # the same cell by Monte Carlo: the likelihood ratio's constant needs 6.1e6 bits
+    (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0, "--mode", "mc"),
+     "evaluate", 3),
 ], ids=("detect-n0", "advantage-negative-sigma", "chisq-negative-sigma", "chisq-mc-sigma0",
-        "chisq-both-case2-mc", "chisq-closed-bits-cap"))
+        "chisq-both-case2-mc", "chisq-closed-bits-cap", "chisq-mc-bits-cap"))
 def test_late_invalid_cell_refused_before_any_cell(tmp_path, monkeypatch, argv, target, code):
     # the first cell is valid and the last is not: every cell passes its library check
     # before the first one runs
