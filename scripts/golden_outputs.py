@@ -92,6 +92,10 @@ RUNS: dict[str, list[str]] = {
     "chisq-both": CLI + [
         "chisq", "--d", "50", "60", "--m", "2", "--k", "1", "2", "--sigma", "0",
         "--mode", "both", "--samples", "20000", "--seed", "7", "--output", "chisq_both.csv"],
+    # sigma = -0 reaches case 1: both rows print sigma 0 and no warning
+    "chisq-both-minus-zero": CLI + [
+        "chisq", "--d", "50", "--m", "2", "--k", "1", "--sigma", "-0", "--mode", "both",
+        "--samples", "2000", "--seed", "3", "--output", "chisq_both_minus_zero.csv"],
     # k = 3: below-diagonal Bartlett entries and a three-row forward substitution
     "chisq-case1-k3": CLI + [
         "chisq", "--d", "20", "--m", "3", "--k", "3", "--sigma", "0",

@@ -21,7 +21,9 @@ Library layout:
   test's error rates and f's separation, from the same draws.
 - ``oracles``: the analytic moment references (sphere, Gaussian, Haar
   submatrix and determinant), the chi-square references (the exact
-  Wishart constant ratio and the likelihood ratio's mean), basis functions
+  Wishart constant ratio, the likelihood ratio's mean, and the determinant
+  integral's conditional mean given all but the last two Verblunsky
+  coefficients), basis functions
   on full instances and the joint coefficients for one response column,
   the detection statistic on full sampled instances, the advantage on full
   planted draws, and the self-checks that compare closed forms with

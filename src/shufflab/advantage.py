@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chisq as chisq_mod
-from .common import CapacityError, draw_chunked
+from .common import DRAW_CHUNK_BYTES, CapacityError, draw_chunked
 from .hermite import SideSplit, pattern_count, pattern_pairs, side_split, slot_products, slot_table
 from .model import ModelParams
 from .randmat import qr_sign_fixed
@@ -97,7 +97,6 @@ BOUND_M1_MAX_D = 6
 BOUND_M1_MAX_DEGREE = 8
 
 _JACKKNIFE_BATCHES = 20
-DRAW_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)

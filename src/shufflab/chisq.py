@@ -1,15 +1,15 @@
 """Chi-square divergence between the reduced k-row planted and null laws.
 
-``check_cell`` holds the input checks and every regime's domain, and does no
-work; ``evaluate``, the one entry point, calls it first, then picks the
-evaluator for the regime and method and builds the report.  Its private
-kernels are two noiseless closed forms (products of ratios of Wishart
-normalizing constants) and the case-1 likelihood-ratio Monte Carlo; the Haar
-determinant integral behind the m = d Monte Carlo with noise lives here too.
+``check_cell`` is the regime table: the input checks, each regime's domain
+and, per method, the exact ``_wishart_ratio`` terms it forms before any
+draw.  ``evaluate``, the one entry point, calls it, then rounds a closed
+form's terms or runs the regime's Monte Carlo kernel: the case-1
+likelihood ratio, or the Haar determinant integral at m = d with noise.
 The analytic moments that check the samplers (sphere monomials, Gaussian
-exponential moments, orthogonal submatrix density, Haar determinant moments)
-live in ``oracles``, as do the exact product form of the Wishart constant
-ratio and the Monte Carlo mean of the case-1 likelihood ratio.
+exponential moments, orthogonal submatrix density, Haar determinant
+moments) live in ``oracles``, as do the exact product of the Wishart
+constant ratio, the case-1 likelihood ratio's Monte Carlo mean and the
+determinant integral's conditional mean given alpha_0..alpha_{d-3}.
 
 The determinant integral forms no d x d matrix: the spectral measure of e_1
 under a Haar Q on O(d) has independent real Verblunsky coefficients alpha_j
@@ -35,7 +35,7 @@ integer p, with P_p = P_{-p-1} for p < 0.  So each draw of alpha_0..alpha_{d-3}
 contributes D^k times the mean over s = +-1 of that, which is
 E[det(I + eps Q)^k | alpha_0..alpha_{d-3}]: the estimate stays unbiased and
 its variance can only fall.  At d <= 2 nothing is left to draw, and the value
-is exact.
+is exact: at d = 2 it is the closed form at D = r = 1, where Szego starts.
 
 Each draw is used twice, at +eps and at -eps (antithetic variates; Hammersley
 and Morton, Proc. Camb. Phil. Soc. 1956).  -I lies in O(d), so Haar measure
@@ -56,10 +56,7 @@ i, and so is the mean over i; the per-draw means stay i.i.d., and the draw
 takes no more of the stream.  Szego's product over alpha_0..alpha_{d-4} is
 formed once per sign of eps, then one step per point and the closed form for
 the last two on all M points at once.  At d = 3 the lattice covers the one
-sampled coefficient.  Against the pair mean with alpha_{d-3} used once, at
-d = 40 and k = 2 with eps = -1/(1 + sigma^2) (200,000 draws), the variance
-falls 1.98x at sigma = 0.5, 1.75x at 1, 1.64x at 2 and 1.62x at 4; below
-sigma = 0.5 the sample variance is too heavy-tailed to give a ratio.
+sampled coefficient.
 
 The case-1 likelihood-ratio Monte Carlo forms no k x d design either: the
 null sees X only through A = X X^T ~ Wishart_k(d, I), and by Bartlett's
@@ -94,7 +91,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (
-    CapacityError, MomentEstimate, UnsupportedRegimeError, as_integer, check_sigma, draw_chunked,
+    DRAW_CHUNK_BYTES, CapacityError, MomentEstimate, UnsupportedRegimeError, as_integer,
+    check_sigma, draw_chunked,
 )
 from .randmat import haar_verblunsky_batch
 
@@ -328,12 +326,14 @@ def _case1_lr_power(
 ) -> np.ndarray:
     """Draws of L^power under the null, L the case-1 likelihood ratio (0 off support).
 
-    Per chunk of at most ``_MC_CHUNK`` draws the stream gives the chunk's
-    Bartlett factors (its diagonal chi-squares, then its below-diagonal
-    normals; ``_bartlett_factor``), then its (b, k, m) block of Y.  The
+    Per chunk the stream gives the chunk's Bartlett factors (its diagonal
+    chi-squares, then its below-diagonal normals; ``_bartlett_factor``),
+    then its (b, k, m) block of Y.  A chunk is at most ``_MC_CHUNK`` draws,
+    fewer where L, Y, M and the Gram would pass ``DRAW_CHUNK_BYTES``.  The
     power is taken per chunk, so no full-length log array is kept.
     """
     log_const = _lr_log_const(d, m, k)
+    chunk = min(_MC_CHUNK, max(1, DRAW_CHUNK_BYTES // (16 * k * (k + m))))
 
     def draw(b: int) -> np.ndarray:
         L = _bartlett_factor(d, k, b, rng)
@@ -341,7 +341,7 @@ def _case1_lr_power(
         # exp(-inf) = 0 off support
         return np.exp(power * _reduced_log_likelihood(L, Y, d, log_const))
 
-    return draw_chunked(draw, samples, _MC_CHUNK)
+    return draw_chunked(draw, samples, chunk)
 
 
 def _legendre_q(c0: np.ndarray, rho2: np.ndarray, n: int) -> np.ndarray:
@@ -392,15 +392,6 @@ def _last_two_mean(D: np.ndarray, r: np.ndarray, z: float, k: int) -> np.ndarray
     return 0.5 * (lo + hi) * D**k
 
 
-def _conditional_det_power(head: np.ndarray, eps: float, k: int) -> np.ndarray:
-    """E[det(I + eps Q)^k | alpha_0..alpha_{d-3}] per row of head = (size, d - 2) coefficients.
-
-    Szego's product over alpha_0..alpha_{d-3}, then the last two coefficients
-    integrated out in closed form (module docstring); |eps| < 1, integer k.
-    """
-    return _last_two_mean(*_szego_product(head.T, -eps), -eps, k)
-
-
 def _lattice_points(alpha: np.ndarray) -> np.ndarray:
     """(M, size) points 2 frac(u + i/M) - 1, i = 0..M-1, u = (alpha + 1)/2, M = ``_LATTICE``.
 
@@ -434,8 +425,7 @@ def det_integral_mc(
     """Rao-Blackwellized Monte Carlo E[det(I + eps Q)^k] over Haar orthogonal Q on O(d).
 
     Needs |eps| < 1, an integer d >= 1 and an integer k (ValueError before
-    any draw otherwise).
-    Each of ``samples`` draws takes one row of d normals from the stream
+    any draw otherwise).  Each of ``samples`` draws takes one row of d normals
     (``randmat.haar_verblunsky_batch``) and contributes the mean of 2M exact
     conditional means, of det(I + eps Q)^k and of det(I - eps Q)^k given
     alpha_0..alpha_{d-4} and alpha_{d-3} = a_i, over the M = ``_LATTICE``
@@ -447,9 +437,10 @@ def det_integral_mc(
     k = 2 with eps = -1/(1 + sigma^2), the antithetic pair divides the
     one-sided variance by 1.24 at sigma = 0.3, 1.81 at 0.5, 3.16 at 1, 15.1
     at 2 and 166 at 4, and the lattice divides the pair's by 1.98 at 0.5,
-    1.75 at 1, 1.64 at 2 and 1.62 at 4.
+    1.75 at 1, 1.64 at 2 and 1.62 at 4 (200,000 draws).  A chunk is at most
+    ``_MC_CHUNK`` draws, fewer above d = 64 (``DRAW_CHUNK_BYTES``).
     At eps = 0, k = 0 or d <= 2 the value is exact: stderr 0, samples 0,
-    and nothing is drawn.
+    and nothing is drawn (at d = 2, ``_last_two_mean`` at D = r = 1).
     """
     if not abs(eps) < 1:
         raise ValueError(f"need |eps| < 1, got {eps}")
@@ -458,12 +449,12 @@ def det_integral_mc(
         raise ValueError(f"need d >= 1, got {d}")
     if eps == 0.0 or k == 0:
         return MomentEstimate(value=1.0, stderr=0.0, samples=0)
-    if d <= 2:  # nothing left to draw
-        if d == 1:  # Q = alpha_0 = +-1
-            value = ((1 + eps) ** k + (1 - eps) ** k) / 2
-        else:
-            value = float(_conditional_det_power(np.empty((1, 0)), eps, k)[0])
+    if d == 1:  # nothing left to draw: Q = alpha_0 = +-1
+        return MomentEstimate(value=((1 + eps) ** k + (1 - eps) ** k) / 2, stderr=0.0, samples=0)
+    if d == 2:  # nothing left to draw: the last two's closed form at Szego's start D = r = 1
+        value = float(_last_two_mean(np.ones(1), np.ones(1), -eps, k)[0])
         return MomentEstimate(value=value, stderr=0.0, samples=0)
+    chunk = min(_MC_CHUNK, max(1, DRAW_CHUNK_BYTES // (8 * d)))
 
     def draw(b: int) -> np.ndarray:
         alpha = haar_verblunsky_batch(d, b, rng)
@@ -471,48 +462,34 @@ def det_integral_mc(
         plus, minus = (_lattice_det_power(head, lattice, e, k).sum(axis=0) for e in (eps, -eps))
         return (plus + minus) / (2 * _LATTICE)
 
-    return MomentEstimate.from_values(draw_chunked(draw, samples, _MC_CHUNK))
-
-
-def _exact_terms(
-    regime: str, method: str, d: int, m: int, k: int
-) -> tuple[tuple[int, int, int, int], ...]:
-    """The ``_wishart_ratio`` terms a cell forms in exact integers, before any draw.
-
-    A closed form's terms; for the case-1 likelihood ratio, its constant
-    (``_lr_term``); none for the determinant integral.
-    """
-    if method == "closed":
-        return (_case1_terms if regime == REGIME_CASE1 else _case2_terms)(d, m, k)
-    return (_lr_term(d, m, k),) if regime == REGIME_CASE1 else ()
+    return MomentEstimate.from_values(draw_chunked(draw, samples, chunk))
 
 
 def check_cell(
     d: int, m: int, k: int, sigma: float, method: str, samples: int
-) -> tuple[str, int, int, int]:
-    """The regime of one cell for ``method``, with d, m and k as ints, before any work.
+) -> tuple[str, int, int, int, tuple[tuple[int, int, int, int], ...]]:
+    """(regime, d, m, k, terms) of one cell for ``method``, d, m and k as ints; forms no term.
 
     ValueError unless d, m and k are integers (2.0 is taken as 2), k >= 1,
     1 <= m <= d, ``common.check_sigma`` passes and method is "closed" or
-    "mc", with samples >= 1 for "mc".  The regime table writes each domain once:
+    "mc", with samples >= 1 for "mc".  The regime table writes each domain
+    once, and maps each method to the ``_wishart_ratio`` terms that method
+    forms in exact integers before any draw:
 
     - case 1, sigma = 0 and k <= m: "closed" is the closed form, "mc" the
-      mean of L^2 over ``samples`` null draws, L the likelihood ratio.  Its
-      domain is where the second moment is known to be finite (at k = 1 it
-      diverges for d < m + 2).
-    - case 2, sigma = 0 and k > m: "closed" only.
-    - m = d with sigma > 0: "mc" only, E det(I - Q/(1+sigma^2))^{-k} over
-      Haar Q on O(d) by ``det_integral_mc``, the Rao-Blackwellized mean over
-      Verblunsky draws of antithetic pairs, each averaged over a shifted
-      4-point lattice in alpha_{d-3} (the integrand is unbounded at
-      sigma = 0).  The value is exact at d <= 2 (stderr 0, samples 0), and a
-      sampled estimate at sigma < 1 carries the heavy-tail warning.
+      mean of L^2 over ``samples`` null draws, L the likelihood ratio, with
+      its constant (``_lr_term``) as the one term.  The domain is where the
+      second moment is known to be finite (at k = 1 it diverges for d < m + 2).
+    - case 2, sigma = 0 and k > m: "closed" only (``_case2_terms``).
+    - m = d with sigma > 0: "mc" only, no term: E det(I - Q/(1+sigma^2))^{-k}
+      over Haar Q on O(d) by ``det_integral_mc`` (the integrand is unbounded
+      at sigma = 0).  The value is exact at d <= 2 (stderr 0, samples 0), and
+      a sampled estimate at sigma < 1 carries the heavy-tail warning.
 
     A cell outside its regime's domain or methods raises
-    UnsupportedRegimeError naming d, m, k and sigma.  A cell whose exact
-    integers, those of a closed form or of the case-1 likelihood ratio's
-    constant (``_exact_terms``), would hold more than ``WISHART_BITS_CAP``
-    bits (``_wishart_bits``) raises CapacityError.
+    UnsupportedRegimeError naming d, m, k and sigma, and one whose terms
+    would hold more than ``WISHART_BITS_CAP`` bits (``_wishart_bits``)
+    raises CapacityError.
     """
     d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
@@ -523,44 +500,46 @@ def check_cell(
     if method == "mc" and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if sigma == 0 and k <= m:
-        regime, methods, inside = REGIME_CASE1, ("closed", "mc"), d - m - 2 * k >= k
+        regime, inside = REGIME_CASE1, d - m - 2 * k >= k
+        terms = {"closed": _case1_terms(d, m, k), "mc": (_lr_term(d, m, k),)}
     elif sigma == 0:
-        regime, methods, inside = REGIME_CASE2, ("closed",), d - 3 * k >= m
+        regime, inside, terms = REGIME_CASE2, d - 3 * k >= m, {"closed": _case2_terms(d, m, k)}
     else:
-        regime, methods, inside = REGIME_M_EQ_D, ("mc",), m == d
-    if method not in methods or not inside:
+        regime, inside, terms = REGIME_M_EQ_D, m == d, {"mc": ()}
+    if method not in terms or not inside:
         why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
         raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
-    bits = _wishart_bits(*_exact_terms(regime, method, d, m, k))
+    bits = _wishart_bits(*terms[method])
     if bits > WISHART_BITS_CAP:
         what = "closed form" if method == "closed" else "likelihood ratio's constant"
         raise CapacityError(
             f"d={d}, m={m}, k={k}: the {what} needs {math.ceil(bits)} bits of "
             f"exact integers, above the cap {WISHART_BITS_CAP}"
         )
-    return regime, d, m, k
+    return regime, d, m, k, terms[method]
 
 
 def evaluate(
     d: int, m: int, k: int, sigma: float, method: str, samples: int = 100_000,
     rng: np.random.Generator | None = None,
 ) -> ChiSquareReport:
-    """Chi-square of the reduced k-row model, after ``check_cell``; "mc" also needs ``rng``."""
-    regime, d, m, k = check_cell(d, m, k, sigma, method, samples)
+    """Chi-square of the reduced k-row model, after ``check_cell``; "mc" also needs ``rng``.
+
+    "closed" rounds the terms ``check_cell`` returns; "mc" runs the regime's kernel.
+    """
+    regime, d, m, k, terms = check_cell(d, m, k, sigma, method, samples)
     if method == "closed":
-        value = _rational_wishart_ratio(*_exact_terms(regime, method, d, m, k))
-        return ChiSquareReport(regime, value, "closed_form", d, m, k, 0.0)
+        return ChiSquareReport(regime, _rational_wishart_ratio(*terms), "closed_form", d, m, k, 0.0)
     if rng is None:
         raise ValueError("rng is required for the Monte Carlo evaluators")
+    warning = ""
     if regime == REGIME_CASE1:
         est = MomentEstimate.from_values(_case1_lr_power(d, m, k, samples, rng, 2.0))
-        return ChiSquareReport(
-            regime, est.value, "monte_carlo", d, m, k, 0.0, est.stderr, est.samples
-        )
-    est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
-    warning = ""
-    if sigma < HEAVY_TAIL_SIGMA and est.samples:
-        warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
+        sigma = 0.0  # 0 or -0 here, and both print as 0
+    else:
+        est = det_integral_mc(d, -1.0 / (1.0 + sigma**2), -k, samples, rng)
+        if sigma < HEAVY_TAIL_SIGMA and est.samples:
+            warning = "heavy-tail: sigma < 1 makes the determinant integrand heavy-tailed"
     return ChiSquareReport(
         regime, est.value, "monte_carlo", d, m, k, sigma, est.stderr, est.samples, warning
     )

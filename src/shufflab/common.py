@@ -9,6 +9,8 @@ from typing import Callable
 
 import numpy as np
 
+DRAW_CHUNK_BYTES = 1 << 21  # bytes of the arrays one chunk of Monte Carlo draws may hold at once
+
 
 def as_integer(name: str, value: object) -> int:
     """``value`` as an int if it is integral (2.0 gives 2), else a ValueError naming ``name``."""

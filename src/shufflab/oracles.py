@@ -3,10 +3,11 @@
 The analytic moment references live here: sphere monomial moments, as
 exact rationals and rounded once to floating point, Gaussian exponential and
 quadratic-form moments, Haar determinant moments with the per-draw
-determinant from Verblunsky coefficients, and the density of a block of a
-Haar orthogonal matrix.  So do two chi-square references: the Wishart
-constant ratio as an exact product, and the Monte Carlo mean of the case-1
-likelihood ratio, which must be 1.  So do the Hermite references: the
+determinant from Verblunsky coefficients and its conditional mean given all
+but the last two, and the density of a block of a Haar orthogonal matrix.
+So do two chi-square references: the Wishart constant ratio as an exact
+product, and the Monte Carlo mean of the case-1 likelihood ratio, which
+must be 1.  So do the Hermite references: the
 basis functions evaluated on full instances (``phi_batch``), the
 inner-product expansion and the joint coefficients for one response
 column, in closed form and by Monte Carlo.  The detector statistic f on
@@ -215,8 +216,8 @@ def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
     """log det(I + eps Q) per row of (size, d) Verblunsky coefficients, |eps| < 1.
 
     Szego's recursion over all d coefficients, one draw of Q per row: the
-    per-draw reference for ``chisq._conditional_det_power``, which integrates
-    the last two coefficients out (``chisq`` module docstring).
+    per-draw reference for ``_conditional_det_power``, which integrates the
+    last two coefficients out (``chisq`` module docstring).
     """
     z, r, logdet = -eps, 1.0, 0.0
     for a in alpha.T:
@@ -224,6 +225,17 @@ def _verblunsky_log_det(alpha: np.ndarray, eps: float) -> np.ndarray:
         logdet = logdet + np.log1p(-t)
         r = (z * r - a) / (1.0 - t)
     return logdet
+
+
+def _conditional_det_power(head: np.ndarray, eps: float, k: int) -> np.ndarray:
+    """E[det(I + eps Q)^k | alpha_0..alpha_{d-3}] per row of head = (size, d - 2) coefficients.
+
+    Szego's product over alpha_0..alpha_{d-3}, then the last two coefficients
+    integrated out in closed form (``chisq`` module docstring); |eps| < 1,
+    integer k.  The reference for ``chisq._lattice_det_power``, which puts
+    each lattice point in place of alpha_{d-3}.
+    """
+    return chisq_mod._last_two_mean(*chisq_mod._szego_product(head.T, -eps), -eps, k)
 
 
 # ---------------------------------------------------------------------------

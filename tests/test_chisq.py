@@ -15,7 +15,6 @@ from shufflab.chisq import (
     _case1_lr_power,
     _case1_terms,
     _case2_terms,
-    _conditional_det_power,
     _LATTICE,
     _lattice_det_power,
     _lattice_points,
@@ -32,6 +31,7 @@ from shufflab.chisq import (
 )
 from shufflab.common import CapacityError, MomentEstimate, UnsupportedRegimeError, draw_chunked
 from shufflab.oracles import (
+    _conditional_det_power,
     _verblunsky_log_det,
     gaussian_exp_moment,
     gaussian_quadform_moment,
@@ -219,7 +219,50 @@ def test_case1_mc_cell_above_the_bits_cap_is_refused_before_its_constant(monkeyp
     assert time.perf_counter() - start < 0.5
     # the benchmark's case-1 cell and the m = d integral form no exact constant here
     assert check_cell(50, 2, 1, 0.0, "mc", 10)[0] == REGIME_CASE1
-    assert chisq._exact_terms(REGIME_M_EQ_D, "mc", 6000, 6000, 1000) == ()
+    assert check_cell(6000, 6000, 1000, 1.0, "mc", 10)[4] == ()
+
+
+class _Drawn(Exception):
+    """Raised by a spy in place of a draw, before anything of sample size is allocated."""
+
+
+@pytest.mark.parametrize("d, m, k, sigma, name, want", [
+    # (1200, 300, 300) passes check_cell; 4,096 Bartlett factors of it would take 2.7 GiB
+    (1200, 300, 300, 0.0, "_bartlett_factor", 1),
+    (50, 2, 1, 0.0, "_bartlett_factor", _MC_CHUNK),  # the benchmark's case-1 cell
+    # no cap on d at m = d: 4,096 rows of 100,000 normals would take 3.3 GB
+    (100_000, 100_000, 1, 1.0, "haar_verblunsky_batch", 2),
+    (40, 40, 2, 1.0, "haar_verblunsky_batch", _MC_CHUNK),  # the benchmark's m = d cells
+])
+def test_mc_chunk_stays_within_the_draw_budget(monkeypatch, d, m, k, sigma, name, want):
+    sizes = []
+
+    def spy(*args):
+        sizes.append(args[-2])  # the size argument of either sampler
+        raise _Drawn
+
+    monkeypatch.setattr(chisq, name, spy)
+    with pytest.raises(_Drawn):
+        evaluate(d, m, k, sigma, "mc", 4096, make_rng(1))
+    assert sizes == [want]
+
+
+@pytest.mark.parametrize("d, m, k, sigma, method", [
+    (50, 2, 1, 0.0, "closed"), (50, 2, 1, 0.0, "mc"), (40, 1, 2, 0.0, "closed"),
+    (16, 16, 2, 1.0, "mc"),
+])
+def test_evaluate_forms_exactly_the_terms_check_cell_returns(monkeypatch, d, m, k, sigma, method):
+    terms = check_cell(d, m, k, sigma, method, 100)[4]
+    calls = {"_wishart_bits": [], "_wishart_ratio": []}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(chisq, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chisq, name, spy)
+    evaluate(d, m, k, sigma, method, 100, make_rng(1))
+    assert calls["_wishart_bits"] == [terms]  # the cap bounds them once, in check_cell
+    assert calls["_wishart_ratio"] == ([terms] if terms else [])  # m = d forms no exact integers
 
 
 def test_case1_asymptotic_form():
@@ -685,10 +728,13 @@ def test_evaluate_rejects_bad_sigma_before_any_draw(sigma):
 
 
 def test_check_cell_gives_the_regime_and_does_no_work():
-    assert check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0) == (REGIME_CASE1, 50, 2, 1)
-    assert all(type(v) is int for v in check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0)[1:])
-    assert check_cell(40, 1, 2, 0.0, "closed", 0) == (REGIME_CASE2, 40, 1, 2)
-    assert check_cell(16, 16, 3, 1.0, "mc", 1) == (REGIME_M_EQ_D, 16, 16, 3)
+    case1 = ((50, 2, 1, 1), (48, 2, 1, -1))
+    assert check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0) == (REGIME_CASE1, 50, 2, 1, case1)
+    assert all(type(v) is int for v in check_cell(50.0, 2.0, np.int64(1), 0.0, "closed", 0)[1:4])
+    assert check_cell(50, 2, 1, 0.0, "mc", 1) == (REGIME_CASE1, 50, 2, 1, ((50, 2, 1, 1),))
+    case2 = ((40, 2, 1, 2), (40, 1, 2, -1), (37, 2, 1, -1))
+    assert check_cell(40, 1, 2, 0.0, "closed", 0) == (REGIME_CASE2, 40, 1, 2, case2)
+    assert check_cell(16, 16, 3, 1.0, "mc", 1) == (REGIME_M_EQ_D, 16, 16, 3, ())
     # a sample count matters to "mc" only, and is checked before the regime table
     with pytest.raises(ValueError, match="samples must be >= 1"):
         check_cell(16, 8, 1, 1.0, "mc", 0)
