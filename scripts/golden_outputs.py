@@ -4,13 +4,12 @@
     PYTHONPATH=<checkout>/src python scripts/golden_outputs.py OUT_DIR
 
 OUT_DIR must be new or empty.  Runs each entry of ``RUNS`` through
-``python -m shufflab.cli`` (and ``advantage_vs_degree.py``) in a fresh
-interpreter, with OUT_DIR as the working directory and
-``SHUFFLAB_OUTPUT_DIR`` pointing at it, then writes OUT_DIR/SHA256SUMS: one
-line per output file or captured stdout with its sha256, and one line per
-run with its exit code, sorted.  The package comes from PYTHONPATH, while
-the sweep configs and the script come from this file's directory, so two
-trees get the same inputs.  To compare a change with its parent, run this
+``python -m shufflab.cli`` in a fresh interpreter, with OUT_DIR as the
+working directory and ``SHUFFLAB_OUTPUT_DIR`` pointing at it, then writes
+OUT_DIR/SHA256SUMS: one line per output file or captured stdout with its
+sha256, and one line per run with its exit code, sorted.  The package comes
+from PYTHONPATH, while the sweep configs come from this file's directory,
+so two trees get the same inputs.  To compare a change with its parent, run this
 once with PYTHONPATH on each tree and ``diff`` the two SHA256SUMS files.
 Takes about two minutes on a 2-vCPU host.
 """
@@ -166,6 +165,11 @@ RUNS: dict[str, list[str]] = {
     "chisq-mc-cap": CLI + [
         "chisq", "--d", "6000", "--m", "1000", "--k", "1000", "--sigma", "0", "--mode", "mc",
         "--seed", "1", "--output", "chisq_mc_cap.csv"],
+    # the determinant integral at d = 100,000 would run 2.0e8 Szego steps, about 45 minutes
+    # (exit 3, no file)
+    "chisq-refuse-mc-steps": CLI + [
+        "chisq", "--d", "100000", "--m", "100000", "--k", "1", "--sigma", "1", "--mode", "mc",
+        "--samples", "4096", "--seed", "1", "--output", "chisq_refuse_mc_steps.csv"],
     # sixteen estimates in one process, each on the pages the one before it freed
     "advantage-grid": CLI + [
         "advantage", "--n", "1", "2", "--d", "2", "--m", "1", "2", "--sigma", "0", "0.5",
@@ -179,9 +183,6 @@ RUNS: dict[str, list[str]] = {
         for cfg in sorted(HERE.glob("*.cfg"))
     },
     "oracle-all": CLI + ["oracle", "--check", "all", "--seed", "0"],
-    "advantage-vs-degree": [
-        sys.executable, str(HERE / "advantage_vs_degree.py"), "--d", "2", "3",
-        "--max-degree", "6", "--samples", "2000", "--seed", "1"],
 }
 
 

@@ -106,6 +106,9 @@ REGIME_M_EQ_D = "m_eq_d"
 # bits of p times q in an exact closed form (``_wishart_bits``): on a 2-vCPU Xeon host with
 # CPython 3.11, cells just under it took 0.7-1.0 s, and a 9.1e6-bit cell 15 s
 WISHART_BITS_CAP = 2_000_000
+# steps of ``_szego_product``'s Python loop in an m = d Monte Carlo cell (``check_cell``): on the
+# same host, cells just under it took 0.6-0.9 s at d = 2,000 to 20,000
+SZEGO_STEPS_CAP = 100_000
 
 _MC_CHUNK = 4096
 _LATTICE = 4  # points of the shifted lattice in alpha_{d-3} per Verblunsky draw
@@ -438,7 +441,8 @@ def det_integral_mc(
     one-sided variance by 1.24 at sigma = 0.3, 1.81 at 0.5, 3.16 at 1, 15.1
     at 2 and 166 at 4, and the lattice divides the pair's by 1.98 at 0.5,
     1.75 at 1, 1.64 at 2 and 1.62 at 4 (200,000 draws).  A chunk is at most
-    ``_MC_CHUNK`` draws, fewer above d = 64 (``DRAW_CHUNK_BYTES``).
+    ``_MC_CHUNK`` draws, fewer above d = 64 (``_det_chunk``), and each chunk
+    loops over d - 3 coefficients in Python (``SZEGO_STEPS_CAP``).
     At eps = 0, k = 0 or d <= 2 the value is exact: stderr 0, samples 0,
     and nothing is drawn (at d = 2, ``_last_two_mean`` at D = r = 1).
     """
@@ -454,7 +458,6 @@ def det_integral_mc(
     if d == 2:  # nothing left to draw: the last two's closed form at Szego's start D = r = 1
         value = float(_last_two_mean(np.ones(1), np.ones(1), -eps, k)[0])
         return MomentEstimate(value=value, stderr=0.0, samples=0)
-    chunk = min(_MC_CHUNK, max(1, DRAW_CHUNK_BYTES // (8 * d)))
 
     def draw(b: int) -> np.ndarray:
         alpha = haar_verblunsky_batch(d, b, rng)
@@ -462,7 +465,15 @@ def det_integral_mc(
         plus, minus = (_lattice_det_power(head, lattice, e, k).sum(axis=0) for e in (eps, -eps))
         return (plus + minus) / (2 * _LATTICE)
 
-    return MomentEstimate.from_values(draw_chunked(draw, samples, chunk))
+    return MomentEstimate.from_values(draw_chunked(draw, samples, _det_chunk(d)))
+
+
+def _det_chunk(d: int) -> int:
+    """Draws per ``det_integral_mc`` chunk: ``_MC_CHUNK``, fewer above d = 64.
+
+    A chunk's d normals per draw stay within ``DRAW_CHUNK_BYTES``.
+    """
+    return min(_MC_CHUNK, max(1, DRAW_CHUNK_BYTES // (8 * d)))
 
 
 def check_cell(
@@ -487,9 +498,10 @@ def check_cell(
       a sampled estimate at sigma < 1 carries the heavy-tail warning.
 
     A cell outside its regime's domain or methods raises
-    UnsupportedRegimeError naming d, m, k and sigma, and one whose terms
-    would hold more than ``WISHART_BITS_CAP`` bits (``_wishart_bits``)
-    raises CapacityError.
+    UnsupportedRegimeError naming d, m, k and sigma.  One whose terms would
+    hold more than ``WISHART_BITS_CAP`` bits (``_wishart_bits``), or whose
+    determinant integral would run more than ``SZEGO_STEPS_CAP`` Szego steps,
+    d - 3 per chunk, raises CapacityError.
     """
     d, m, k = as_integer("d", d), as_integer("m", m), as_integer("k", k)
     if not (k >= 1 and 1 <= m <= d):
@@ -509,6 +521,12 @@ def check_cell(
     if method not in terms or not inside:
         why = f"{regime} has no {method} evaluator" if inside else f"outside the {regime} domain"
         raise UnsupportedRegimeError(f"d={d}, m={m}, k={k}, sigma={sigma}: {why}")
+    steps = max(d - 3, 0) * -(-samples // _det_chunk(d)) if regime == REGIME_M_EQ_D else 0
+    if steps > SZEGO_STEPS_CAP:
+        raise CapacityError(
+            f"d={d}, m={m}, k={k}: the determinant integral of {samples} samples needs "
+            f"{steps} Szego steps, above the cap {SZEGO_STEPS_CAP}"
+        )
     bits = _wishart_bits(*terms[method])
     if bits > WISHART_BITS_CAP:
         what = "closed form" if method == "closed" else "likelihood ratio's constant"

@@ -38,6 +38,16 @@ returns a fresh namespace with new grid lists, and help reads the terminal
 width when it is printed).  Only repeated in-process calls gain from this,
 such as a test suite or the benchmark passes; a run from the shell builds
 one parser either way.
+
+Start-up loads only what the parser and ``main`` need: ``common`` (the
+error classes and the float format), and ``model`` and ``rng``, which the
+package loads anyway.  Each command imports its own library when it runs:
+``sample`` adds ``matrixio``, ``detect`` adds ``detect``, ``chisq`` adds
+``chisq``, ``advantage`` adds ``advantage`` with ``hermite`` and ``chisq``,
+and ``oracle`` adds ``oracles`` and SciPy.  Without a bytecode cache that
+saves compiling the libraries a run does not use, and each name is looked
+up on its library module when the command runs, so a wrapper set there
+sees the command's calls.
 """
 
 from __future__ import annotations
@@ -49,16 +59,15 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import __version__
-from .advantage import advantage_sq_with_patterns, check_cell as check_advantage_cell
-from .chisq import ChiSquareReport, check_cell as check_chisq_cell, evaluate
-from .common import CapacityError, UnsupportedRegimeError
-from .detect import run_test
-from .matrixio import format_float, write_matrix, write_sidecar
+from .common import CapacityError, UnsupportedRegimeError, format_float
 from .model import ModelParams, sample_null, sample_planted
 from .rng import MIXER_NAME, make_rng
+
+if TYPE_CHECKING:
+    from .chisq import ChiSquareReport
 
 OUTPUT_DIR_ENV = "SHUFFLAB_OUTPUT_DIR"
 # the keys of oracles.ORACLE_CHECKS, listed here so that start-up does not
@@ -121,6 +130,8 @@ def _cells(grids: dict[str, list]) -> list[dict[str, object]]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .matrixio import write_matrix, write_sidecar
+
     params = ModelParams(n=args.n, d=args.d, m=args.m, sigma=args.sigma)
     rng = make_rng(args.master_seed, 0)
     prefix = _resolve_output(args.prefix)
@@ -156,6 +167,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from .detect import run_test
+
     cells = [ModelParams(**combo) for combo in _cells(args.grids)]
     rows = [DETECT_COLUMNS]
     for cell, params in enumerate(cells):
@@ -172,11 +185,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_advantage(args: argparse.Namespace) -> int:
+    from .advantage import advantage_sq_with_patterns, check_cell
+
     cells = []
     for combo in _cells(args.grids):
         D = combo.pop("D")
         params = ModelParams(**combo)
-        check_advantage_cell(params, D, args.samples)
+        check_cell(params, D, args.samples)
         cells.append((params, D))
     rows = [ADVANTAGE_COLUMNS]
     pattern_rows = [PATTERN_COLUMNS]
@@ -209,11 +224,13 @@ def _report_row(report: ChiSquareReport, delta: float | None) -> str:
 
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
+    from .chisq import check_cell, evaluate
+
     methods = ("closed", "mc") if args.mode == "both" else (args.mode,)
     cells = _cells(args.grids)
     for combo in cells:
         for method in methods:
-            check_chisq_cell(**combo, method=method, samples=args.samples)
+            check_cell(**combo, method=method, samples=args.samples)
     rows = [CHISQ_COLUMNS]
     for cell, combo in enumerate(cells):
         rng = make_rng(args.master_seed, cell * STREAM_STRIDE)

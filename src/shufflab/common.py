@@ -1,4 +1,10 @@
-"""Shared value types, error classes, the integer and sigma rules, the chunked Monte Carlo loop."""
+"""Shared value types, error classes, the integer and sigma rules, the chunked Monte Carlo loop.
+
+It also holds the one float format, ``FLOAT_FMT`` through ``format_float``:
+17 significant digits, lossless for float64.  CSV fields, sidecar values
+and matrix tokens (``matrixio``) all print floats by it, and it lives here
+so that the CLI can print a row without loading ``matrixio``.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,11 @@ from typing import Callable
 import numpy as np
 
 DRAW_CHUNK_BYTES = 1 << 21  # bytes of the arrays one chunk of Monte Carlo draws may hold at once
+FLOAT_FMT = "%.17g"
+
+
+def format_float(x: float) -> str:
+    return FLOAT_FMT % float(x)
 
 
 def as_integer(name: str, value: object) -> int:

@@ -3,7 +3,8 @@
 Matrix format: first line ``<rows> <cols>``, then one line per row of
 space-separated decimals printed with 17 significant digits (lossless for
 float64).  Sidecar format: ``key=value`` lines, one per key, in insertion
-order.
+order.  Both print floats by ``common.format_float``, the one rule that the
+CLI's CSV fields use too.
 
 ``write_matrix`` writes, byte for byte, ``format_float`` of every element,
 but in NumPy, ``BLOCK`` elements at a time, each block written as it is
@@ -35,7 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-FLOAT_FMT = "%.17g"
+from .common import format_float
+
 BLOCK = 4096
 FAST_RANGE = (1e-6, 1e16)
 _E_MIN, _E_MAX = -6, 15
@@ -54,12 +56,8 @@ _PAD = 3
 _ROW_BYTES = _PAD + _TOKEN_WIDTH
 
 
-def format_float(x: float) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def _token_layout(negative: bool, e: int, last: int) -> list[int]:
-    """Codes of ``FLOAT_FMT % x`` + separator, x with exponent e and digits 0..last."""
+    """Codes of ``format_float(x)`` + separator, x with exponent e and digits 0..last."""
     lit = {chr(c): 17 + i for i, c in enumerate(_LITERALS)}
     digits = list(range(last + 1))
     out = [lit["-"]] if negative else []
@@ -124,7 +122,7 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_block(x: np.ndarray, first_newline: int, cols: int, work: tuple) -> np.ndarray:
-    """``FLOAT_FMT % v`` + separator for each v in x, concatenated, as uint8.
+    """``format_float(v)`` + separator for each v in x, concatenated, as uint8.
 
     The separator is a newline at x[first_newline::cols] and a space
     elsewhere.  ``work`` holds the byte rows, gather indices, gathered
@@ -208,15 +206,3 @@ def write_sidecar(path: str | os.PathLike, meta: Mapping[str, object]) -> None:
             if isinstance(value, float):
                 value = format_float(value)
             fh.write(f"{key}={value}\n")
-
-
-def read_sidecar(path: str | os.PathLike) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out

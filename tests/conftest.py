@@ -22,3 +22,16 @@ def two_sample_z(m1: float, se1: float, m2: float, se2: float) -> float:
 def even_column_sums(rows: np.ndarray) -> np.ndarray:
     """For a stack of (n, c) multi-indices, whether every column sum is even."""
     return (rows.sum(axis=1) % 2 == 0).all(axis=1)
+
+
+def read_sidecar(path) -> dict[str, str]:
+    """The ``key=value`` lines of a ``matrixio.write_sidecar`` file, values as text."""
+    out: dict[str, str] = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            out[key] = value
+    return out

@@ -222,6 +222,19 @@ def test_case1_mc_cell_above_the_bits_cap_is_refused_before_its_constant(monkeyp
     assert check_cell(6000, 6000, 1000, 1.0, "mc", 10)[4] == ()
 
 
+def test_m_eq_d_cell_above_the_steps_cap_is_refused_before_any_draw(monkeypatch):
+    # 2.0e8 Szego steps in 2-draw chunks: about 45 minutes of Python loop at d = 100,000
+    def fail(*args):
+        raise AssertionError("a Verblunsky batch was drawn")
+
+    monkeypatch.setattr(chisq, "haar_verblunsky_batch", fail)
+    start = time.perf_counter()
+    for call in (check_cell, lambda *cell: evaluate(*cell, make_rng(1))):
+        with pytest.raises(CapacityError, match=f"above the cap {chisq.SZEGO_STEPS_CAP}"):
+            call(100_000, 100_000, 1, 1.0, "mc", 4096)
+    assert time.perf_counter() - start < 0.5
+
+
 class _Drawn(Exception):
     """Raised by a spy in place of a draw, before anything of sample size is allocated."""
 
@@ -230,8 +243,8 @@ class _Drawn(Exception):
     # (1200, 300, 300) passes check_cell; 4,096 Bartlett factors of it would take 2.7 GiB
     (1200, 300, 300, 0.0, "_bartlett_factor", 1),
     (50, 2, 1, 0.0, "_bartlett_factor", _MC_CHUNK),  # the benchmark's case-1 cell
-    # no cap on d at m = d: 4,096 rows of 100,000 normals would take 3.3 GB
-    (100_000, 100_000, 1, 1.0, "haar_verblunsky_batch", 2),
+    # 4,096 rows of 2,000 normals would take 66 MB; 63,904 Szego steps pass the cap
+    (2000, 2000, 1, 1.0, "haar_verblunsky_batch", 131),
     (40, 40, 2, 1.0, "haar_verblunsky_batch", _MC_CHUNK),  # the benchmark's m = d cells
 ])
 def test_mc_chunk_stays_within_the_draw_budget(monkeypatch, d, m, k, sigma, name, want):

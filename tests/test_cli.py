@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_sidecar
 
 import shufflab
 from shufflab import make_rng
@@ -20,8 +22,9 @@ from shufflab.cli import (
     parse_config,
     resolve_config,
 )
+from shufflab.common import format_float
 from shufflab.detect import _sample_f, run_test
-from shufflab.matrixio import format_float, read_matrix, read_sidecar
+from shufflab.matrixio import read_matrix
 from shufflab.model import ModelParams
 from shufflab.oracles import ORACLE_CHECKS
 
@@ -33,8 +36,9 @@ def run_cli(*args) -> int:
 
 
 def test_cli_start_loads_no_scipy(tmp_path):
-    # SciPy and the oracle module are imported by the commands that use them,
-    # not when the CLI starts, and the chisq, sweep and advantage commands use neither
+    # each command imports its own library when it runs, not when the CLI starts;
+    # SciPy and the oracle module are imported by the commands that use them, and
+    # the chisq, sweep, advantage and detect commands use neither
     runs = [
         ["chisq", "--d", "50", "--m", "2", "--k", "1", "--sigma", "0", "--mode", "both",
          "--samples", "2000", "--seed", "1", "--output", "case1.csv"],
@@ -43,12 +47,16 @@ def test_cli_start_loads_no_scipy(tmp_path):
         ["sweep", "--config", str(SCRIPTS / "chisq_regimes_noiseless.cfg")],
         ["advantage", "--n", "1", "--d", "2", "--m", "1", "--sigma", "0", "--D", "2",
          "--samples", "200", "--seed", "1", "--output", "advantage.csv"],
+        ["detect", "--n", "4", "--d", "2", "--m", "2", "--sigma", "0.5", "--trials", "100",
+         "--seed", "1", "--output", "detect.csv"],
     ]
+    libraries = [f"shufflab.{name}"
+                 for name in ("advantage", "chisq", "detect", "hermite", "matrixio", "oracles")]
     code = (
         "import json, sys, shufflab.cli as cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] == 'scipy' or m == 'shufflab.oracles')\n"
+        f"                  if m.split('.')[0] == 'scipy' or m in {libraries})\n"
         "cli.build_parser()\n"
         "start = loaded()\n"
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -60,8 +68,8 @@ def test_cli_start_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True)
     start, codes, after = json.loads(out.stdout.splitlines()[-1])
     assert start == []
-    assert codes == [0, 0, 0, 0]
-    assert after == []
+    assert codes == [0, 0, 0, 0, 0]
+    assert after == ["shufflab.advantage", "shufflab.chisq", "shufflab.detect", "shufflab.hermite"]
     assert (tmp_path / "chisq_regimes_noiseless.csv").exists()
 
 
@@ -260,7 +268,7 @@ def test_advantage_cap_rejects_grid_before_any_cell(tmp_path, monkeypatch):
         calls.append(D)
         return advantage_sq_with_patterns(params, D, *args, **kwargs)
 
-    monkeypatch.setattr("shufflab.cli.advantage_sq_with_patterns", spy)
+    monkeypatch.setattr("shufflab.advantage.advantage_sq_with_patterns", spy)
     out = tmp_path / "x.csv"
     code = run_cli("advantage", "--n", 3, "--d", 3, "--m", 3, "--sigma", 0.5, "--D", 2, 8,
                    "--samples", 2000, "--seed", 1, "--output", out)
@@ -282,7 +290,7 @@ def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monk
         calls.append(D)
         return advantage_sq_with_patterns(params, D, *args, **kwargs)
 
-    monkeypatch.setattr("shufflab.cli.advantage_sq_with_patterns", spy)
+    monkeypatch.setattr("shufflab.advantage.advantage_sq_with_patterns", spy)
     out = tmp_path / "x.csv"
     code = run_cli("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.5, *grid,
                    "--seed", 1, "--output", out)
@@ -293,34 +301,41 @@ def test_advantage_bad_degree_or_samples_rejected_before_any_cell(tmp_path, monk
 
 @pytest.mark.parametrize("argv, target, code", [
     (("detect", "--n", 64, 0, "--d", 8, "--m", 8, "--sigma", 1.0, "--trials", 200),
-     "run_test", 2),
+     "shufflab.detect.run_test", 2),
     (("advantage", "--n", 1, "--d", 2, "--m", 1, "--sigma", 0.5, -1, "--D", 4,
-      "--samples", 2000), "advantage_sq_with_patterns", 2),
+      "--samples", 2000), "shufflab.advantage.advantage_sq_with_patterns", 2),
     (("chisq", "--d", 40, "--m", 40, "--k", 2, "--sigma", 1, -1, "--mode", "mc",
-      "--samples", 2000), "evaluate", 2),
+      "--samples", 2000), "shufflab.chisq.evaluate", 2),
     (("chisq", "--d", 40, "--m", 40, "--k", 2, "--sigma", 1, 0, "--mode", "mc",
-      "--samples", 2000), "evaluate", 4),
+      "--samples", 2000), "shufflab.chisq.evaluate", 4),
     # "both" checks each method: k = 2 is case 2, which has no Monte Carlo evaluator
     (("chisq", "--d", 40, "--m", 1, "--k", 1, 2, "--sigma", 0, "--mode", "both",
-      "--samples", 2000), "evaluate", 4),
+      "--samples", 2000), "shufflab.chisq.evaluate", 4),
     # a closed form whose exact integers would hold 9.1e6 bits, above the cap (exit 3)
-    (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0), "evaluate", 3),
+    (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0),
+     "shufflab.chisq.evaluate", 3),
     # the same cell by Monte Carlo: the likelihood ratio's constant needs 6.1e6 bits
     (("chisq", "--d", 6000, "--m", 1000, "--k", 1, 1000, "--sigma", 0, "--mode", "mc"),
-     "evaluate", 3),
+     "shufflab.chisq.evaluate", 3),
+    # the determinant integral at d = 100,000 needs 2.0e8 Szego steps, above the cap (exit 3);
+    # it is the only cell, since with m = d in two cells an m > d cell (exit 2) lies between
+    (("chisq", "--d", 100_000, "--m", 100_000, "--k", 1, "--sigma", 1, "--mode", "mc",
+      "--samples", 4096), "shufflab.chisq.evaluate", 3),
 ], ids=("detect-n0", "advantage-negative-sigma", "chisq-negative-sigma", "chisq-mc-sigma0",
-        "chisq-both-case2-mc", "chisq-closed-bits-cap", "chisq-mc-bits-cap"))
+        "chisq-both-case2-mc", "chisq-closed-bits-cap", "chisq-mc-bits-cap",
+        "chisq-mc-steps-cap"))
 def test_late_invalid_cell_refused_before_any_cell(tmp_path, monkeypatch, argv, target, code):
     # the first cell is valid and the last is not: every cell passes its library check
     # before the first one runs
     calls = []
-    real = getattr(shufflab.cli, target)
+    module, _, name = target.rpartition(".")
+    real = getattr(importlib.import_module(module), name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shufflab.cli, target, spy)
+    monkeypatch.setattr(target, spy)
     out = tmp_path / "x.csv"
     assert run_cli(*argv, "--seed", 1, "--output", out) == code
     assert calls == []

@@ -2,18 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import read_sidecar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shufflab.matrixio import (
-    BLOCK,
-    format_float,
-    read_matrix,
-    read_sidecar,
-    write_matrix,
-    write_sidecar,
-)
+from shufflab.common import format_float
+from shufflab.matrixio import BLOCK, read_matrix, write_matrix, write_sidecar
 
 
 def per_element_text(a: np.ndarray) -> str:
